@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dst, idst
 
-from .dynamics import CouplingRamp, GridSpec
+from .dynamics import CouplingRamp, GridSpec, _runs, _SpectralPropagator
 from .errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
@@ -98,10 +97,19 @@ class ProjectedPairState:
     success_probability: float
 
 
-def _dst2(f, phase_x, phase_y):
-    f = idst(dst(f, type=1, axis=0) * phase_x[:, None], type=1, axis=0)
-    f = idst(dst(f, type=1, axis=1) * phase_y[None, :], type=1, axis=1)
-    return f
+def _axis_factors(rate_x: np.ndarray, rate_y: np.ndarray, scale) -> list:
+    """Separable local factors exp(scale*rate_x(x)) * exp(scale*rate_y(y)).
+
+    Returned as (index, factor) pairs to multiply into a 2-D field in
+    place, one per run of nonzero rate along each axis; a zero rate costs
+    nothing.
+    """
+    out = []
+    for s in _runs(rate_x):
+        out.append(((s, slice(None)), np.exp(scale * rate_x[s])[:, None]))
+    for s in _runs(rate_y):
+        out.append(((slice(None), s), np.exp(scale * rate_y[s])[None, :]))
+    return out
 
 
 def pair_amplitude(
@@ -123,7 +131,15 @@ def pair_amplitude(
 
     The ramp should switch off before t0 (shape 'pulse') so the pair has a
     free escape interval; the leakage metric reports how completely it
-    left the coupling square.
+    left the coupling square. ``t0`` must be a whole number of steps
+    ``grid.dt`` (ParameterDomainError otherwise).
+
+    Each step is a Strang step of the shared spectral propagator (see
+    ``dynamics``): kinetic kicks by 2-D sine transforms, with adjacent
+    half-kicks fused into one full kick, so the propagator splits into
+    half-kicks only at the first and the final step. The potential phase
+    and the absorber decay are applied as separable 1-D factors where
+    they are nonzero.
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
@@ -139,40 +155,46 @@ def pair_amplitude(
         raise ParameterDomainError(
             "ramp must switch off before t0 (use shape='pulse')"
         )
+    ratio = t0 / grid.dt
+    steps = int(round(ratio))
+    if abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
+        raise ParameterDomainError(
+            f"t0={t0!r} is not a multiple of dt={grid.dt!r} (t0/dt = {ratio!r})"
+        )
     k0 = math.sqrt(mu)
     grid.validate_resolution(k0)
 
     n = x.size
-    kn = grid.wavenumbers()
     dt = grid.dt
     # frame: each particle rotated by mu
-    phase_half = np.exp(-1j * (kn**2 - mu) * dt / 2.0)
+    half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
+    kinetic = _SpectralPropagator([half[:, None], half[None, :]], dirichlet=True,
+                                  axes=(0, 1))
     vp = np.zeros(n) if potential_plus is None else np.asarray(potential_plus, float)
     vm = np.zeros(n) if potential_minus is None else np.asarray(potential_minus, float)
     if vp.shape != x.shape or vm.shape != x.shape:
         raise ParameterDomainError("potential samples must match grid.x")
-    phase_pot = np.exp(-1j * (vp[:, None] + vm[None, :]) * dt)
+    potential = _axis_factors(vp, vm, -1j * dt)
+    profile = grid.absorber_profile()
+    absorber = _axis_factors(profile, profile, -dt)
     gmask = ramp.spatial_mask(grid)
     diag = np.arange(n)
-    decay = None
-    if grid.absorber.width > 0:
-        decay_1d = np.exp(-grid.absorber_profile() * dt)
-        decay = decay_1d[:, None] * decay_1d[None, :]
 
     f = np.zeros((n, n), dtype=complex)
-    steps = int(round(t0 / dt))
     t = 0.0
-    for _ in range(steps):
+    for step in range(steps):
         t_mid = t + dt / 2.0
-        f = _dst2(f, phase_half, phase_half)
-        f *= phase_pot
+        f = kinetic.kick(f, full=step > 0)
+        for idx, factor in potential:
+            f[idx] *= factor
         g_env = ramp.envelope(t_mid)
         if g_env > 1e-14 * ramp.g0_peak:
             f[diag, diag] += (-1j * dt / grid.dx) * g_env * gmask
-        if decay is not None:
-            f *= decay
-        f = _dst2(f, phase_half, phase_half)
+        for idx, factor in absorber:
+            f[idx] *= factor
         t += dt
+    if steps:
+        f = kinetic.kick(f, full=False)
 
     norm2 = float(np.sum(np.abs(f) ** 2) * grid.dx**2)
     inside = np.abs(x) <= a
@@ -319,51 +341,3 @@ def bell_metrics(s: ProjectedPairState) -> dict:
         "entropy": single_side_entropy(rho),
         "success_probability": s.success_probability,
     }
-
-
-def free_pair_oracle(
-    x_targets: np.ndarray,
-    y_targets: np.ndarray,
-    ramp: CouplingRamp,
-    mu: float,
-    t0: float,
-    source_half_width: float,
-    n_source: int = 61,
-    n_time: int = 121,
-) -> np.ndarray:
-    """Quadrature evaluation of the free-space first-order amplitude.
-
-    Independent check of :func:`pair_amplitude` for V = 0: the amplitude is
-
-        f(x, y, t0) = -i * int_0^t0 dt' g(t') K(x - x', t0 - t')
-                                            K(y - x', t0 - t') dx'
-
-    with the free single-particle propagator in the mu frame,
-    K(z, t) = exp(i mu t) * exp(i z^2 / (4 t)) / sqrt(4 pi i t), integrated
-    over the source support by Simpson quadrature in x' and t'. Valid when
-    the ramp switches off before t0 (no propagator singularity).
-    """
-    from scipy.integrate import simpson
-
-    if not math.isfinite(ramp.t_off) or ramp.t_off >= t0:
-        raise ParameterDomainError("oracle requires the source off before t0")
-    ts = np.linspace(0.0, min(ramp.t_off + 6.0 / ramp.gamma, t0 - 1e-6), n_time)
-    xs = np.linspace(-source_half_width, source_half_width, n_source)
-    g_t = np.array([ramp.envelope(t) for t in ts])
-
-    def kernel(z, tau):
-        return np.exp(1j * mu * tau) * np.exp(1j * z**2 / (4.0 * tau)) / np.sqrt(
-            4.0j * math.pi * tau
-        )
-
-    out = np.zeros((len(x_targets), len(y_targets)), dtype=complex)
-    for i, xt in enumerate(x_targets):
-        for j, yt in enumerate(y_targets):
-            # integrand over (t', x'), vectorized in x'
-            vals_t = np.empty(len(ts), dtype=complex)
-            for it, tp in enumerate(ts):
-                tau = t0 - tp
-                integ = kernel(xt - xs, tau) * kernel(yt - xs, tau)
-                vals_t[it] = g_t[it] * simpson(integ, x=xs)
-            out[i, j] = -1j * simpson(vals_t, x=ts)
-    return out

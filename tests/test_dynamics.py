@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dst, idst
 
 from atomsqueeze import (
     AbsorberSpec,
@@ -11,6 +12,7 @@ from atomsqueeze import (
     ModeLabel,
     ModeState,
     OutputWindow,
+    PlaneWaveSource,
     evolve,
     extract_output_correlators,
     gaussian_packet,
@@ -130,6 +132,96 @@ class TestSymplecticStructure:
         fc, _ = evolve(combo, ramp, None, grid, 0.5)
         assert np.abs(fc.u - (a * f1.u + b * f2.u)).max() < 1e-12
         assert np.abs(fc.w - (a * f1.w + b * f2.w)).max() < 1e-12
+
+
+def unfused_strang_reference(state, ramp, potential, grid, n_steps, source):
+    """Dirichlet evolve by plain Strang steps (oracle for the fused stepper).
+
+    Every step is two unfused half-kicks, u and w transformed separately,
+    around the source, the 2x2 exponential on the whole grid (written with
+    np.sinc) and the absorber decay on the whole grid.
+    """
+    dt = grid.dt
+    half = np.exp(-1j * (grid.wavenumbers() ** 2 - state.label.mu) * dt / 2.0)
+    v = potential(grid.x)
+    gmask = ramp.spatial_mask(grid)
+    decay = np.exp(-grid.absorber_profile() * dt)
+    isrc = int(np.argmin(np.abs(grid.x - source.x_pos)))
+
+    def half_kick(u, w):
+        return (idst(dst(u, type=1) * half, type=1),
+                idst(dst(w, type=1) * np.conj(half), type=1))
+
+    u, w = state.u.astype(complex), state.w.astype(complex)
+    t = state.t
+    for step in range(n_steps):
+        t_mid = t + dt / 2.0
+        u, w = half_kick(u, w)
+        u[isrc] += (-1j * dt / grid.dx) * source.value(t_mid)
+        g = ramp.envelope(t_mid) * gmask
+        om = np.sqrt((v * v - g * g).astype(complex))
+        c = np.cos(om * dt)
+        snc = dt * np.sinc(om * dt / np.pi)  # sin(om dt) / om
+        u, w = ((c - 1j * snc * v) * u - 1j * snc * g * w,
+                (c + 1j * snc * v) * w + 1j * snc * g * u)
+        u, w = half_kick(u * decay, w * decay)
+        t = state.t + (step + 1) * dt
+    return state.copy_with(u, w, t)
+
+
+def assert_same_final_state(got, ref):
+    scale = max(np.abs(ref.u).max(), np.abs(ref.w).max())
+    assert scale > 0
+    assert got.t == ref.t
+    assert np.abs(got.u - ref.u).max() < 1e-12 * scale
+    assert np.abs(got.w - ref.w).max() < 1e-12 * scale
+
+
+class TestKickFusion:
+    """Fusing adjacent half-kicks changes round-off only: a snapshot at every
+    step forces every step boundary to exist, a run without snapshots fuses
+    all but the guard checks and the final step."""
+
+    def test_sourced_dirichlet_run_with_absorber(self):
+        grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
+                        absorber=AbsorberSpec(width=10.0, strength=6.0))
+        ramp = CouplingRamp(g0_peak=1.0, gamma=2.0, shape="tanh", t_on=0.5,
+                            x_lo=0.0, x_hi=5.0)
+        source = PlaneWaveSource(x_pos=20.0, t_on=0.3, tau_on=0.2)
+
+        def step_potential(x):
+            return np.where((x > 8.0) & (x < 10.0), 0.5, 0.0)
+
+        zeros = np.zeros(grid.x.shape, dtype=complex)
+        state = ModeState(u=zeros, w=zeros, t=0.0,
+                          label=ModeLabel(mu=4.0, k0=2.0))
+        n = 150
+        plain, none = evolve(state, ramp, step_potential, grid, n * grid.dt,
+                             source=source)
+        every, snaps = evolve(state, ramp, step_potential, grid, n * grid.dt,
+                              source=source,
+                              snapshot_times=[grid.dt * (i + 1) for i in range(n)])
+        assert none == [] and len(snaps) == n
+        assert_same_final_state(every, plain)
+        # the restricted local step matches the dense one
+        ref = unfused_strang_reference(state, ramp, step_potential, grid, n, source)
+        assert_same_final_state(plain, ref)
+
+    def test_periodic_run_with_guard(self):
+        grid = periodic_grid(n=256, dt=0.01)
+        ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
+                            x_lo=20.0, x_hi=40.0)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        n = 100
+        # guard checks every 7 steps split the unsnapshotted run off-period
+        plain, _ = evolve(state, ramp, None, grid, n * grid.dt, check_every=7)
+        every, snaps = evolve(state, ramp, None, grid, n * grid.dt, check_every=7,
+                              snapshot_times=[grid.dt * (i + 1) for i in range(n)])
+        assert len(snaps) == n
+        assert_same_final_state(every, plain)
+        # a snapshot keeps the state of its own step boundary
+        mid, _ = evolve(state, ramp, None, grid, 50 * grid.dt, check_every=7)
+        assert_same_final_state(snaps[49], mid)
 
 
 class TestStationaryInterior:
