@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ClosedChannelError, ParameterDomainError
-from .params import DimensionlessParams
+from .params import DimensionlessParams, _first, check_dimensionless
 
 #: |arctanh_argument| within this distance below 1 is flagged near-threshold.
 NEAR_THRESHOLD_BAND = 1e-12
@@ -31,7 +33,8 @@ NEAR_THRESHOLD_BAND = 1e-12
 
 @dataclass(frozen=True)
 class SqueezingValue:
-    """Squeezing parameter at one operating point.
+    """Squeezing parameter at one operating point (inside the package also
+    a row of points, one array per field; see :func:`r_closed_form`).
 
     ``arctanh_argument`` is tanh(2*theta) * sin(phi); the point is above
     threshold when its magnitude reaches 1, in which case ``r`` is inf and
@@ -63,27 +66,11 @@ class SqueezingSpectrum:
     def detunings(self) -> List[float]:
         return [d for d, _ in self.points]
 
-    @property
-    def r_values(self) -> List[float]:
-        return [v.r for _, v in self.points]
-
     def any_above_threshold(self) -> bool:
         return any(v.above_threshold for _, v in self.points)
 
 
-def _value_from_argument(arg: float) -> SqueezingValue:
-    if abs(arg) >= 1.0:
-        return SqueezingValue(r=math.inf, above_threshold=True, arctanh_argument=arg)
-    near = abs(arg) > 1.0 - NEAR_THRESHOLD_BAND
-    return SqueezingValue(
-        r=abs(math.atanh(arg)),
-        above_threshold=False,
-        arctanh_argument=arg,
-        near_threshold=near,
-    )
-
-
-def _value_from_phase(d: float, phi: float) -> SqueezingValue:
+def _value_from_phase(d, phi) -> SqueezingValue:
     """SqueezingValue for argument sin(phi)/sqrt(1+d^2), saturation-stable.
 
     Near threshold the argument rounds to 1 long before the true
@@ -91,25 +78,28 @@ def _value_from_phase(d: float, phi: float) -> SqueezingValue:
     s - 1 = d^2/(1+s) and 1 - |sin(phi)| = 2*sin^2(pi/4 -/+ phi/2). The
     threshold flag then flips at the floating-point representation of the
     divergence itself rather than ~1e-8 early, and r keeps full relative
-    accuracy arbitrarily close to threshold.
+    accuracy arbitrarily close to threshold. Elementwise over arrays.
     """
-    s = math.sqrt(1.0 + d * d)
-    t = math.sin(phi)
-    if t == 0.0:
-        return SqueezingValue(r=0.0, above_threshold=False, arctanh_argument=0.0)
-    if t >= 0.0:
-        one_minus_abs_t = 2.0 * math.sin(math.pi / 4.0 - phi / 2.0) ** 2
-    else:
-        one_minus_abs_t = 2.0 * math.sin(math.pi / 4.0 + phi / 2.0) ** 2
-    s_minus_abs_t = d * d / (1.0 + s) + one_minus_abs_t  # = s - |t|, stable
-    arg = t / s
-    if s_minus_abs_t <= 0.0:
-        return SqueezingValue(r=math.inf, above_threshold=True, arctanh_argument=arg)
-    r = max(0.0, 0.5 * math.log((s + abs(t)) / s_minus_abs_t))
-    near = s_minus_abs_t / s < NEAR_THRESHOLD_BAND
+    s = np.sqrt(1.0 + d * d)
+    t = np.sin(phi)
+    half = np.where(t >= 0.0, math.pi / 4.0 - phi / 2.0, math.pi / 4.0 + phi / 2.0)
+    s_minus_abs_t = d * d / (1.0 + s) + 2.0 * np.sin(half) ** 2  # = s - |t|, stable
+    above = s_minus_abs_t <= 0.0
+    with np.errstate(divide="ignore"):
+        r = np.maximum(0.0, 0.5 * np.log((s + np.abs(t)) / s_minus_abs_t))
     return SqueezingValue(
-        r=r, above_threshold=False, arctanh_argument=arg, near_threshold=near
+        r=np.where(above, math.inf, np.where(t == 0.0, 0.0, r)),
+        above_threshold=above,
+        arctanh_argument=t / s,
+        near_threshold=~above & (s_minus_abs_t / s < NEAR_THRESHOLD_BAND),
     )
+
+
+def _points(value: SqueezingValue) -> List[SqueezingValue]:
+    """One SqueezingValue of Python scalars per entry of an array-valued one."""
+    fields = (value.r, value.above_threshold, value.arctanh_argument,
+              value.near_threshold)
+    return [SqueezingValue(*p) for p in zip(*(np.ravel(f).tolist() for f in fields))]
 
 
 def tanh_two_theta(d: float) -> float:
@@ -132,24 +122,38 @@ def wavenumber_phase(params: DimensionlessParams) -> float:
 
     evaluated here as 2*kappa*s / (sqrt(1 + s/M) + sqrt(1 - s/M)), which
     avoids catastrophic cancellation at large M and has the exact limit
-    phi -> kappa * s as M -> inf.
+    phi -> kappa * s as M -> inf. Elementwise when the parameters are
+    arrays.
 
     Raises ClosedChannelError when M < s (k_minus imaginary: the lower
     interior branch is evanescent and the closed form does not apply).
     """
-    s = math.sqrt(1.0 + params.d * params.d)
-    if params.big_m < s:
+    d, M = params.d, params.big_m
+    s = np.sqrt(1.0 + d * d)
+    closed = M < s
+    if np.any(closed):
         raise ClosedChannelError(
-            f"lower interior branch evanescent: big_m={params.big_m} < sqrt(1+d^2)={s}"
+            f"lower interior branch evanescent: big_m={_first(M, closed)} "
+            f"< sqrt(1+d^2)={_first(s, closed)}"
         )
-    return 2.0 * params.kappa * s / (
-        math.sqrt(1.0 + s / params.big_m) + math.sqrt(1.0 - s / params.big_m)
-    )
+    return 2.0 * params.kappa * s / (np.sqrt(1.0 + s / M) + np.sqrt(1.0 - s / M))
+
+
+def r_closed_form(d, big_m, kappa) -> SqueezingValue:
+    """Closed-form squeezing over broadcast arrays (d, M, kappa), one array
+    per field of the result; big_m=None gives the mu >> g0 limit."""
+    d, kappa = np.asarray(d, dtype=float), np.asarray(kappa, dtype=float)
+    if big_m is None:
+        check_dimensionless(d, None, kappa)
+        return _value_from_phase(d, kappa * np.sqrt(1.0 + d * d))
+    params = DimensionlessParams(d=d, big_m=big_m, kappa=kappa)
+    return _value_from_phase(d, wavenumber_phase(params))
 
 
 def r_analytic(params: DimensionlessParams) -> SqueezingValue:
     """Squeezing parameter with the exact interior wavenumbers (finite M)."""
-    return _value_from_phase(params.d, wavenumber_phase(params))
+    (value,) = _points(r_closed_form(params.d, params.big_m, params.kappa))
+    return value
 
 
 def r_large_mu_limit(d: float, kappa: float) -> SqueezingValue:
@@ -158,9 +162,8 @@ def r_large_mu_limit(d: float, kappa: float) -> SqueezingValue:
     arctanh_argument = sin(kappa*sqrt(1+d^2)) / sqrt(1+d^2); the M -> inf
     limit of :func:`r_analytic`, even in d, and finite for all d != 0.
     """
-    if kappa < 0:
-        raise ParameterDomainError(f"kappa must be >= 0, got {kappa}")
-    return _value_from_phase(d, kappa * math.sqrt(1.0 + d * d))
+    (value,) = _points(r_closed_form(d, None, kappa))
+    return value
 
 
 def r_zero_detuning(kappa: float) -> SqueezingValue:
@@ -184,16 +187,18 @@ def loss_rate(r0: float, g0: float, n0: float) -> float:
 
 def spectrum_large_mu(d_grid: Sequence[float], kappa: float) -> SqueezingSpectrum:
     """Evaluate the mu >> g0 spectrum over a detuning grid."""
-    pts = tuple((float(d), r_large_mu_limit(float(d), kappa)) for d in d_grid)
-    return SqueezingSpectrum(points=pts, big_m=math.inf, kappa=kappa)
+    return spectrum_analytic(d_grid, None, kappa)
 
 
 def spectrum_analytic(
-    d_grid: Sequence[float], big_m: float, kappa: float
+    d_grid: Sequence[float], big_m: Optional[float], kappa: float
 ) -> SqueezingSpectrum:
-    """Evaluate the finite-M closed-form spectrum over a detuning grid."""
-    pts = tuple(
-        (float(d), r_analytic(DimensionlessParams(d=float(d), big_m=big_m, kappa=kappa)))
-        for d in d_grid
+    """Evaluate the closed-form spectrum over a detuning grid in one call.
+
+    big_m=None gives the mu >> g0 limit (recorded as big_m = inf).
+    """
+    ds = np.asarray(d_grid, dtype=float)
+    pts = tuple(zip(ds.tolist(), _points(r_closed_form(ds, big_m, kappa))))
+    return SqueezingSpectrum(
+        points=pts, big_m=math.inf if big_m is None else big_m, kappa=kappa
     )
-    return SqueezingSpectrum(points=pts, big_m=big_m, kappa=kappa)

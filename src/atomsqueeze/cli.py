@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import spectrum_large_mu
-from .config import RecordBuilder, RunConfig, load_config, parse_config
+from .config import RecordBuilder, RunConfig, parse_config, read_config
 from .dynamics import steady_state_beta_squared
 from .errors import AtomsqueezeError, ConfigError
 from .pairs import bell_metrics, post_select, quadrant_decompose
@@ -66,7 +66,7 @@ def _fmt(v):
     return str(v)
 
 
-def cmd_spectrum(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     rec = RecordBuilder(config)
     d_grid = linspace_grid((config.d_min, config.d_max, config.d_points))
     k_grid = linspace_grid((config.kappa_min, config.kappa_max, config.kappa_points))
@@ -74,7 +74,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
         ["analytic", "scattering"] if config.method == "both" else [config.method]
     )
     for method in methods:
-        rows = spectrum_grid(d_grid, k_grid, config.big_m, method, jobs=jobs)
+        rows = spectrum_grid(d_grid, k_grid, config.big_m, method)
         path = out_dir / f"spectrum_{method}.csv"
         _write_csv(
             path,
@@ -112,9 +112,8 @@ def cmd_spectrum(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
     rec = RecordBuilder(config)
     big_m = None if math.isinf(config.big_m) else config.big_m
-    lo = config.kappa_min if config.kappa_min > 0 else 1e-3
-    result = find_threshold(lo, config.kappa_max, d=config.delta_over_g0,
-                            big_m=big_m)
+    result = find_threshold(config.kappa_min, config.kappa_max,
+                            d=config.delta_over_g0, big_m=big_m)
     payload = {
         "found": result.found,
         "kappa": result.kappa,
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--method", default=None,
                        choices=["analytic", "scattering", "both"])
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--tolerance", type=float, default=0.01,
                        help="compare-mode pass/fail tolerance on max |dr|")
         for key in ("d-min", "d-max", "d-points", "kappa-min", "kappa-max",
@@ -323,16 +321,7 @@ def _apply_overrides(raw: dict, args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON in {args.config} line {exc.lineno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(_apply_overrides(raw, args))
+        config = parse_config(_apply_overrides(read_config(args.config), args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -346,7 +335,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "spectrum":
-            return cmd_spectrum(config, out_dir, jobs=args.jobs)
+            return cmd_spectrum(config, out_dir)
         if args.command == "threshold":
             return cmd_threshold(config, out_dir)
         if args.command == "compare":

@@ -170,15 +170,19 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def read_config(path) -> dict:
+    """The raw JSON mapping of a config file; ConfigError if unreadable."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}, line {exc.lineno}): "
                           f"{exc.msg}") from exc
-    return parse_config(raw)
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_config(path))
 
 
 def sha256_file(path) -> str:

@@ -407,12 +407,15 @@ def evolve(
     state must exist at the step boundary: a snapshot time, a guard check,
     and the final step.
 
-    Raises ResolutionError at setup if the grid cannot resolve the mode's
-    nominal carrier (label.k0), and InstabilityDetectedError if the norm
-    bound is violated mid-run.
+    Raises ParameterDomainError at setup if ``check_every`` is below 1,
+    ResolutionError if the grid cannot resolve the mode's nominal carrier
+    (label.k0), and InstabilityDetectedError if the norm bound is violated
+    mid-run.
     """
     if t_final < state.t:
         raise ParameterDomainError("t_final precedes the state's current time")
+    if check_every < 1:
+        raise ParameterDomainError(f"check_every must be >= 1, got {check_every}")
     grid.validate_resolution(state.label.k0)
     stepper = _Stepper(grid, ramp, potential, mu=state.label.mu)
     u = np.asarray(state.u)

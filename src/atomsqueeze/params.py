@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ParameterDomainError
 
 HBAR = 1.054571817e-34  # J s
@@ -34,9 +36,17 @@ HBAR = 1.054571817e-34  # J s
 DEFAULT_MARGIN = 0.1
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ParameterDomainError(f"{name} must be finite, got {value!r}")
+def _require(name, value, ok=True, what="finite"):
+    """Raise ParameterDomainError unless ``value`` is finite and ``ok``
+    holds, elementwise for arrays, naming the first offending value."""
+    ok = np.isfinite(value) & ok
+    if not np.all(ok):
+        raise ParameterDomainError(f"{name} must be {what}, got {_first(value, ~ok)!r}")
+
+
+def _first(value, mask) -> float:
+    """The first entry of ``value`` where ``mask`` holds, as a float."""
+    return float(np.broadcast_to(value, np.shape(mask))[mask].flat[0])
 
 
 @dataclass(frozen=True)
@@ -61,25 +71,18 @@ class PhysicalParams:
     n0: float = 1e6
 
     def __post_init__(self):
-        for name in ("g0", "mu", "a", "m", "gamma", "n0"):
-            _require_finite(name, getattr(self, name))
-        if self.g0 <= 0:
-            raise ParameterDomainError(f"g0 must be > 0, got {self.g0}")
-        if self.mu <= 0:
-            raise ParameterDomainError(f"mu must be > 0, got {self.mu}")
-        if self.a < 0:
-            raise ParameterDomainError(f"a must be >= 0, got {self.a}")
-        if self.m <= 0:
-            raise ParameterDomainError(f"m must be > 0, got {self.m}")
-        if self.gamma < 0:
-            raise ParameterDomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.n0 < 1:
-            raise ParameterDomainError(f"n0 must be >= 1, got {self.n0}")
+        _require("g0", self.g0, self.g0 > 0, "finite and > 0")
+        _require("mu", self.mu, self.mu > 0, "finite and > 0")
+        _require("a", self.a, self.a >= 0, "finite and >= 0")
+        _require("m", self.m, self.m > 0, "finite and > 0")
+        _require("gamma", self.gamma, self.gamma >= 0, "finite and >= 0")
+        _require("n0", self.n0, self.n0 >= 1, "finite and >= 1")
 
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """Reduced parameters (d, M, kappa) that fully determine the spectra.
+    """Reduced parameters (d, M, kappa) that fully determine the spectra
+    (inside the package also a row of points, one array per field).
 
     Attributes:
         d: detuning ratio delta/g0 (any real).
@@ -92,12 +95,20 @@ class DimensionlessParams:
     kappa: float
 
     def __post_init__(self):
-        for name in ("d", "big_m", "kappa"):
-            _require_finite(name, getattr(self, name))
-        if self.big_m <= 0:
-            raise ParameterDomainError(f"big_m must be > 0, got {self.big_m}")
-        if self.kappa < 0:
-            raise ParameterDomainError(f"kappa must be >= 0, got {self.kappa}")
+        check_dimensionless(self.d, self.big_m, self.kappa)
+
+
+def check_dimensionless(d, big_m, kappa) -> None:
+    """Raise ParameterDomainError unless every (d, big_m, kappa) is valid.
+
+    The domain of :class:`DimensionlessParams`: finite d, finite
+    big_m > 0, finite kappa >= 0, elementwise for arrays. big_m=None (the
+    mu >> g0 limit, which has no M) skips the big_m check.
+    """
+    _require("d", d)
+    if big_m is not None:
+        _require("big_m", big_m, big_m > 0, "finite and > 0")
+    _require("kappa", kappa, kappa >= 0, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,7 @@ def transit_time(p: PhysicalParams) -> float:
 
 def to_dimensionless(p: PhysicalParams, delta: float = 0.0) -> DimensionlessParams:
     """Reduce physical parameters to (d, M, kappa) at detuning ``delta`` (rad/s)."""
-    _require_finite("delta", delta)
+    _require("delta", delta)
     return DimensionlessParams(
         d=delta / p.g0,
         big_m=p.mu / p.g0,
@@ -144,14 +155,8 @@ def threshold_distance(kappa: float) -> float:
     """Distance from kappa to the nearest parametric threshold pi/2 + n*pi."""
     if kappa < 0:
         raise ParameterDomainError(f"kappa must be >= 0, got {kappa}")
-    n = round((kappa - math.pi / 2.0) / math.pi)
-    best = math.inf
-    for nn in (n - 1, n, n + 1):
-        if nn < 0:
-            continue
-        best = min(best, abs(kappa - (math.pi / 2.0 + nn * math.pi)))
-    # kappa below the first threshold: nearest is n = 0
-    return min(best, abs(kappa - math.pi / 2.0))
+    n = max(0, round((kappa - math.pi / 2.0) / math.pi))
+    return abs(kappa - (math.pi / 2.0 + n * math.pi))
 
 
 def validity(
@@ -167,16 +172,15 @@ def validity(
     kappa = pi/2 + n*pi). With the default margins, steady output requires
     gamma/g0 <= 0.1 and the large-mu regime g0/mu <= 0.1.
     """
-    from .analytic import r_large_mu_limit  # local import, avoids cycle
+    from .analytic import r_closed_form  # local import, avoids cycle
 
     dp = to_dimensionless(p)
     dist = threshold_distance(dp.kappa)
     below = dist > 1e-12
-    if d_grid is not None:
-        for d in d_grid:
-            if r_large_mu_limit(d, dp.kappa).above_threshold:
-                below = False
-                break
+    if d_grid is not None and np.any(
+        r_closed_form(list(d_grid), None, dp.kappa).above_threshold
+    ):
+        below = False
     g_ratio = p.gamma / p.g0
     mu_ratio = p.g0 / p.mu
     return ValidityReport(

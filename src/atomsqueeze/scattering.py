@@ -24,22 +24,20 @@ limit gives the bare hard-wall reflection alpha = -1.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .analytic import SqueezingValue, _value_from_argument
+from .analytic import NEAR_THRESHOLD_BAND, SqueezingValue, _points
 from .errors import (
     ClosedExteriorChannelError,
     IllConditionedWarning,
     InconsistentChannelsError,
     SolverError,
 )
-from .params import DimensionlessParams
+from .params import DimensionlessParams, _first
 
 #: Matching systems with condition estimates above this emit a warning.
 CONDITION_LIMIT = 1e12
@@ -67,7 +65,8 @@ class InteriorModes:
 
 @dataclass(frozen=True)
 class BogoliubovCoefficients:
-    """Flux-normalized input-output coefficients at one operating point.
+    """Flux-normalized input-output coefficients at one operating point
+    (one array per field for a row of points, see :func:`solve_matching`).
 
     For well-conditioned below-threshold inputs these satisfy, to solver
     tolerance, |alpha_p|^2 - |beta_p|^2 = 1 (same for the minus channel),
@@ -100,100 +99,113 @@ def interior_modes(params: DimensionlessParams) -> InteriorModes:
     Closed channels are represented, not rejected: a negative eigenvalue
     yields an imaginary wavevector (Im > 0 by convention), and the
     corresponding slab solution is the sinh-like combination vanishing at
-    the wall.
+    the wall. Elementwise when the parameters are arrays.
     """
     d, M = params.d, params.big_m
-    s = math.sqrt(1.0 + d * d)
-    lam_hi, lam_lo = M + s, M - s
+    s = np.sqrt(1.0 + d * d)
+    lams = (M + s, M - s)
     # eigenvector of [[M+d, -1], [-1, M-d]] for eigenvalue M+s: (1, d-s)
-    v_hi = np.array([1.0, d - s])
-    v_lo = np.array([1.0, d + s])
-    v_hi /= np.linalg.norm(v_hi)
-    v_lo /= np.linalg.norm(v_lo)
+    norms = [np.sqrt(1.0 + w * w) for w in (d - s, d + s)]
     return InteriorModes(
-        eigenvalues=(lam_hi, lam_lo),
-        eigenvectors=(tuple(v_hi), tuple(v_lo)),
-        wavevectors=(cmath.sqrt(lam_hi), cmath.sqrt(lam_lo)),
+        eigenvalues=lams,
+        eigenvectors=tuple((1.0 / n, w / n) for w, n in zip((d - s, d + s), norms)),
+        wavevectors=tuple(np.sqrt(lam + 0j) for lam in lams),
         exterior_open=(M + d > 0, M - d > 0),
+    )
+
+
+def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
+    """Solve the 4x4 boundary-matching problem at every point of a row.
+
+    Two interior coefficients (one per branch, each vanishing at the wall)
+    and two outgoing amplitudes are matched against continuity of (u, w)
+    and their derivatives at x = a, once per incoming channel. The row of
+    N points (``d``, ``big_m``, ``kappa`` broadcast) is one (N, 4, 4)
+    stack with an (N, 4, 2) right-hand side. A singular matrix (non-finite
+    2-norm condition number) is left out of the solve: NaN coefficients.
+
+    Raises ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
+    channel carries no flux and the input-output map is undefined). Emits
+    one IllConditionedWarning when any condition number exceeds
+    CONDITION_LIMIT, which happens approaching threshold.
+    """
+    d, big_m, kappa = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d, big_m, kappa))
+    )
+    modes = interior_modes(DimensionlessParams(d=d, big_m=big_m, kappa=kappa))
+    closed = big_m - np.abs(d) <= 0
+    if np.any(closed):
+        raise ClosedExteriorChannelError(
+            f"exterior channel closed: big_m={_first(big_m, closed)}, "
+            f"|d|={_first(np.abs(d), closed)}"
+        )
+    a = kappa * np.sqrt(big_m)
+    ku = np.sqrt(big_m + d)
+    kw = np.sqrt(big_m - d)
+
+    # Unknowns per experiment: interior coefficients c1, c2 and outgoing
+    # amplitudes p (u channel) and q (w channel), referenced at x = a.
+    mat = np.zeros(d.shape + (4, 4), dtype=complex)
+    for j, (k, (eu, ew)) in enumerate(zip(modes.wavevectors, modes.eigenvectors)):
+        sin, kcos = np.sin(k * a), k * np.cos(k * a)
+        mat[:, :, j] = np.stack([sin * eu, kcos * eu, sin * ew, kcos * ew], axis=-1)
+    mat[:, 0, 2] = mat[:, 2, 3] = -1.0
+    mat[:, 1, 2], mat[:, 3, 3] = -1j * ku, 1j * kw
+    # experiment 1: unit incident u wave exp(-i ku (x-a)); experiment 2:
+    # unit incident w wave exp(+i kw (x-a)).
+    rhs = np.zeros(d.shape + (4, 2), dtype=complex)
+    rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
+    rhs[:, 1, 0], rhs[:, 3, 1] = -1j * ku, 1j * kw
+
+    cond = np.linalg.cond(mat)
+    ill = cond > CONDITION_LIMIT
+    if np.any(ill):
+        i = int(np.argmax(cond))
+        warnings.warn(
+            f"{int(ill.sum())} of {cond.size} matching systems nearly singular "
+            f"(worst cond ~ {cond[i]:.2e} at d={d[i]}, M={big_m[i]}, "
+            f"kappa={kappa[i]}); coefficients may be inaccurate",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    ok = np.isfinite(cond)
+    sol = np.full(rhs.shape, np.nan, dtype=complex)
+    try:
+        sol[ok] = np.linalg.solve(mat[ok], rhs[ok])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"singular matching system in the row at d={d[0]}, M={big_m[0]}"
+        ) from exc
+    p1, q1 = sol[:, 2, 0], sol[:, 3, 0]
+    p2, q2 = sol[:, 2, 1], sol[:, 3, 1]
+
+    # Re-reference amplitudes to the origin and flux-normalize. The w
+    # channel rides on the conjugate field, so its coefficients conjugate.
+    return BogoliubovCoefficients(
+        alpha_p=p1 * np.exp(-2j * ku * a),
+        beta_p=p2 * np.exp(1j * (kw - ku) * a) * np.sqrt(ku / kw),
+        alpha_m=np.conj(q2 * np.exp(2j * kw * a)),
+        beta_m=np.conj(q1 * np.exp(1j * (kw - ku) * a)) * np.sqrt(kw / ku),
+        d=d,
+        big_m=big_m,
+        kappa=kappa,
+        condition_number=cond,
     )
 
 
 def solve_scattering(params: DimensionlessParams) -> BogoliubovCoefficients:
     """Solve the 4x4 boundary-matching problem for one operating point.
 
-    Two interior coefficients (one per branch, each vanishing at the wall)
-    and two outgoing amplitudes are matched against continuity of (u, w)
-    and their derivatives at x = a, once per incoming channel. The two
-    right-hand sides share one LU factorization.
-
-    Raises ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
-    channel carries no flux and the input-output map is undefined). Emits
-    IllConditionedWarning when the matching matrix condition estimate
-    exceeds CONDITION_LIMIT, which happens approaching threshold.
+    :func:`solve_matching` with one point; raises SolverError when its
+    matching matrix is singular.
     """
-    d, M, kappa = params.d, params.big_m, params.kappa
-    if M - abs(d) <= 0:
-        raise ClosedExteriorChannelError(
-            f"exterior channel closed: big_m={M}, |d|={abs(d)}"
-        )
-    modes = interior_modes(params)
-    a = kappa * math.sqrt(M)
-    ku = math.sqrt(M + d)
-    kw = math.sqrt(M - d)
-    k1, k2 = modes.wavevectors
-    (e1u, e1w), (e2u, e2w) = modes.eigenvectors
-
-    sin1, cos1 = np.sin(k1 * a), np.cos(k1 * a)
-    sin2, cos2 = np.sin(k2 * a), np.cos(k2 * a)
-
-    # Unknowns per experiment: interior coefficients c1, c2 and outgoing
-    # amplitudes p (u channel) and q (w channel), referenced at x = a.
-    mat = np.array(
-        [
-            [sin1 * e1u, sin2 * e2u, -1.0, 0.0],
-            [k1 * cos1 * e1u, k2 * cos2 * e2u, -1j * ku, 0.0],
-            [sin1 * e1w, sin2 * e2w, 0.0, -1.0],
-            [k1 * cos1 * e1w, k2 * cos2 * e2w, 0.0, 1j * kw],
-        ],
-        dtype=complex,
-    )
-    # experiment 1: unit incident u wave exp(-i ku (x-a)); experiment 2:
-    # unit incident w wave exp(+i kw (x-a)).
-    rhs = np.array(
-        [[1.0, 0.0], [-1j * ku, 0.0], [0.0, 1.0], [0.0, 1j * kw]], dtype=complex
-    )
-    cond = float(np.linalg.cond(mat))
-    if cond > CONDITION_LIMIT:
-        warnings.warn(
-            f"matching system nearly singular (cond ~ {cond:.2e}) at "
-            f"d={d}, M={M}, kappa={kappa}; coefficients may be inaccurate",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"singular matching system at d={d}, M={M}, kappa={kappa}"
-        ) from exc
-    p1, q1 = sol[2, 0], sol[3, 0]
-    p2, q2 = sol[2, 1], sol[3, 1]
-
-    # Re-reference amplitudes to the origin and flux-normalize. The w
-    # channel rides on the conjugate field, so its coefficients conjugate.
-    alpha_p = p1 * cmath.exp(-2j * ku * a)
-    beta_m = (q1 * cmath.exp(1j * (kw - ku) * a)).conjugate() * math.sqrt(kw / ku)
-    beta_p = p2 * cmath.exp(1j * (kw - ku) * a) * math.sqrt(ku / kw)
-    alpha_m = (q2 * cmath.exp(2j * kw * a)).conjugate()
+    c = solve_matching(params.d, params.big_m, params.kappa)
+    if not np.isfinite(c.condition_number[0]):
+        raise SolverError(f"singular matching system at {params}")
+    amplitudes = (c.alpha_p, c.beta_p, c.alpha_m, c.beta_m)
     return BogoliubovCoefficients(
-        alpha_p=complex(alpha_p),
-        beta_p=complex(beta_p),
-        alpha_m=complex(alpha_m),
-        beta_m=complex(beta_m),
-        d=d,
-        big_m=M,
-        kappa=kappa,
-        condition_number=cond,
+        *(complex(x[0]) for x in amplitudes), params.d, params.big_m,
+        params.kappa, float(c.condition_number[0]),
     )
 
 
@@ -204,19 +216,28 @@ def r_from_coefficients(
 
     The two channel ratios are averaged to suppress round-off asymmetry;
     a genuine mismatch beyond consistency_factor * SOLVER_TOL (relative to
-    the ratio scale) raises InconsistentChannelsError.
+    the ratio scale) raises InconsistentChannelsError. Elementwise when
+    the coefficients are arrays (NaN coefficients give NaN r); the result
+    then holds one array per field, else Python scalars.
     """
-    t_p = abs(c.beta_p) / abs(c.alpha_p)
-    t_m = abs(c.beta_m) / abs(c.alpha_m)
-    scale = max(t_p, t_m, 1.0)
-    if abs(t_p - t_m) > consistency_factor * SOLVER_TOL * scale:
+    t_p = np.abs(c.beta_p) / np.abs(c.alpha_p)
+    t_m = np.abs(c.beta_m) / np.abs(c.alpha_m)
+    scale = np.maximum(np.maximum(t_p, t_m), 1.0)
+    bad = np.abs(t_p - t_m) > consistency_factor * SOLVER_TOL * scale
+    if np.any(bad):
         raise InconsistentChannelsError(
-            f"channel ratios disagree: |b+/a+|={t_p!r}, |b-/a-|={t_m!r}"
+            f"channel ratios disagree: |b+/a+|={_first(t_p, bad)!r}, "
+            f"|b-/a-|={_first(t_m, bad)!r}"
         )
     t = 0.5 * (t_p + t_m)
-    if t_p >= 1.0 or t_m >= 1.0 or t >= 1.0:
-        return SqueezingValue(r=math.inf, above_threshold=True, arctanh_argument=t)
-    return _value_from_argument(t)
+    above = (t_p >= 1.0) | (t_m >= 1.0) | (t >= 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(above, np.inf, np.arctanh(t))
+    value = SqueezingValue(
+        r=r, above_threshold=above, arctanh_argument=t,
+        near_threshold=~above & (t > 1.0 - NEAR_THRESHOLD_BAND),
+    )
+    return value if np.ndim(t) else _points(value)[0]
 
 
 def r_scattering(params: DimensionlessParams) -> SqueezingValue:

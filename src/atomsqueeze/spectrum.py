@@ -3,12 +3,14 @@
 These are the computations behind the CLI subcommands; they are kept
 importable so the analysis pipeline can be driven programmatically and so
 the tests can exercise them without file I/O.
+Grids are evaluated in one array call per d-row (a row, not the whole
+grid, bounds the memory of the stacked 4x4 solves); thresholds come from
+the closed form, whose phase is linear in kappa.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -16,13 +18,13 @@ import numpy as np
 
 from .analytic import (
     SqueezingSpectrum,
-    r_analytic,
-    r_large_mu_limit,
+    r_closed_form,
     threshold_kappas,
+    wavenumber_phase,
 )
 from .errors import AboveThresholdError, ParameterDomainError, SolverError
-from .params import DimensionlessParams
-from .scattering import r_scattering
+from .params import DimensionlessParams, check_dimensionless
+from .scattering import r_from_coefficients, solve_matching
 
 DEFAULT_BIG_M = 100.0
 
@@ -34,48 +36,32 @@ def linspace_grid(spec: Tuple[float, float, int]) -> np.ndarray:
     return np.linspace(lo, hi, int(n))
 
 
-def r_point(d: float, big_m: float, kappa: float, method: str) -> Tuple[float, bool]:
-    """(r, above_threshold) at one grid point by the requested method."""
-    if method == "analytic":
-        if math.isinf(big_m):
-            val = r_large_mu_limit(d, kappa)
-        else:
-            val = r_analytic(DimensionlessParams(d=d, big_m=big_m, kappa=kappa))
-    elif method == "scattering":
-        val = r_scattering(DimensionlessParams(d=d, big_m=big_m, kappa=kappa))
-    else:
-        raise ParameterDomainError(f"unknown method {method!r}")
-    return val.r, val.above_threshold
-
-
-def _row(args):
-    d, big_m, kappas, method = args
-    return [r_point(d, big_m, k, method) for k in kappas]
-
-
 def spectrum_grid(
     d_grid: Sequence[float],
     kappa_grid: Sequence[float],
     big_m: float = DEFAULT_BIG_M,
     method: str = "analytic",
-    jobs: int = 1,
 ) -> List[Tuple[float, float, float, bool]]:
     """Rectangular (d, kappa, r, above_threshold) sweep, row-ordered.
 
-    Rows are dispatched to a process pool when jobs > 1; assembly is by
-    row index, so the output ordering (and any file written from it) is
-    identical regardless of scheduling.
+    Each d-row is one array call: the closed form (``big_m = inf`` gives
+    the mu >> g0 limit) or one stacked scattering solve, which raises
+    SolverError if a matching matrix of the row is singular.
     """
-    tasks = [(float(d), big_m, [float(k) for k in kappa_grid], method) for d in d_grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row, tasks))
-    else:
-        rows = [_row(t) for t in tasks]
+    if method not in ("analytic", "scattering"):
+        raise ParameterDomainError(f"unknown method {method!r}")
+    kappas = np.asarray(kappa_grid, dtype=float)
     out = []
-    for (d, _, kappas, _), row in zip(tasks, rows):
-        for k, (r, above) in zip(kappas, row):
-            out.append((d, k, r, above))
+    for d in np.asarray(d_grid, dtype=float).tolist():
+        if method == "analytic":
+            value = r_closed_form(d, None if math.isinf(big_m) else big_m, kappas)
+        else:
+            coeffs = solve_matching(d, big_m, kappas)
+            if not np.isfinite(coeffs.condition_number).all():
+                raise SolverError(f"singular matching system in the row d={d}")
+            value = r_from_coefficients(coeffs)
+        out += zip([d] * kappas.size, kappas.tolist(), value.r.tolist(),
+                   value.above_threshold.tolist())
     return out
 
 
@@ -104,51 +90,35 @@ def find_threshold(
     hi: float,
     d: float = 0.0,
     big_m: Optional[float] = None,
-    tol: float = 1e-9,
 ) -> ThresholdResult:
-    """Locate a squeezing divergence in kappa by bisection.
+    """Locate a squeezing divergence in kappa from the closed form.
 
-    The arctanh argument touches 1 tangentially at a divergence (it never
-    crosses), so the search bisects on the sign of its kappa-derivative:
-    the argument rises monotonically to the left of the divergence and
-    falls to its right. On [lo, hi] containing exactly one maximum this
-    converges to the divergence within ``tol``. Intervals whose endpoint
-    slopes have the same sign contain no interior maximum and report
-    found=False.
-
-    With big_m=None the large-mu form is used; then at d = 0 the located
-    kappa is the textbook threshold pi/2 (+ n*pi depending on bracket).
+    The phase is linear in kappa, phi = c * kappa, with c the phase at
+    kappa = 1 (:func:`wavenumber_phase`; sqrt(1 + d^2) when big_m is None,
+    the large-mu form). The arctanh argument sin(phi)/sqrt(1 + d^2)
+    therefore peaks exactly at kappa_n = (pi/2 + 2*n*pi)/c. The result is
+    the first kappa_n inside (lo, hi); an interval holding none (only a
+    minimum of the argument, or no extremum) reports found=False. The peak
+    saturates the argument only at d = 0; then with big_m=None the located
+    kappa is the textbook threshold pi/2 + 2*n*pi.
     """
-    if hi <= lo:
-        raise ParameterDomainError("need hi > lo")
-
-    def argument(kappa: float) -> float:
-        if big_m is None:
-            return r_large_mu_limit(d, kappa).arctanh_argument
-        return r_analytic(
-            DimensionlessParams(d=d, big_m=big_m, kappa=kappa)
-        ).arctanh_argument
-
-    h = 1e-7 * max(1.0, hi - lo)
-
-    def slope(kappa: float) -> float:
-        return (argument(kappa + h) - argument(kappa - h)) / (2.0 * h)
-
-    s_lo, s_hi = slope(lo + h), slope(hi - h)
-    if s_lo <= 0.0 or s_hi >= 0.0:
+    if not 0.0 <= lo < hi:
+        raise ParameterDomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+    check_dimensionless(d, big_m, hi)
+    if big_m is None:
+        c = math.sqrt(1.0 + d * d)
+    else:
+        c = float(wavenumber_phase(DimensionlessParams(d=d, big_m=big_m, kappa=1.0)))
+    # floor() can land one peak low or high at the rounding edge
+    n = max(0, math.floor((lo * c - math.pi / 2.0) / (2.0 * math.pi)))
+    while (kappa_star := (math.pi / 2.0 + 2.0 * n * math.pi) / c) <= lo:
+        n += 1
+    if kappa_star >= hi:
         return ThresholdResult(
             found=False, kappa=None, nearest_reference=None, deviation=None,
             diverges=False, peak_argument=None, lo=lo, hi=hi,
         )
-    a, b = lo + h, hi - h
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if slope(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    kappa_star = 0.5 * (a + b)
-    peak = argument(kappa_star)
+    peak = float(r_closed_form(d, big_m, kappa_star).arctanh_argument)
     refs = threshold_kappas(int(kappa_star / math.pi) + 1)
     nearest = min(refs, key=lambda r: abs(r - kappa_star))
     return ThresholdResult(
@@ -184,27 +154,29 @@ def compare_methods(
     big_m: float,
     tolerance: float = 0.01,
 ) -> CompareResult:
-    """Max/mean |r_scattering - r_analytic| over a shared grid."""
-    diffs = []
+    """Max/mean |r_scattering - r_analytic| over a shared grid, by rows.
+
+    Points above threshold by either method, or with a singular matching
+    matrix, are skipped and counted.
+    """
+    kappas = np.asarray(kappa_grid, dtype=float)
+    rows = []
     skipped = 0
-    for d in d_grid:
-        for kappa in kappa_grid:
-            try:
-                r_a, above_a = r_point(float(d), big_m, float(kappa), "analytic")
-                r_s, above_s = r_point(float(d), big_m, float(kappa), "scattering")
-            except SolverError:
-                skipped += 1
-                continue
-            if above_a or above_s:
-                skipped += 1
-                continue
-            diffs.append(abs(r_s - r_a))
-    if not diffs:
+    for d in np.asarray(d_grid, dtype=float).tolist():
+        ana = r_closed_form(d, big_m, kappas)
+        coeffs = solve_matching(d, big_m, kappas)
+        sca = r_from_coefficients(coeffs)
+        keep = (np.isfinite(coeffs.condition_number)
+                & ~ana.above_threshold & ~sca.above_threshold)
+        skipped += int(keep.size - np.count_nonzero(keep))
+        rows.append(np.abs(sca.r[keep] - ana.r[keep]))
+    diffs = np.concatenate(rows) if rows else np.empty(0)
+    if not diffs.size:
         raise ParameterDomainError("comparison grid is empty or all above threshold")
     return CompareResult(
         max_abs=float(np.max(diffs)),
         mean_abs=float(np.mean(diffs)),
-        n_points=len(diffs),
+        n_points=int(diffs.size),
         n_skipped=skipped,
         tolerance=tolerance,
     )

@@ -133,17 +133,6 @@ class TestSpectrumCommand:
         assert rec1["manifest"] == rec2["manifest"]
         assert rec1["config_hash"] == rec2["config_hash"]
 
-    def test_jobs_reproduce_serial_output(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            **BASE,
-            "grid": {"d_points": 6, "kappa_points": 5},
-        })
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["spectrum", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["spectrum", "--config", cfg, "--out", str(out2),
-                     "--jobs", "2"]) == 0
-        assert sha(out1 / "spectrum_analytic.csv") == sha(out2 / "spectrum_analytic.csv")
-
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 1
 

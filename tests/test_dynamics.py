@@ -289,6 +289,16 @@ class TestInstabilityAndWindows:
             extract_output_correlators([state], window, grid,
                                        detunings=(0.0, 0.05))
 
+    @pytest.mark.parametrize("check_every", [0, -3])
+    def test_guard_interval_below_one_rejected(self, check_every):
+        # a periodic packet with no source runs guarded
+        grid = periodic_grid(n=256, dt=0.01)
+        ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
+                            x_lo=20.0, x_hi=40.0)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        with pytest.raises(ParameterDomainError, match="check_every"):
+            evolve(state, ramp, None, grid, 10 * grid.dt, check_every=check_every)
+
     def test_history_required(self):
         grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
         with pytest.raises(ParameterDomainError):

@@ -347,11 +347,16 @@ def chsh_by_angle_scan(rho2, n_angles=49):
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
     ).reshape(-1, 3)
     # E(a, b) = a^T T b; for fixed a, a' the optimal unit b, b' give exactly
-    # |T^T (a + a')| and |T^T (a - a')|, so only (a, a') is scanned
+    # |T^T (a + a')| and |T^T (a - a')|, so only (a, a') is scanned, in
+    # chunks of the first setting a to bound the memory of the pair grid
     ta = vecs @ t
-    sums = np.linalg.norm(ta[:, None, :] + ta[None, :, :], axis=2)
-    diffs = np.linalg.norm(ta[:, None, :] - ta[None, :, :], axis=2)
-    return float((sums + diffs).max())
+    best = -math.inf
+    for start in range(0, len(ta), 256):
+        chunk = ta[start:start + 256, None, :]
+        sums = np.linalg.norm(chunk + ta[None, :, :], axis=2)
+        diffs = np.linalg.norm(chunk - ta[None, :, :], axis=2)
+        best = max(best, float((sums + diffs).max()))
+    return best
 
 
 class TestBellMetrics:

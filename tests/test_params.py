@@ -12,6 +12,7 @@ from atomsqueeze import (
 )
 from atomsqueeze.analytic import loss_rate
 from atomsqueeze.errors import ParameterDomainError
+from atomsqueeze.params import threshold_distance
 
 # reference sodium-style parameter set: g0 = 2e4 rad/s, a = 3 um, and a
 # chemical potential chosen so the beam velocity is 9 cm/s
@@ -144,3 +145,42 @@ class TestValidity:
         assert rep.steady_output_margin >= 0
         assert rep.large_mu_margin >= 0
         assert rep.threshold_distance >= 0
+
+
+def threshold_distance_by_candidates(kappa):
+    """The nearest of three candidate thresholds around the rounded index
+    (and the first threshold), by direct comparison."""
+    n = round((kappa - math.pi / 2.0) / math.pi)
+    best = math.inf
+    for nn in (n - 1, n, n + 1):
+        if nn >= 0:
+            best = min(best, abs(kappa - (math.pi / 2.0 + nn * math.pi)))
+    return min(best, abs(kappa - math.pi / 2.0))
+
+
+class TestThresholdDistance:
+    def test_matches_candidate_search(self):
+        thresholds = [math.pi / 2.0 + n * math.pi for n in range(6)]
+        midpoints = [n * math.pi for n in range(1, 6)]
+        kappas = np.concatenate([
+            np.linspace(0.0, 20.0, 2001),
+            thresholds,
+            [math.nextafter(k, 0.0) for k in thresholds],
+            [0.0, 1e-9, 1.0, math.pi / 2.0 - 1e-3],
+        ])
+        assert kappas.min() == 0.0 and (kappas < math.pi / 2.0).sum() > 100
+        for kappa in kappas.tolist():
+            assert threshold_distance(kappa) == threshold_distance_by_candidates(kappa)
+        # halfway between two thresholds both are nearest; the two
+        # roundings of the tie differ in the last bits only
+        for kappa in midpoints:
+            assert abs(threshold_distance(kappa)
+                       - threshold_distance_by_candidates(kappa)) <= 4 * math.ulp(kappa)
+
+    def test_zero_at_thresholds(self):
+        for n in range(6):
+            assert threshold_distance(math.pi / 2.0 + n * math.pi) == 0.0
+
+    def test_negative_rejected(self):
+        with pytest.raises(ParameterDomainError):
+            threshold_distance(-0.1)
