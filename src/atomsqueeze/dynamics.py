@@ -25,16 +25,17 @@ solution error is second order in dt. Dirichlet boundaries use a type-I
 discrete sine transform (a hard wall at x_min comes for free); periodic
 boundaries use the FFT.
 
-One private spectral propagator serves this module and the pair
-amplitude of ``pairs``. The trailing half-kick of one step and the
-leading half-kick of the next are fused into one full kick (the phase
-squared), which leaves the scheme second order (Strang, SIAM J. Numer.
-Anal. 5, 506 (1968)); the propagator splits back into half-kicks only
-where the state must exist at a step boundary: a snapshot time, an
-instability-guard check, and the final step. u and w are carried as one
-(2, n) array, so each kick is one forward and one inverse transform. The
-2x2 local exponential runs only on the span where g or V is nonzero, and
-the absorber decay only on the absorbing layer.
+One private spectral propagator serves this module and, as 1-D kicks of
+a block of source columns, the pair amplitude of ``pairs``. The trailing
+half-kick of one step and the leading half-kick of the next are fused
+into one full kick (the phase squared), which leaves the scheme second
+order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); the propagator
+splits back into half-kicks only where the state must exist at a step
+boundary: a snapshot time, an instability-guard check, and the final
+step. u and w are carried as one (2, n) array, so each kick is one
+forward and one inverse transform. The 2x2 local exponential runs only
+on the span where g or V is nonzero, and the absorber decay only on the
+absorbing layer.
 
 Open geometries are handled with an absorbing layer at the far edge plus a
 domain long enough that absorbed flux never re-enters the analysis window,
@@ -309,6 +310,15 @@ class _SpectralPropagator:
             for p in self.half:
                 spec *= p
         return self._inverse(spec)
+
+    def split_kick(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Half-kicked and full-kicked ``f`` from one forward transform."""
+        spec = self._forward(f)
+        half = spec.copy()
+        for p in self.half:
+            half *= p
+        spec *= self.full
+        return self._inverse(half), self._inverse(spec)
 
 
 class _Stepper:

@@ -12,6 +12,14 @@ is dropped; it does not affect any post-selected quantity). H_+/- may
 carry different potentials when probing internal-state asymmetries. The
 delta source is discretized as 1/dx on the grid diagonal.
 
+The amplitude is that of Strang steps of the 2-D field, computed without
+stepping the field: H_+(x) + H_-(y) is separable and the source sits on
+the diagonal inside the coupling slab, so f is a sum over steps of
+products of 1-D source columns, each stepped on its own axis to the
+final time (see ``pair_amplitude``). A step costs 1-D transforms of the
+slab's source columns and one matrix product of rank the slab's width in
+grid points.
+
 Once the pair has escaped the coupling region the amplitude is decomposed
 by exit side into quadrants LL/LR/RL/RR (left: coordinate < -a; right:
 > a). Post-selecting one atom on each side keeps the LR and RL pieces and
@@ -29,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import CouplingRamp, GridSpec, _runs, _SpectralPropagator
+from .dynamics import CouplingRamp, GridSpec, _SpectralPropagator
 from .errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
@@ -97,19 +105,16 @@ class ProjectedPairState:
     success_probability: float
 
 
-def _axis_factors(rate_x: np.ndarray, rate_y: np.ndarray, scale) -> list:
-    """Separable local factors exp(scale*rate_x(x)) * exp(scale*rate_y(y)).
-
-    Returned as (index, factor) pairs to multiply into a 2-D field in
-    place, one per run of nonzero rate along each axis; a zero rate costs
-    nothing.
-    """
-    out = []
-    for s in _runs(rate_x):
-        out.append(((s, slice(None)), np.exp(scale * rate_x[s])[:, None]))
-    for s in _runs(rate_y):
-        out.append(((slice(None), s), np.exp(scale * rate_y[s])[None, :]))
-    return out
+def _samples(v: Optional[np.ndarray], name: str, x: np.ndarray) -> np.ndarray:
+    """Potential samples on ``x``; zero for None, named errors otherwise."""
+    if v is None:
+        return np.zeros_like(x)
+    v = np.asarray(v, dtype=float)
+    if v.shape != x.shape:
+        raise ParameterDomainError(f"{name} samples must match grid.x")
+    if not np.isfinite(v).all():
+        raise ParameterDomainError(f"{name} samples must be finite")
+    return v
 
 
 def pair_amplitude(
@@ -126,20 +131,34 @@ def pair_amplitude(
     ``grid`` must be a symmetric Dirichlet grid containing the coupling
     support [-a, a] (a is taken from the ramp support, which must be
     symmetric). ``mu`` is the chemical potential in coupling units (the
-    escape carrier is k0 = sqrt(mu)). The potentials are per internal
-    component, sampled on grid.x; both default to zero.
+    escape carrier is k0 = sqrt(mu)); it must be finite and > 0. The
+    potentials are per internal component, finite samples on grid.x; both
+    default to zero.
 
     The ramp should switch off before t0 (shape 'pulse') so the pair has a
     free escape interval; the leakage metric reports how completely it
     left the coupling square. ``t0`` must be a whole number of steps
     ``grid.dt`` (ParameterDomainError otherwise).
 
-    Each step is a Strang step of the shared spectral propagator (see
-    ``dynamics``): kinetic kicks by 2-D sine transforms, with adjacent
-    half-kicks fused into one full kick, so the propagator splits into
-    half-kicks only at the first and the final step. The potential phase
-    and the absorber decay are applied as separable 1-D factors where
-    they are nonzero.
+    The result is that of N = t0/dt Strang steps T = K_h A V K_h of the
+    2-D field (K_h the kinetic half-kick, V the potential phase, A the
+    absorber decay, the diagonal source added after V), computed without
+    stepping the field: every factor of T is a tensor product of 1-D
+    operators, T = T_+ (x) T_- with each component's potential on its own
+    axis, so the source of step n reaches t0 as
+
+        c_n * G_+ diag(m_S) G_-^T,   G_+/- = (T_+/-)^k K_h A e_S,
+
+    with k = N-1-n, S the support of the coupling mask, m_S the mask on
+    it (half weights included) and c_n = -i dt/dx g(t_n + dt/2); steps
+    with g below 1e-14 g0_peak add nothing. The |S| columns G_+/- are
+    stepped by 1-D kicks of the shared spectral propagator (see
+    ``dynamics``), one forward transform giving both the half-kicked
+    columns G and the fully kicked columns of the next k; the minus
+    columns are the plus columns when both potentials are the same
+    array. f is accumulated by one rank-|S| product per step: one
+    product over many steps would have an inner dimension in the
+    hundreds, where the BLAS result depends on its thread count.
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
@@ -161,47 +180,51 @@ def pair_amplitude(
         raise ParameterDomainError(
             f"t0={t0!r} is not a multiple of dt={grid.dt!r} (t0/dt = {ratio!r})"
         )
-    k0 = math.sqrt(mu)
-    grid.validate_resolution(k0)
+    if not (mu > 0 and math.isfinite(mu)):
+        raise ParameterDomainError(f"mu must be finite and > 0, got {mu!r}")
+    grid.validate_resolution(math.sqrt(mu))
+    vp = _samples(potential_plus, "potential_plus", x)
+    sides = [vp]
+    if potential_minus is not potential_plus:
+        sides.append(_samples(potential_minus, "potential_minus", x))
 
     n = x.size
     dt = grid.dt
     # frame: each particle rotated by mu
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
-    kinetic = _SpectralPropagator([half[:, None], half[None, :]], dirichlet=True,
-                                  axes=(0, 1))
-    vp = np.zeros(n) if potential_plus is None else np.asarray(potential_plus, float)
-    vm = np.zeros(n) if potential_minus is None else np.asarray(potential_minus, float)
-    if vp.shape != x.shape or vm.shape != x.shape:
-        raise ParameterDomainError("potential samples must match grid.x")
-    potential = _axis_factors(vp, vm, -1j * dt)
-    profile = grid.absorber_profile()
-    absorber = _axis_factors(profile, profile, -dt)
+    kinetic = _SpectralPropagator([half[:, None, None]], dirichlet=True,
+                                  axes=(0,))
+    decay = np.exp(-grid.absorber_profile() * dt)
+    # local factor A V per point and side, broadcast over the source columns
+    v = np.stack(sides, axis=1)
+    local = (decay[:, None] * np.exp(-1j * dt * v))[:, :, None]
     gmask = ramp.spatial_mask(grid)
-    diag = np.arange(n)
+    support = np.flatnonzero(gmask)
+    # cols[:, side, j] = A e_{S_j}, to be stepped by A V K_f
+    cols = np.zeros((n, len(sides), support.size), dtype=complex)
+    cols[support, :, np.arange(support.size)] = decay[support, None]
+    m = gmask[support]
+    env = np.array([ramp.envelope((k + 0.5) * dt) for k in range(steps)])
+    coeff = (-1j * dt / grid.dx) * env
+    on = env > 1e-14 * ramp.g0_peak
+    first = int(np.argmax(on)) if on.any() else steps
 
     f = np.zeros((n, n), dtype=complex)
-    t = 0.0
-    for step in range(steps):
-        t_mid = t + dt / 2.0
-        f = kinetic.kick(f, full=step > 0)
-        for idx, factor in potential:
-            f[idx] *= factor
-        g_env = ramp.envelope(t_mid)
-        if g_env > 1e-14 * ramp.g0_peak:
-            f[diag, diag] += (-1j * dt / grid.dx) * g_env * gmask
-        for idx, factor in absorber:
-            f[idx] *= factor
-        t += dt
-    if steps:
-        f = kinetic.kick(f, full=False)
+    # after k steps of the columns, g is G^(k), which carries the source of
+    # step steps-1-k to t0; sources before the first active step add nothing
+    for k in range(steps - first):
+        g, cols = kinetic.split_kick(cols)
+        cols *= local
+        src = steps - 1 - k
+        if on[src]:
+            f += g[:, 0] @ (g[:, -1] * (coeff[src] * m)).T
 
     norm2 = float(np.sum(np.abs(f) ** 2) * grid.dx**2)
     inside = np.abs(x) <= a
     leak = float(np.abs(f[np.ix_(inside, inside)]).max()) if inside.any() else 0.0
-    if norm2 > PERTURBATION_NORM_LIMIT and raise_on_invalid:
+    if not norm2 <= PERTURBATION_NORM_LIMIT and raise_on_invalid:
         raise PerturbationInvalidError(
-            f"created norm^2 = {norm2:.3g} exceeds {PERTURBATION_NORM_LIMIT}"
+            f"created norm^2 = {norm2:.3g} is not <= {PERTURBATION_NORM_LIMIT}"
         )
     return PairAmplitude(
         f=f, x=x, dx=grid.dx, a=a, t0=t0, created_norm2=norm2, leakage=leak

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atomsqueeze
 from atomsqueeze import flux_estimate, spectrum_grid
 from atomsqueeze.analytic import spectrum_large_mu
 from atomsqueeze.cli import main
@@ -287,6 +292,30 @@ class TestDynamicsAndPairsCommands:
         rec1 = json.loads((out / "run_record.json").read_text())
         rec2 = json.loads((out2 / "run_record.json").read_text())
         assert rec1["manifest"] == rec2["manifest"]
+
+    def test_pairs_checksums_independent_of_blas_threads(self, tmp_path):
+        # the pair amplitude adds one small matrix product per step; its
+        # bits must not depend on the BLAS thread count
+        cfg = write_config(tmp_path / "c.json", {
+            "mode": "pairs",
+            "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+        })
+        src = str(Path(atomsqueeze.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        sums = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from atomsqueeze.cli import main; sys.exit(main())",
+                 "pairs", "--config", cfg, "--out", str(out)],
+                env=env, check=True, timeout=600,
+            )
+            sums.append([sha(out / name)
+                         for name in ("pair_density.csv", "pairs_metrics.json")])
+        assert sums[0] == sums[1]
 
     def test_dynamics_run_reports_discrepancy(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {

@@ -202,6 +202,70 @@ class TestPairAmplitude:
         assert scale > 0
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "h_plus, h_minus, absorber, tau",
+        [
+            (0.0, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True), 0.35),
+            # reaches into the coupling slab, so the source itself is damped
+            (1.5, 0.7, AbsorberSpec(width=13.0, strength=1.0), 0.35),
+            (1.5, 0.0, AbsorberSpec(width=3.0, strength=6.0, two_sided=True), 0.02),
+        ],
+        ids=["minus_only", "one_sided_absorber", "fast_edges"],
+    )
+    def test_matches_unfused_strang_steps(self, h_plus, h_minus, absorber, tau):
+        # the separable column scheme against dense 2-D Strang steps
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=64, dt=0.04,
+                        boundary="dirichlet", absorber=absorber)
+        ramp = pulse_ramp(t_on=0.6, t_off=1.6, tau=tau)
+        vp = barrier(h_plus, grid)
+        vm = barrier(h_minus, grid, center=-2.0)
+        t0 = 3.0
+        env = np.array([ramp.envelope((k + 0.5) * grid.dt)
+                        for k in range(int(round(t0 / grid.dt)))])
+        below = env <= 1e-14 * ramp.g0_peak
+        # fast edges leave steps below the source skip at both ends
+        assert (below[0] and below[-1]) == (tau < 0.1)
+        assert not below.all()
+        fa = pair_amplitude(ramp, grid, t0=t0, mu=MU,
+                            potential_plus=vp if h_plus else None,
+                            potential_minus=vm if h_minus else None)
+        ref = unfused_pair_reference(ramp, grid, t0, MU, vp, vm)
+        scale = np.abs(ref).max()
+        assert scale > 0
+        assert np.abs(fa.f - ref).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("mu", [0.0, -4.0, math.nan, math.inf])
+    def test_mu_outside_domain_named(self, mu):
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
+                            t_off=0.6, x_lo=-1.0, x_hi=1.0)
+        with pytest.raises(ParameterDomainError, match=r"^mu must be finite"):
+            pair_amplitude(ramp, grid, t0=1.0, mu=mu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["potential_plus", "potential_minus"])
+    def test_non_finite_potential_named(self, name, bad):
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
+                            t_off=0.6, x_lo=-1.0, x_hi=1.0)
+        v = np.zeros(grid.x.size)
+        v[40] = bad
+        with pytest.raises(ParameterDomainError, match=f"^{name} samples"):
+            pair_amplitude(ramp, grid, t0=1.0, mu=1.0, **{name: v})
+
+    def test_nan_norm_trips_perturbation_guard(self):
+        # a NaN absorber strength makes every amplitude NaN; a NaN created
+        # norm is not a valid first-order result
+        grid = GridSpec(x_min=-8.0, x_max=8.0, n_points=64, dt=0.05,
+                        boundary="dirichlet",
+                        absorber=AbsorberSpec(width=2.0, strength=math.nan))
+        ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
+                            t_off=0.6, x_lo=-1.0, x_hi=1.0)
+        fa = pair_amplitude(ramp, grid, t0=1.0, mu=1.0, raise_on_invalid=False)
+        assert math.isnan(fa.created_norm2)
+        with pytest.raises(PerturbationInvalidError):
+            pair_amplitude(ramp, grid, t0=1.0, mu=1.0)
+
     def test_matches_free_propagator_oracle(self):
         # independent quadrature oracle on a small free-space instance,
         # compared at off-region target points. The pulse tail ends well
@@ -348,14 +412,17 @@ def chsh_by_angle_scan(rho2, n_angles=49):
     ).reshape(-1, 3)
     # E(a, b) = a^T T b; for fixed a, a' the optimal unit b, b' give exactly
     # |T^T (a + a')| and |T^T (a - a')|, so only (a, a') is scanned, in
-    # chunks of the first setting a to bound the memory of the pair grid
+    # chunks of the first setting a to bound the memory of the pair grid;
+    # both lengths come from one Gram block, |u +- v|^2 = |u|^2 + |v|^2 +- 2 u.v
     ta = vecs @ t
+    sq = np.einsum("ij,ij->i", ta, ta)
     best = -math.inf
     for start in range(0, len(ta), 256):
-        chunk = ta[start:start + 256, None, :]
-        sums = np.linalg.norm(chunk + ta[None, :, :], axis=2)
-        diffs = np.linalg.norm(chunk - ta[None, :, :], axis=2)
-        best = max(best, float((sums + diffs).max()))
+        base = sq[start:start + 256, None] + sq[None, :]
+        cross = 2.0 * (ta[start:start + 256] @ ta.T)
+        total = np.sqrt(np.maximum(base + cross, 0.0))
+        total += np.sqrt(np.maximum(base - cross, 0.0))
+        best = max(best, float(total.max()))
     return best
 
 
