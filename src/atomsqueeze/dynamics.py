@@ -29,13 +29,19 @@ One private spectral propagator serves this module and, as 1-D kicks of
 a block of source columns, the pair amplitude of ``pairs``. The trailing
 half-kick of one step and the leading half-kick of the next are fused
 into one full kick (the phase squared), which leaves the scheme second
-order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); the propagator
-splits back into half-kicks only where the state must exist at a step
-boundary: a snapshot time, an instability-guard check, and the final
-step. u and w are carried as one (2, n) array, so each kick is one
-forward and one inverse transform. The 2x2 local exponential runs only
-on the span where g or V is nonzero, and the absorber decay only on the
-absorbing layer.
+order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); where the state must
+exist at a step boundary (a snapshot time, an instability-guard check)
+one forward transform yields both the half-kicked boundary state and
+the fully kicked state the next step continues from, and the final step
+ends with a half-kick. u and w are carried as one (2, n) array, so each
+kick is one forward and one inverse transform. The 2x2 local exponential
+runs only on the span where g or V is nonzero, and the absorber decay
+only on the absorbing layer.
+
+The propagator is the package's only user of scipy: ``scipy.fft`` is
+imported when the first propagator is built (the first ``evolve`` or
+``pair_amplitude`` call), not with this module, so ``import atomsqueeze``
+and the frequency-domain CLI modes load numpy only.
 
 Open geometries are handled with an absorbing layer at the far edge plus a
 domain long enough that absorbed flux never re-enters the analysis window,
@@ -51,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.fft import dstn, fftn, idstn, ifftn
 
 from .errors import (
     InstabilityDetectedError,
@@ -59,6 +64,7 @@ from .errors import (
     ResolutionError,
     WindowTooShortError,
 )
+from .params import _require
 
 #: Minimum sampling of the shortest expected wavelength, points per 2*pi/k.
 MIN_POINTS_PER_WAVELENGTH = 8
@@ -99,8 +105,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 16:
             raise ParameterDomainError(f"n_points must be >= 16, got {self.n_points}")
-        if self.dt <= 0:
-            raise ParameterDomainError(f"dt must be > 0, got {self.dt}")
+        _require("dt", self.dt, self.dt > 0, "finite and > 0")
+        _require("x_min", self.x_min)
+        _require("x_max", self.x_max)
         if self.x_max <= self.x_min:
             raise ParameterDomainError("x_max must exceed x_min")
         if self.boundary not in ("dirichlet", "periodic"):
@@ -209,12 +216,15 @@ class CouplingRamp:
     x_hi: float = 0.0
 
     def __post_init__(self):
-        if self.g0_peak < 0:
-            raise ParameterDomainError("g0_peak must be >= 0")
+        _require("g0_peak", self.g0_peak, self.g0_peak >= 0, "finite and >= 0")
         if self.shape not in ("tanh", "pulse", "const"):
             raise ParameterDomainError(f"unknown ramp shape {self.shape!r}")
-        if self.shape != "const" and self.gamma <= 0:
-            raise ParameterDomainError("gamma must be > 0 for ramped shapes")
+        if self.shape != "const":
+            _require("gamma", self.gamma, self.gamma > 0,
+                     "finite and > 0 for ramped shapes")
+            _require("t_on", self.t_on, what="finite for ramped shapes")
+        if math.isnan(self.t_off):
+            raise ParameterDomainError("t_off must be a number or +inf, got nan")
 
     def envelope(self, t: float) -> float:
         if self.shape == "const":
@@ -251,6 +261,11 @@ class PlaneWaveSource:
     delta: float = 0.0
     t_on: float = 3.0
     tau_on: float = 1.0
+
+    def __post_init__(self):
+        for name in ("x_pos", "amplitude", "delta", "t_on"):
+            _require(name, getattr(self, name))
+        _require("tau_on", self.tau_on, self.tau_on > 0, "finite and > 0")
 
     def value(self, t: float) -> complex:
         env = 0.5 * (1.0 + math.tanh((t - self.t_on) / self.tau_on))
@@ -291,6 +306,9 @@ class _SpectralPropagator:
     """
 
     def __init__(self, half: Sequence[np.ndarray], dirichlet: bool, axes):
+        # not at module level: scipy loads with the first stepper only
+        from scipy.fft import dstn, fftn, idstn, ifftn
+
         self.half = list(half)
         self.full = self.half[0] ** 2
         for p in self.half[1:]:
@@ -412,10 +430,10 @@ def evolve(
     compares the plus-norm against the analytic bound
     exp(2*g0_peak*(t-t0)) every ``check_every`` steps.
 
-    Adjacent Strang half-kicks are fused into one kinetic kick; the
-    trailing half-kick of a step is applied on its own only where the
-    state must exist at the step boundary: a snapshot time, a guard check,
-    and the final step.
+    Adjacent Strang half-kicks are fused into one kinetic kick. Where the
+    state must exist at a step boundary (a snapshot time or a guard check)
+    one forward transform gives both the boundary state and the state
+    kicked on into the next step; the final step ends with a half-kick.
 
     Raises ParameterDomainError at setup if ``check_every`` is below 1,
     ResolutionError if the grid cannot resolve the mode's nominal carrier
@@ -444,10 +462,12 @@ def evolve(
     guarded = norm0 > 0 and source is None
     t = state.t
     t0 = state.t
-    owed = False  # the previous step's trailing half-kick is still pending
+    # the kick a step opens with: "half", "full", or "done" by split_kick
+    lead = "half"
     for step in range(n_steps):
         t_mid = t + grid.dt / 2.0
-        f = stepper.kinetic.kick(f, full=owed)
+        if lead != "done":
+            f = stepper.kinetic.kick(f, full=lead == "full")
         if isrc is not None:
             f[0, isrc] += (-1j * grid.dt / grid.dx) * source.value(t_mid)
         stepper.local_step(f, t_mid)
@@ -455,17 +475,24 @@ def evolve(
 
         snap = bool(pending) and t >= pending[0] - 1e-12
         check = guarded and (step + 1) % check_every == 0
-        owed = not (snap or check or step == n_steps - 1)
-        if owed:
+        if step == n_steps - 1:
+            f = stepper.kinetic.kick(f, full=False)
+            at = f.copy() if snap else f  # the last snapshot must not alias f
+        elif snap or check:
+            # the boundary state (fresh arrays), and f kicked on through the
+            # next step's leading half-kick, from one forward transform
+            at, f = stepper.kinetic.split_kick(f)
+            lead = "done"
+        else:
+            lead = "full"
             continue
-        f = stepper.kinetic.kick(f, full=False)
         if snap:
             while pending and t >= pending[0] - 1e-12:
                 pending.pop(0)
-            snapshots.append(state.copy_with(f[0].copy(), f[1].copy(), t))
+            snapshots.append(state.copy_with(at[0], at[1], t))
         if check:
             bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
-            norm = plus_norm(state.copy_with(f[0], f[1], t), grid)
+            norm = plus_norm(state.copy_with(at[0], at[1], t), grid)
             if norm > INSTABILITY_MARGIN * bound:
                 raise InstabilityDetectedError(
                     f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"

@@ -122,7 +122,8 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
     and their derivatives at x = a, once per incoming channel. The row of
     N points (``d``, ``big_m``, ``kappa`` broadcast) is one (N, 4, 4)
     stack with an (N, 4, 2) right-hand side. A singular matrix (non-finite
-    2-norm condition number) is left out of the solve: NaN coefficients.
+    2-norm condition number, or one the solve finds exactly singular, whose
+    condition number is then reported as inf) gets NaN coefficients.
 
     Raises ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
     channel carries no flux and the input-output map is undefined). Emits
@@ -172,10 +173,16 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
     sol = np.full(rhs.shape, np.nan, dtype=complex)
     try:
         sol[ok] = np.linalg.solve(mat[ok], rhs[ok])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"singular matching system in the row at d={d[0]}, M={big_m[0]}"
-        ) from exc
+    except np.linalg.LinAlgError:
+        # a matrix LAPACK finds exactly singular (its finite cond is
+        # round-off of inf; e.g. M = sqrt(1 + d^2), where the lower branch
+        # has k = 0 and its sin(kx) column vanishes) fails the whole stack:
+        # solve point by point and mark those points singular
+        for i in np.flatnonzero(ok):
+            try:
+                sol[i] = np.linalg.solve(mat[i], rhs[i])
+            except np.linalg.LinAlgError:
+                cond[i] = np.inf
     p1, q1 = sol[:, 2, 0], sol[:, 3, 0]
     p2, q2 = sol[:, 2, 1], sol[:, 3, 1]
 

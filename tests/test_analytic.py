@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomsqueeze import (
     DimensionlessParams,
@@ -13,7 +15,7 @@ from atomsqueeze import (
     threshold_kappas,
     wavenumber_phase,
 )
-from atomsqueeze.analytic import loss_rate
+from atomsqueeze.analytic import loss_rate, r_closed_form
 from atomsqueeze.errors import ClosedChannelError, ParameterDomainError
 
 
@@ -118,6 +120,27 @@ class TestRLargeMuLimit:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ParameterDomainError):
             r_large_mu_limit(0.0, -0.1)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-50.0, 50.0),
+                # M - sqrt(1 + d^2) >= 0 keeps the interior channel open
+                st.floats(0.0, 1e9),
+                st.floats(0.0, 20.0),
+            ),
+            min_size=1, max_size=16,
+        ),
+        st.booleans(),  # the mu >> g0 limit (big_m=None)
+    )
+    def test_closed_form_even_in_d(self, points, limit):
+        d, gap, kappa = (np.array(v) for v in zip(*points))
+        big_m = None if limit else np.sqrt(1.0 + d * d) + gap
+        plus = r_closed_form(d, big_m, kappa)
+        minus = r_closed_form(-d, big_m, kappa)
+        for name in ("r", "above_threshold", "arctanh_argument", "near_threshold"):
+            np.testing.assert_array_equal(getattr(minus, name), getattr(plus, name))
 
     def test_limit_of_r_analytic(self):
         # the M -> inf limit is checked against the exact form at M = 1e4

@@ -27,6 +27,20 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_fresh_python(code, *args, **env):
+    """Run ``code`` in a fresh interpreter that imports this package;
+    return its standard output."""
+    src = str(Path(atomsqueeze.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        timeout=600, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 BASE = {
     "mode": "spectrum",
     "method": "analytic",
@@ -300,18 +314,13 @@ class TestDynamicsAndPairsCommands:
             "mode": "pairs",
             "dimensionless": {"big_m": 100.0, "kappa": 1.2},
         })
-        src = str(Path(atomsqueeze.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         sums = []
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
-            env = dict(os.environ, PYTHONPATH=path,
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from atomsqueeze.cli import main; sys.exit(main())",
-                 "pairs", "--config", cfg, "--out", str(out)],
-                env=env, check=True, timeout=600,
+            run_fresh_python(
+                "import sys; from atomsqueeze.cli import main; sys.exit(main())",
+                "pairs", "--config", cfg, "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
             )
             sums.append([sha(out / name)
                          for name in ("pair_density.csv", "pairs_metrics.json")])
@@ -332,3 +341,55 @@ class TestDynamicsAndPairsCommands:
         snap = (out / "state_gamma_0.1.csv").read_text().splitlines()
         header = [ln for ln in snap if not ln.startswith("#")][0]
         assert header == "x,re_u,im_u,re_w,im_w"
+
+
+class TestColdStart:
+    """The frequency-domain modes run on numpy alone; scipy.fft loads with
+    the first time-domain stepper. Checks which modules are loaded, no
+    timing."""
+
+    SCIPY_LOADED = (
+        "import sys; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'))"
+    )
+
+    def test_frequency_domain_modes_never_load_scipy(self, tmp_path):
+        grid = {"d_points": 4, "kappa_points": 3, "kappa_min": 0.05,
+                "kappa_max": 1.3}
+        configs = {
+            "spectrum": {"mode": "spectrum", "method": "both", "grid": grid,
+                         "physical": {"g0": 2e4, "mu": 1.467e6, "a": 3e-6,
+                                      "m": 3.82e-26, "gamma": 0.5, "n0": 1e6}},
+            "threshold": {"mode": "threshold",
+                          "dimensionless": {"big_m": 100.0, "kappa": 1.0},
+                          "grid": {"kappa_min": 1.0, "kappa_max": 2.0}},
+            "compare": {"mode": "compare", "grid": grid,
+                        "dimensionless": {"big_m": 100.0, "kappa": 1.2}},
+        }
+        args = []
+        for mode, payload in configs.items():
+            cfg = write_config(tmp_path / f"{mode}.json", payload)
+            args += [mode, cfg, str(tmp_path / mode)]
+        code = (
+            "import sys, atomsqueeze, atomsqueeze.cli\n"
+            "a = sys.argv[1:]\n"
+            "for mode, cfg, out in zip(a[::3], a[1::3], a[2::3]):\n"
+            "    code = atomsqueeze.cli.main([mode, '--config', cfg, '--out', out])\n"
+            "    assert code == 0, (mode, code)\n"
+            + self.SCIPY_LOADED
+        )
+        assert run_fresh_python(code, *args).strip() == "[]"
+        for mode in configs:
+            assert (tmp_path / mode / "run_record.json").exists()
+
+    def test_first_stepper_loads_scipy_fft(self):
+        code = (
+            "import sys, atomsqueeze as a\n"
+            "grid = a.GridSpec(x_min=0.0, x_max=10.0, n_points=32, dt=0.01)\n"
+            "ramp = a.CouplingRamp(g0_peak=0.0, gamma=1.0, shape='const')\n"
+            "state = a.gaussian_packet(grid, x0=5.0, sigma=1.0, k=0.5)\n"
+            "assert 'scipy' not in sys.modules\n"
+            "a.evolve(state, ramp, None, grid, 0.02)\n"
+            + self.SCIPY_LOADED
+        )
+        assert "'scipy.fft'" in run_fresh_python(code)

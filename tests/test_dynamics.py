@@ -56,6 +56,51 @@ class TestGridSpec:
         assert grid.x[0] == pytest.approx(grid.dx)
 
 
+class TestNamedInputErrors:
+    """Each invalid stepper input is a ParameterDomainError naming its field."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", math.nan), ("dt", math.inf), ("x_min", math.nan),
+        ("x_min", -math.inf), ("x_max", math.nan), ("x_max", math.inf),
+    ])
+    def test_grid_field(self, name, value):
+        kw = dict(x_min=0.0, x_max=10.0, n_points=32, dt=0.01)
+        kw[name] = value
+        with pytest.raises(ParameterDomainError, match=name):
+            GridSpec(**kw)
+
+    @pytest.mark.parametrize("name, value", [
+        ("g0_peak", math.inf), ("g0_peak", math.nan), ("gamma", math.inf),
+        ("gamma", math.nan), ("t_on", math.inf), ("t_on", math.nan),
+        ("t_off", math.nan),
+    ])
+    @pytest.mark.parametrize("shape", ["tanh", "pulse"])
+    def test_ramp_field(self, name, value, shape):
+        kw = dict(g0_peak=1.0, gamma=2.0, shape=shape, t_on=1.0, t_off=3.0)
+        kw[name] = value
+        with pytest.raises(ParameterDomainError, match=name):
+            CouplingRamp(**kw)
+
+    def test_ramp_open_ended_and_const_accepted(self):
+        assert CouplingRamp(g0_peak=1.0, gamma=2.0, shape="pulse",
+                            t_off=math.inf).envelope(0.0) > 0
+        # a constant coupling never reads its ramp rate or turn-on time
+        const = CouplingRamp(g0_peak=1.0, gamma=math.nan, shape="const",
+                             t_on=math.nan)
+        assert const.envelope(5.0) == 1.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("tau_on", 0.0), ("tau_on", -1.0), ("tau_on", math.nan),
+        ("x_pos", math.nan), ("amplitude", math.inf), ("delta", math.nan),
+        ("t_on", math.inf),
+    ])
+    def test_source_field(self, name, value):
+        kw = dict(x_pos=5.0)
+        kw[name] = value
+        with pytest.raises(ParameterDomainError, match=name):
+            PlaneWaveSource(**kw)
+
+
 class TestFreeEvolution:
     def test_free_packet_translates_at_group_velocity(self):
         grid = periodic_grid()
@@ -77,6 +122,10 @@ class TestFreeEvolution:
                               snapshot_times=[0.1, 0.3, 0.5])
         assert len(snaps) == 3
         assert snaps[-1].t == pytest.approx(final.t)
+        # snapshots hold their own arrays, apart from each other and final
+        arrays = [final.u] + [s.u for s in snaps]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 class TestSymplecticStructure:

@@ -1,8 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomsqueeze import (
     DimensionlessParams,
@@ -16,7 +19,12 @@ from atomsqueeze.errors import (
     ClosedExteriorChannelError,
     InconsistentChannelsError,
 )
-from atomsqueeze.scattering import BogoliubovCoefficients
+from atomsqueeze.errors import IllConditionedWarning
+from atomsqueeze.scattering import (
+    CONDITION_LIMIT,
+    BogoliubovCoefficients,
+    solve_matching,
+)
 
 
 def char_poly_eigenvalues(d, M):
@@ -97,6 +105,41 @@ class TestSolveScattering:
                 worst_cross = max(worst_cross, c.cross_defect())
         assert worst_norm < 1e-10
         assert worst_cross < 1e-10
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(-5.0, 5.0),
+            st.floats(1e-6, 995.0),  # M - |d| > 0: both exterior channels open
+            st.floats(0.0, 1.45),
+        ),
+        min_size=1, max_size=16,
+    ))
+    # M = sqrt(1 + d^2): an exactly singular matrix once failed its row
+    @example([(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.3, 2.0, 1.2)])
+    def test_symplectic_constraints_over_domain(self, points):
+        # every (d, M, kappa) the spectrum, compare and acceptance runs
+        # solve: M up to 1e3, kappa up to the spectrum grid's default top
+        # (below the first threshold pi/2), evanescent interiors included
+        d, gap, kappa = (np.array(v) for v in zip(*points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            c = solve_matching(d, np.abs(d) + gap, kappa)
+        ok = c.condition_number < CONDITION_LIMIT
+        n1, n2 = c.norm_defects()
+        assert np.all(n1[ok] < 1e-10) and np.all(n2[ok] < 1e-10)
+        assert np.all(c.cross_defect()[ok] < 1e-10)
+
+    def test_lower_branch_at_rest_marked_singular(self):
+        # at M = sqrt(1 + d^2) the lower interior branch has k = 0 and its
+        # sin(kx) column vanishes; only those points of the row are left out
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            c = solve_matching([0.0, 0.0, 0.75], [1.0, 1.5, 1.25], [0.5, 0.5, 1.0])
+        assert np.isinf(c.condition_number[[0, 2]]).all()
+        assert np.isnan(c.alpha_p[[0, 2]]).all()
+        assert np.isfinite(c.condition_number[1])
+        assert max(n[1] for n in c.norm_defects()) < 1e-10
 
     def test_channel_ratios_equal(self):
         for d in [0.0, 0.8, 2.1]:
