@@ -28,7 +28,6 @@ from .spectrum import (
     find_threshold,
     flux_estimate,
     linspace_grid,
-    ridge_locus,
     spectrum_grid,
 )
 
@@ -50,20 +49,20 @@ def _header_lines(config: RunConfig, extra: dict) -> list:
 
 
 def _write_csv(path, header_lines, columns, rows):
+    """Write a '#'-header CSV. One str.format template, built from the
+    types of the first row, formats every row: bools as 0/1, floats at 12
+    significant digits, anything else as str()."""
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+        if rows:
+            template = ",".join(
+                "{:d}" if isinstance(v, bool)
+                else "{:.12g}" if isinstance(v, float) else "{}"
+                for v in rows[0]
+            ) + "\n"
+            fh.writelines(template.format(*row) for row in rows)
 
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:

@@ -39,7 +39,11 @@ from .errors import (
 )
 from .params import DimensionlessParams, _first
 
-#: Matching systems with condition estimates above this emit a warning.
+#: 2-norm condition number above which a matching system counts as nearly
+#: singular. solve_matching computes the exact 1-norm condition number
+#: kappa_1 = ||A||_1 ||A^-1||_1 and warns when kappa_1 > CONDITION_LIMIT / 4;
+#: since kappa_2 <= 4 kappa_1 for 4x4 matrices, every system above this
+#: limit in the 2-norm is flagged.
 CONDITION_LIMIT = 1e12
 
 #: Default tolerance for the symplectic identities of a converged solve.
@@ -72,6 +76,10 @@ class BogoliubovCoefficients:
     tolerance, |alpha_p|^2 - |beta_p|^2 = 1 (same for the minus channel),
     alpha_p*beta_m - alpha_m*beta_p = 0, and equal channel ratios
     |beta_p|/|alpha_p| = |beta_m|/|alpha_m| = tanh(r).
+
+    ``condition_number`` is the exact 1-norm condition number
+    ||A||_1 ||A^-1||_1 of the matching matrix A (inf when A is singular);
+    :func:`solve_matching` warns when it exceeds CONDITION_LIMIT / 4.
     """
 
     alpha_p: complex
@@ -114,25 +122,16 @@ def interior_modes(params: DimensionlessParams) -> InteriorModes:
     )
 
 
-def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
-    """Solve the 4x4 boundary-matching problem at every point of a row.
+def _matching_system(d, big_m, kappa):
+    """Assemble the matching problem of a row of points.
 
-    Two interior coefficients (one per branch, each vanishing at the wall)
-    and two outgoing amplitudes are matched against continuity of (u, w)
-    and their derivatives at x = a, once per incoming channel. The row of
-    N points (``d``, ``big_m``, ``kappa`` broadcast) is one (N, 4, 4)
-    stack with an (N, 4, 2) right-hand side. A singular matrix (non-finite
-    2-norm condition number, or one the solve finds exactly singular, whose
-    condition number is then reported as inf) gets NaN coefficients.
-
-    Raises ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
-    channel carries no flux and the input-output map is undefined). Emits
-    one IllConditionedWarning when any condition number exceeds
-    CONDITION_LIMIT, which happens approaching threshold.
+    ``d``, ``big_m`` and ``kappa`` are 1-D arrays of one shape. Returns
+    ``(mat, rhs, a, ku, kw)``: the (N, 4, 4) matching matrices, the
+    (N, 4, 6) right-hand sides [rhs | I4] (one column per incoming channel,
+    then the identity, whose solution is the inverse), the slab length and
+    the exterior wavenumbers. Raises ClosedExteriorChannelError as
+    :func:`solve_matching` does.
     """
-    d, big_m, kappa = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d, big_m, kappa))
-    )
     modes = interior_modes(DimensionlessParams(d=d, big_m=big_m, kappa=kappa))
     closed = big_m - np.abs(d) <= 0
     if np.any(closed):
@@ -154,35 +153,69 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
     mat[:, 1, 2], mat[:, 3, 3] = -1j * ku, 1j * kw
     # experiment 1: unit incident u wave exp(-i ku (x-a)); experiment 2:
     # unit incident w wave exp(+i kw (x-a)).
-    rhs = np.zeros(d.shape + (4, 2), dtype=complex)
+    rhs = np.zeros(d.shape + (4, 6), dtype=complex)
     rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
     rhs[:, 1, 0], rhs[:, 3, 1] = -1j * ku, 1j * kw
+    rhs[:, :, 2:] = np.eye(4)
+    return mat, rhs, a, ku, kw
 
-    cond = np.linalg.cond(mat)
-    ill = cond > CONDITION_LIMIT
+
+def _norm_1(mat):
+    """Matrix 1-norm (largest column sum of moduli) of each matrix of a stack."""
+    return np.abs(mat).sum(axis=-2).max(axis=-1)
+
+
+def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
+    """Solve the 4x4 boundary-matching problem at every point of a row.
+
+    Two interior coefficients (one per branch, each vanishing at the wall)
+    and two outgoing amplitudes are matched against continuity of (u, w)
+    and their derivatives at x = a, once per incoming channel. The row of
+    N points (``d``, ``big_m``, ``kappa`` broadcast) is one stacked solve
+    of the (N, 4, 4) matrices A against [rhs | I4]: one LU factorization
+    per point gives both the coefficients and A^-1, hence the exact 1-norm
+    condition number ||A||_1 ||A^-1||_1. A singular point (a non-finite
+    condition number, or a matrix the solve finds exactly singular) is
+    reported with condition number inf and NaN coefficients.
+
+    Raises ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
+    channel carries no flux and the input-output map is undefined). Emits
+    one IllConditionedWarning when any 1-norm condition number exceeds
+    CONDITION_LIMIT / 4, which happens approaching threshold: for 4x4
+    matrices the 2-norm condition number is at most 4 times the 1-norm
+    one, so every point whose 2-norm condition number exceeds
+    CONDITION_LIMIT is flagged.
+    """
+    d, big_m, kappa = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d, big_m, kappa))
+    )
+    mat, rhs, a, ku, kw = _matching_system(d, big_m, kappa)
+    try:
+        sol = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        # a matrix LAPACK finds exactly singular (e.g. M = sqrt(1 + d^2),
+        # where the lower branch has k = 0 and its sin(kx) column vanishes)
+        # fails the whole stack: solve point by point, leaving those NaN
+        sol = np.full(rhs.shape, np.nan, dtype=complex)
+        for i in range(d.size):
+            try:
+                sol[i] = np.linalg.solve(mat[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    cond = _norm_1(mat) * _norm_1(sol[:, :, 2:])
+    singular = ~np.isfinite(cond)
+    cond[singular] = np.inf
+    sol[singular] = np.nan
+    ill = cond > CONDITION_LIMIT / 4.0
     if np.any(ill):
         i = int(np.argmax(cond))
         warnings.warn(
             f"{int(ill.sum())} of {cond.size} matching systems nearly singular "
-            f"(worst cond ~ {cond[i]:.2e} at d={d[i]}, M={big_m[i]}, "
+            f"(worst 1-norm cond ~ {cond[i]:.2e} at d={d[i]}, M={big_m[i]}, "
             f"kappa={kappa[i]}); coefficients may be inaccurate",
             IllConditionedWarning,
             stacklevel=2,
         )
-    ok = np.isfinite(cond)
-    sol = np.full(rhs.shape, np.nan, dtype=complex)
-    try:
-        sol[ok] = np.linalg.solve(mat[ok], rhs[ok])
-    except np.linalg.LinAlgError:
-        # a matrix LAPACK finds exactly singular (its finite cond is
-        # round-off of inf; e.g. M = sqrt(1 + d^2), where the lower branch
-        # has k = 0 and its sin(kx) column vanishes) fails the whole stack:
-        # solve point by point and mark those points singular
-        for i in np.flatnonzero(ok):
-            try:
-                sol[i] = np.linalg.solve(mat[i], rhs[i])
-            except np.linalg.LinAlgError:
-                cond[i] = np.inf
     p1, q1 = sol[:, 2, 0], sol[:, 3, 0]
     p2, q2 = sol[:, 2, 1], sol[:, 3, 1]
 

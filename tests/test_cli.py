@@ -12,7 +12,7 @@ import pytest
 import atomsqueeze
 from atomsqueeze import flux_estimate, spectrum_grid
 from atomsqueeze.analytic import spectrum_large_mu
-from atomsqueeze.cli import main
+from atomsqueeze.cli import _write_csv, main
 from atomsqueeze.config import parse_config
 from atomsqueeze.errors import AboveThresholdError, ConfigError
 from atomsqueeze.spectrum import find_threshold, ridge_locus
@@ -171,6 +171,33 @@ class TestSpectrumCommand:
         })
         assert main(["spectrum", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def reference_fmt(v):
+    """The per-value formatting the CSV writer must reproduce."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        values = [math.inf, -math.inf, math.nan, -0.0, 1e-300,
+                  123456789012345.0, 0.1, -2.5e-7, 1.0]
+        rows = [(v, w, flag, np.float64(w))
+                for v in values for w in values[::-1] for flag in (True, False)]
+        path = tmp_path / "rows.csv"
+        _write_csv(path, ["# header"], ["a", "b", "c", "d"], rows)
+        want = "# header\na,b,c,d\n" + "".join(
+            ",".join(reference_fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, ["# header"], ["a"], [])
+        assert path.read_text() == "# header\na\n"
 
 
 class TestThresholdCommand:

@@ -23,8 +23,10 @@ from atomsqueeze.errors import IllConditionedWarning
 from atomsqueeze.scattering import (
     CONDITION_LIMIT,
     BogoliubovCoefficients,
+    _matching_system,
     solve_matching,
 )
+from atomsqueeze.spectrum import find_threshold
 
 
 def char_poly_eigenvalues(d, M):
@@ -184,6 +186,73 @@ class TestSolveScattering:
         monkeypatch.setattr(scat, "CONDITION_LIMIT", 1e4)
         with pytest.warns(scat.IllConditionedWarning):
             solve_scattering(DimensionlessParams(d=0.0, big_m=50.0, kappa=1.5707))
+
+
+def matching_matrices(d, big_m, kappa):
+    row = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                for v in (d, big_m, kappa)))
+    return _matching_system(*row)[0]
+
+
+def scattering_pole(big_m, lo, hi):
+    """kappa at which the d = 0 matching matrix is singular, by bisection
+    on its determinant, which is real at d = 0 and changes sign at the
+    pole."""
+    def det(kappa):
+        return np.linalg.det(matching_matrices(0.0, big_m, kappa)).real[0]
+
+    assert det(lo) * det(hi) < 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if det(lo) * det(mid) > 0 else (lo, mid)
+    return lo
+
+
+def near_threshold_rows(big_m):
+    """Rows of one detuning each, on a kappa grid that runs up to 1e-12
+    below the closed-form threshold and to 1e-15 around the scattering
+    pole on either side; detunings near and away from 0."""
+    k_star = find_threshold(1.0, 2.0, d=0.0, big_m=big_m).kappa
+    k_pole = scattering_pole(big_m, k_star - 0.05, k_star + 0.05)
+    kappas = np.concatenate([
+        np.linspace(0.05, k_star, 40, endpoint=False),
+        k_star * (1.0 - np.logspace(-1, -12, 45)),
+        k_pole * (1.0 - np.logspace(-2, -15, 27)),
+        k_pole * (1.0 + np.logspace(-2, -15, 27)),
+    ])
+    ds = np.concatenate([[0.0, 1e-9, -1e-6, 1e-3], np.linspace(-3.0, 3.0, 13)])
+    return [(d, kappas) for d in ds]
+
+
+class TestConditionNumber:
+    @pytest.mark.parametrize("big_m", [50.0, 100.0, 1000.0])
+    def test_exact_one_norm_near_threshold(self, big_m):
+        for d, kappas in near_threshold_rows(big_m):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                c = solve_matching(d, big_m, kappas)
+            want = np.linalg.cond(matching_matrices(d, big_m, kappas), 1)
+            np.testing.assert_allclose(c.condition_number, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("big_m", [50.0, 100.0, 1000.0])
+    def test_warning_covers_the_two_norm_rule(self, big_m):
+        flagged_rows = 0
+        for d, kappas in near_threshold_rows(big_m):
+            old = np.linalg.cond(matching_matrices(d, big_m, kappas)) > CONDITION_LIMIT
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", IllConditionedWarning)
+                c = solve_matching(d, big_m, kappas)
+            new = c.condition_number > CONDITION_LIMIT / 4.0
+            assert np.all(new[old])
+            messages = [str(w.message) for w in caught
+                        if issubclass(w.category, IllConditionedWarning)]
+            assert len(messages) == int(new.any())
+            if new.any():
+                assert messages[0].startswith(f"{int(new.sum())} of {kappas.size} ")
+            flagged_rows += bool(old.any())
+        assert flagged_rows > 0  # the grid reaches the 2-norm limit
 
 
 class TestConvergenceToClosedForm:
