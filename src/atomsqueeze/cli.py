@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import spectrum_large_mu
-from .config import RecordBuilder, RunConfig, parse_config, read_config
+from .config import (BLOCKS, METHODS, MODES, RecordBuilder, RunConfig,
+                     parse_config, parse_value, read_config)
 from .dynamics import steady_state_beta_squared
 from .errors import AtomsqueezeError, ConfigError
 from .pairs import bell_metrics, post_select, quadrant_decompose
@@ -67,8 +68,9 @@ def _write_csv(path, header_lines, columns, rows):
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     rec = RecordBuilder(config)
-    d_grid = linspace_grid((config.d_min, config.d_max, config.d_points))
-    k_grid = linspace_grid((config.kappa_min, config.kappa_max, config.kappa_points))
+    g = config.grid
+    d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
+    k_grid = linspace_grid((g["kappa_min"], g["kappa_max"], g["kappa_points"]))
     methods = (
         ["analytic", "scattering"] if config.method == "both" else [config.method]
     )
@@ -111,7 +113,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
     rec = RecordBuilder(config)
     big_m = None if math.isinf(config.big_m) else config.big_m
-    result = find_threshold(config.kappa_min, config.kappa_max,
+    result = find_threshold(config.grid["kappa_min"], config.grid["kappa_max"],
                             d=config.delta_over_g0, big_m=big_m)
     payload = {
         "found": result.found,
@@ -132,25 +134,19 @@ def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_compare(config: RunConfig, out_dir: Path, tolerance: float = 0.01) -> int:
     rec = RecordBuilder(config)
-    d_grid = linspace_grid((config.d_min, config.d_max, config.d_points))
+    g = config.grid
+    d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
     k_grid = linspace_grid(
-        (max(config.kappa_min, 0.05), min(config.kappa_max, 1.3),
-         config.kappa_points)
+        (max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3), g["kappa_points"])
     )
-    table = []
-    for big_m in (10.0, 30.0, config.big_m, 3.0 * config.big_m):
-        res = compare_methods(d_grid, k_grid, big_m, tolerance)
-        table.append(
-            {
-                "big_m": big_m,
-                "max_abs": res.max_abs,
-                "mean_abs": res.mean_abs,
-                "n_points": res.n_points,
-                "n_skipped": res.n_skipped,
-            }
-        )
-    main = table[2]
-    passed = main["max_abs"] <= tolerance
+    big_ms = (10.0, 30.0, config.big_m, 3.0 * config.big_m)
+    results = [compare_methods(d_grid, k_grid, m, tolerance) for m in big_ms]
+    table = [
+        {"big_m": m, "max_abs": res.max_abs, "mean_abs": res.mean_abs,
+         "n_points": res.n_points, "n_skipped": res.n_skipped}
+        for m, res in zip(big_ms, results)
+    ]
+    passed = results[2].passed
     payload = {
         "tolerance": tolerance,
         "passed": passed,
@@ -168,24 +164,15 @@ def cmd_dynamics(config: RunConfig, out_dir: Path) -> int:
     from .dynamics import export_state_columns
 
     rec = RecordBuilder(config)
-    dyn = config.dynamics
-    gamma_ratios = dyn.get("gamma_ratios", [0.1])
-    kappa = float(dyn.get("kappa", config.kappa))
-    big_m = float(dyn.get("big_m", config.big_m))
+    # the keys left after these three are steady_state_beta_squared options
+    dyn = dict(config.dynamics)
+    gamma_ratios, kappa, big_m = (dyn.pop(k) for k in ("gamma_ratios", "kappa", "big_m"))
     target = math.sinh(abs(math.atanh(math.sin(kappa)))) ** 2
     rows = []
     for gr in gamma_ratios:
-        res = steady_state_beta_squared(
-            big_m,
-            kappa,
-            float(gr),
-            length=float(dyn.get("length", 160.0)),
-            n_points=int(dyn.get("n_points", 3200)),
-            dt=float(dyn.get("dt", 0.01)),
-            measure_c=float(dyn.get("measure_c", 5.0)),
-        )
+        res = steady_state_beta_squared(big_m, kappa, gr, **dyn)
         rows.append(
-            (float(gr), res["beta2"], target, abs(res["beta2"] - target) / target)
+            (gr, res["beta2"], target, abs(res["beta2"] - target) / target)
         )
         snap_path = out_dir / f"state_gamma_{gr}.csv"
         cols = export_state_columns(res["final_state"], res["grid"])
@@ -215,32 +202,28 @@ def cmd_pairs(config: RunConfig, out_dir: Path) -> int:
 
     rec = RecordBuilder(config)
     pc = config.pairs
-    mu = float(pc.get("mu", 4.0))
-    a = float(pc.get("a", 1.5))
-    half_width = float(pc.get("half_width", 24.0))
-    n_points = int(pc.get("n_points", 256))
-    dt = float(pc.get("dt", 0.02))
-    t0 = float(pc.get("t0", 6.0))
-    asym = float(pc.get("asymmetry", 0.0))
+    half_width = pc["half_width"]
+    asym = pc["asymmetry"]
+    if not pc["ramp_time"] > 0:
+        raise ConfigError(f"pairs.ramp_time must be > 0, got {pc['ramp_time']!r}")
     grid = GridSpec(
-        x_min=-half_width, x_max=half_width, n_points=n_points, dt=dt,
-        boundary="dirichlet",
+        x_min=-half_width, x_max=half_width, n_points=pc["n_points"],
+        dt=pc["dt"], boundary="dirichlet",
     )
     ramp = CouplingRamp(
-        g0_peak=float(pc.get("g_peak", 0.05)),
-        gamma=1.0 / float(pc.get("ramp_time", 0.35)),
+        g0_peak=pc["g_peak"],
+        gamma=1.0 / pc["ramp_time"],
         shape="pulse",
-        t_on=float(pc.get("t_on", 0.8)),
-        t_off=float(pc.get("t_off", 2.2)),
-        x_lo=-a,
-        x_hi=a,
+        t_on=pc["t_on"],
+        t_off=pc["t_off"],
+        x_lo=-pc["a"],
+        x_hi=pc["a"],
     )
     vplus = None
     if asym != 0.0:
-        xc = float(pc.get("barrier_center", 3.0))
-        sig = float(pc.get("barrier_sigma", 0.8))
+        xc, sig = pc["barrier_center"], pc["barrier_sigma"]
         vplus = asym * np.exp(-((grid.x - xc) ** 2) / (2.0 * sig**2))
-    fa = pair_amplitude(ramp, grid, t0, mu, potential_plus=vplus)
+    fa = pair_amplitude(ramp, grid, pc["t0"], pc["mu"], potential_plus=vplus)
     quads = quadrant_decompose(fa)
     state = post_select(quads)
     metrics = bell_metrics(state)
@@ -284,32 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "threshold", "compare", "dynamics", "pairs"):
+    for name in MODES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--method", default=None,
-                       choices=["analytic", "scattering", "both"])
+        p.add_argument("--method", default=None, choices=METHODS)
         p.add_argument("--tolerance", type=float, default=0.01,
                        help="compare-mode pass/fail tolerance on max |dr|")
-        for key in ("d-min", "d-max", "d-points", "kappa-min", "kappa-max",
-                    "kappa-points"):
-            p.add_argument(f"--{key}", default=None)
+        for key in BLOCKS["grid"]:
+            p.add_argument(f"--{key.replace('_', '-')}", default=None,
+                           help=f"override grid.{key}")
     return parser
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    grid = dict(raw.get("grid", {}))
-    for key in ("d_min", "d_max", "kappa_min", "kappa_max"):
-        v = getattr(args, key)
-        if v is not None:
-            grid[key] = float(v)
-    for key in ("d_points", "kappa_points"):
-        v = getattr(args, key)
-        if v is not None:
-            grid[key] = int(v)
-    if grid:
-        raw["grid"] = grid
+    overrides = {key: parse_value("grid", key, getattr(args, key))
+                 for key in BLOCKS["grid"] if getattr(args, key) is not None}
+    grid = raw.get("grid", {})
+    if overrides and isinstance(grid, dict):
+        raw["grid"] = {**grid, **overrides}
     if args.method is not None:
         raw["method"] = args.method
     if args.command:

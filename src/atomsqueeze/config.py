@@ -1,6 +1,6 @@
 """Run configuration and run records for the command-line pipeline.
 
-Configs are JSON objects with a documented key set (see KEYS below and the
+Configs are JSON objects with a documented key set (see BLOCKS below and the
 README). Exactly one of the "dimensionless" / "physical" parameter blocks
 must be present; a physical block is reduced through the unit-conversion
 boundary before any solver runs. Run records capture the config hash, tool
@@ -13,65 +13,114 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, ParameterDomainError
 from .params import PhysicalParams, to_dimensionless
 
 MODES = ("spectrum", "threshold", "compare", "dynamics", "pairs")
 METHODS = ("analytic", "scattering", "both")
 
-#: Documented configuration keys, by block.
-KEYS = {
-    "top": ("mode", "method", "out_dir", "dimensionless", "physical", "grid",
-            "dynamics", "pairs"),
-    "dimensionless": ("big_m", "kappa", "delta_over_g0"),
-    "physical": ("g0", "mu", "a", "m", "gamma", "n0", "delta"),
-    "grid": ("d_min", "d_max", "d_points", "kappa_min", "kappa_max",
-             "kappa_points"),
-    "dynamics": ("gamma_ratios", "kappa", "big_m", "length", "n_points", "dt",
-                 "measure_c"),
-    "pairs": ("mu", "a", "g_peak", "t0", "half_width", "n_points", "dt",
-              "t_on", "t_off", "ramp_time", "asymmetry", "barrier_center",
-              "barrier_sigma"),
+#: Every config block with its keys: the authoritative key list. A key maps
+#: to its default, whose type is the key's type; a bare type marks a
+#: required key, and ``type | None`` a key whose default lives with its
+#: consumer (``PhysicalParams``, ``steady_state_beta_squared``, or the
+#: run's parameters for the dynamics ``kappa`` and ``big_m``). A tuple
+#: default is a non-empty list of numbers.
+BLOCKS = {
+    "dimensionless": {"big_m": float, "kappa": float, "delta_over_g0": 0.0},
+    "physical": {"g0": float, "mu": float, "a": float, "m": float,
+                 "gamma": float | None, "n0": float | None, "delta": 0.0},
+    "grid": {"d_min": 0.0, "d_max": 3.0, "d_points": 41, "kappa_min": 0.0,
+             "kappa_max": 1.45, "kappa_points": 30},
+    "dynamics": {"gamma_ratios": (0.1,), "kappa": float | None,
+                 "big_m": float | None, "length": float | None,
+                 "n_points": int | None, "dt": float | None,
+                 "measure_c": float | None},
+    "pairs": {"mu": 4.0, "a": 1.5, "g_peak": 0.05, "t0": 6.0,
+              "half_width": 24.0, "n_points": 256, "dt": 0.02, "t_on": 0.8,
+              "t_off": 2.2, "ramp_time": 0.35, "asymmetry": 0.0,
+              "barrier_center": 3.0, "barrier_sigma": 0.8},
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration.
-
-    ``big_m``, ``kappa`` and ``delta_over_g0`` are always populated after
-    validation (converted from the physical block when that form is
-    given). Grid fields override the spectrum defaults.
+    """Validated run configuration: the run's parameters (converted from
+    the physical block when that form is given; ``g0`` is None otherwise),
+    and the grid, dynamics and pairs blocks as typed mappings of every key
+    that has a value. ``raw`` is the config as given, which the hash covers.
     """
 
     mode: str
-    method: str = "analytic"
-    out_dir: str = "runs"
-    big_m: float = 100.0
-    kappa: float = 1.2
-    delta_over_g0: float = 0.0
-    g0: Optional[float] = None  # physical coupling, rad/s, when given
-    d_min: float = 0.0
-    d_max: float = 3.0
-    d_points: int = 41
-    kappa_min: float = 0.0
-    kappa_max: float = 1.45
-    kappa_points: int = 30
-    dynamics: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    method: str
+    out_dir: str
+    big_m: float
+    kappa: float
+    delta_over_g0: float
+    g0: Optional[float]
+    grid: dict
+    dynamics: dict
+    pairs: dict
+    raw: dict
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def parse_value(block: str, key: str, value):
+    """``value`` as the type of ``block.key`` in BLOCKS (numbers may come
+    as text, as on the command line); ConfigError naming ``block.key`` for
+    a bool, a non-number, a non-integral count or an empty or scalar list.
+    """
+    spec = BLOCKS[block][key]
+    kind = typing.get_args(spec)[0] if isinstance(spec, types.UnionType) else spec
+    kind = kind if isinstance(kind, type) else type(kind)
+    where = f"{block}.{key}"
+    if kind is not tuple:
+        return _number(where, value, kind)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list of numbers, got {value!r}")
+    return tuple(_number(f"{where}[{i}]", v, float) for i, v in enumerate(value))
+
+
+def _number(where: str, value, kind):
+    try:
+        number = float(value) if isinstance(value, str) else value
+        if isinstance(number, numbers.Real) and not isinstance(number, bool):
+            if kind is float or isinstance(number, int) or number.is_integer():
+                return kind(number)
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _read_block(name: str, block) -> dict:
+    """The keys of ``block`` with a value, coerced, defaults filled in."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    table = BLOCKS[name]
+    _check_keys(block, table, f"{name} block")
+    out = {}
+    for key, spec in table.items():
+        if key in block:
+            out[key] = parse_value(name, key, block[key])
+        elif isinstance(spec, type):
+            raise ConfigError(f"{name}.{key} is required")
+        elif not isinstance(spec, types.UnionType):
+            out[key] = spec
+    return out
 
 
 def _check_keys(block: dict, allowed, where: str):
@@ -87,10 +136,11 @@ def parse_config(raw: dict) -> RunConfig:
 
     Raises ConfigError with the offending field named for: unknown keys,
     missing mode, both or neither parameter block, and malformed values.
+    ``raw`` itself is never modified.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, KEYS["top"], "config")
+    _check_keys(raw, ("mode", "method", "out_dir", *BLOCKS), "config")
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -98,8 +148,7 @@ def parse_config(raw: dict) -> RunConfig:
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
 
-    dim = raw.get("dimensionless")
-    phys = raw.get("physical")
+    dim, phys = raw.get("dimensionless"), raw.get("physical")
     if (dim is None) == (phys is None):
         raise ConfigError(
             "exactly one of 'dimensionless' or 'physical' parameter blocks "
@@ -107,78 +156,51 @@ def parse_config(raw: dict) -> RunConfig:
         )
     g0 = None
     if dim is not None:
-        _check_keys(dim, KEYS["dimensionless"], "dimensionless block")
-        try:
-            big_m = float(dim["big_m"])
-            kappa = float(dim["kappa"])
-        except KeyError as exc:
-            raise ConfigError(f"dimensionless block missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dimensionless block malformed: {exc}") from exc
-        delta = float(dim.get("delta_over_g0", 0.0))
+        dim = _read_block("dimensionless", dim)
+        big_m, kappa, delta = dim["big_m"], dim["kappa"], dim["delta_over_g0"]
     else:
-        _check_keys(phys, KEYS["physical"], "physical block")
+        phys = _read_block("physical", phys)
+        delta = phys.pop("delta")
         try:
-            p = PhysicalParams(
-                g0=float(phys["g0"]),
-                mu=float(phys["mu"]),
-                a=float(phys["a"]),
-                m=float(phys["m"]),
-                gamma=float(phys.get("gamma", 0.0)),
-                n0=float(phys.get("n0", 1e6)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"physical block missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"physical block malformed: {exc}") from exc
-        dp = to_dimensionless(p, float(phys.get("delta", 0.0)))
+            dp = to_dimensionless(PhysicalParams(**phys), delta)
+        except ParameterDomainError as exc:
+            raise ConfigError(f"physical block: {exc}") from exc
         big_m, kappa, delta = dp.big_m, dp.kappa, dp.d
-        g0 = p.g0
+        g0 = phys["g0"]
 
-    grid = raw.get("grid", {})
-    _check_keys(grid, KEYS["grid"], "grid block")
-    dyn = raw.get("dynamics", {})
-    _check_keys(dyn, KEYS["dynamics"], "dynamics block")
-    pairs = raw.get("pairs", {})
-    _check_keys(pairs, KEYS["pairs"], "pairs block")
-
-    try:
-        cfg = RunConfig(
-            mode=mode,
-            method=method,
-            out_dir=str(raw.get("out_dir", "runs")),
-            big_m=big_m,
-            kappa=kappa,
-            delta_over_g0=delta,
-            g0=g0,
-            d_min=float(grid.get("d_min", 0.0)),
-            d_max=float(grid.get("d_max", 3.0)),
-            d_points=int(grid.get("d_points", 41)),
-            kappa_min=float(grid.get("kappa_min", 0.0)),
-            kappa_max=float(grid.get("kappa_max", 1.45)),
-            kappa_points=int(grid.get("kappa_points", 30)),
-            dynamics=dict(dyn),
-            pairs=dict(pairs),
-            raw=raw,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed grid value: {exc}") from exc
-    if cfg.d_points < 1 or cfg.kappa_points < 1:
+    grid = _read_block("grid", raw.get("grid", {}))
+    if grid["d_points"] < 1 or grid["kappa_points"] < 1:
         raise ConfigError("grid point counts must be >= 1")
-    if cfg.d_max < cfg.d_min or cfg.kappa_max < cfg.kappa_min:
+    if grid["d_max"] < grid["d_min"] or grid["kappa_max"] < grid["kappa_min"]:
         raise ConfigError("grid ranges must be nondecreasing")
-    return cfg
+    return RunConfig(
+        mode=mode,
+        method=method,
+        out_dir=str(raw.get("out_dir", "runs")),
+        big_m=big_m,
+        kappa=kappa,
+        delta_over_g0=delta,
+        g0=g0,
+        grid=grid,
+        dynamics={"kappa": kappa, "big_m": big_m,
+                  **_read_block("dynamics", raw.get("dynamics", {}))},
+        pairs=_read_block("pairs", raw.get("pairs", {})),
+        raw=raw,
+    )
 
 
 def read_config(path) -> dict:
     """The raw JSON mapping of a config file; ConfigError if unreadable."""
     try:
-        return json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}, line {exc.lineno}): "
                           f"{exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
 
 
 def load_config(path) -> RunConfig:

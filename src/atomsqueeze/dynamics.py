@@ -85,6 +85,10 @@ class AbsorberSpec:
     strength: float = 6.0
     two_sided: bool = False
 
+    def __post_init__(self):
+        _require("width", self.width, self.width >= 0, "finite and >= 0")
+        _require("strength", self.strength, self.strength >= 0, "finite and >= 0")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -172,10 +176,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ModeLabel:
-    """Provenance of a mode pair: incoming channel, chemical potential (in
-    coupling units) and the nominal carrier wavenumber."""
+    """Provenance of a mode pair: chemical potential (in coupling units)
+    and the nominal carrier wavenumber."""
 
-    channel: str = "plus"
     mu: float = 0.0
     k0: float = 0.0
 
@@ -592,14 +595,14 @@ def extract_output_correlators(
 
 
 def gaussian_packet(
-    grid: GridSpec, x0: float, sigma: float, k: float, channel: str = "plus", mu: float = 0.0
+    grid: GridSpec, x0: float, sigma: float, k: float, mu: float = 0.0
 ) -> ModeState:
     """Unit-norm Gaussian wavepacket in u (w empty), carrier exp(+i k x)."""
     x = grid.x
     u = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * k * x).astype(complex)
     u /= math.sqrt(float(np.sum(np.abs(u) ** 2) * grid.dx))
     w = np.zeros_like(u)
-    return ModeState(u=u, w=w, t=0.0, label=ModeLabel(channel=channel, mu=mu, k0=abs(k)))
+    return ModeState(u=u, w=w, t=0.0, label=ModeLabel(mu=mu, k0=abs(k)))
 
 
 def steady_state_beta_squared(
@@ -665,7 +668,7 @@ def steady_state_beta_squared(
         u=np.zeros(grid.x.shape, dtype=complex),
         w=np.zeros(grid.x.shape, dtype=complex),
         t=0.0,
-        label=ModeLabel(channel="plus", mu=big_m, k0=k0),
+        label=ModeLabel(mu=big_m, k0=k0),
     )
     # a few closely spaced snapshots at the end give the estimator variance
     snap_times = [t_meas - 2.0 * grid.dt * i for i in range(n_snapshots)][::-1]

@@ -151,12 +151,17 @@ def to_dimensionless(p: PhysicalParams, delta: float = 0.0) -> DimensionlessPara
     )
 
 
+def nearest_threshold(kappa: float) -> float:
+    """The parametric threshold pi/2 + n*pi (n >= 0) nearest to kappa."""
+    n = max(0, round((kappa - math.pi / 2.0) / math.pi))
+    return math.pi / 2.0 + n * math.pi
+
+
 def threshold_distance(kappa: float) -> float:
     """Distance from kappa to the nearest parametric threshold pi/2 + n*pi."""
     if kappa < 0:
         raise ParameterDomainError(f"kappa must be >= 0, got {kappa}")
-    n = max(0, round((kappa - math.pi / 2.0) / math.pi))
-    return abs(kappa - (math.pi / 2.0 + n * math.pi))
+    return abs(kappa - nearest_threshold(kappa))
 
 
 def validity(

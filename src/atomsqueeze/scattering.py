@@ -57,14 +57,12 @@ class InteriorModes:
     ``wavevectors`` are the two interior wavenumbers (the lower branch is
     purely imaginary with Im > 0 when evanescent); ``eigenvalues`` are the
     corresponding k^2 in coupling units; ``eigenvectors`` holds the unit
-    (u, w) polarization of each branch as rows. ``exterior_open`` flags
-    whether each exterior channel k(mu +/- delta) propagates.
+    (u, w) polarization of each branch as rows.
     """
 
     eigenvalues: Tuple[float, float]
     eigenvectors: Tuple[Tuple[float, float], Tuple[float, float]]
     wavevectors: Tuple[complex, complex]
-    exterior_open: Tuple[bool, bool]
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ def interior_modes(params: DimensionlessParams) -> InteriorModes:
         eigenvalues=lams,
         eigenvectors=tuple((1.0 / n, w / n) for w, n in zip((d - s, d + s), norms)),
         wavevectors=tuple(np.sqrt(lam + 0j) for lam in lams),
-        exterior_open=(M + d > 0, M - d > 0),
     )
 
 

@@ -16,17 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytic import (
-    SqueezingSpectrum,
-    r_closed_form,
-    threshold_kappas,
-    wavenumber_phase,
-)
+from .analytic import SqueezingSpectrum, r_closed_form, wavenumber_phase
 from .errors import AboveThresholdError, ParameterDomainError, SolverError
-from .params import DimensionlessParams, check_dimensionless
+from .params import DimensionlessParams, check_dimensionless, nearest_threshold
 from .scattering import r_from_coefficients, solve_matching
-
-DEFAULT_BIG_M = 100.0
 
 
 def linspace_grid(spec: Tuple[float, float, int]) -> np.ndarray:
@@ -39,7 +32,7 @@ def linspace_grid(spec: Tuple[float, float, int]) -> np.ndarray:
 def spectrum_grid(
     d_grid: Sequence[float],
     kappa_grid: Sequence[float],
-    big_m: float = DEFAULT_BIG_M,
+    big_m: float,
     method: str = "analytic",
 ) -> List[Tuple[float, float, float, bool]]:
     """Rectangular (d, kappa, r, above_threshold) sweep, row-ordered.
@@ -119,8 +112,7 @@ def find_threshold(
             diverges=False, peak_argument=None, lo=lo, hi=hi,
         )
     peak = float(r_closed_form(d, big_m, kappa_star).arctanh_argument)
-    refs = threshold_kappas(int(kappa_star / math.pi) + 1)
-    nearest = min(refs, key=lambda r: abs(r - kappa_star))
+    nearest = nearest_threshold(kappa_star)
     return ThresholdResult(
         found=True,
         kappa=kappa_star,

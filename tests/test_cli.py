@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import atomsqueeze
 from atomsqueeze import flux_estimate, spectrum_grid
 from atomsqueeze.analytic import spectrum_large_mu
 from atomsqueeze.cli import _write_csv, main
-from atomsqueeze.config import parse_config
+from atomsqueeze.config import BLOCKS, parse_config
 from atomsqueeze.errors import AboveThresholdError, ConfigError
 from atomsqueeze.spectrum import find_threshold, ridge_locus
 
@@ -89,6 +90,112 @@ class TestConfigValidation:
         parsed = parse_config(dict(BASE))
         again = parse_config(json.loads(parsed.canonical_json()))
         assert again.config_hash() == parsed.config_hash()
+
+
+PHYSICAL = {"g0": 2e4, "mu": 1.467e6, "a": 3e-6, "m": 3.82e-26,
+            "gamma": 0.5, "n0": 1e6}
+
+#: (config, extra command-line arguments, the block.key the error names)
+MALFORMED = {
+    "dynamics-count-text": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"n_points": "abc"}}, [], "dynamics.n_points"),
+    "dynamics-scalar-gamma-ratios": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"gamma_ratios": 0.1}}, [], "dynamics.gamma_ratios"),
+    "dynamics-empty-gamma-ratios": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"gamma_ratios": []}}, [], "dynamics.gamma_ratios"),
+    "dynamics-gamma-ratio-entry": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"gamma_ratios": [0.1, "x"]}}, [],
+        "dynamics.gamma_ratios[1]"),
+    "pairs-list": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"dt": [1]}}, [], "pairs.dt"),
+    "pairs-zero-ramp-time": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"ramp_time": 0}}, [], "pairs.ramp_time"),
+    "grid-fractional-count": (
+        {**BASE, "grid": {"d_points": 2.7}}, [], "grid.d_points"),
+    "grid-bool": (
+        {**BASE, "grid": {"kappa_max": True}}, [], "grid.kappa_max"),
+    "grid-too-large-for-float": (
+        {**BASE, "grid": {"d_max": 10**400}}, [], "grid.d_max"),
+    "grid-override-fractional-count": (
+        BASE, ["--d-points", "2.5"], "grid.d_points"),
+    "grid-override-text": (
+        BASE, ["--kappa-min", "low"], "grid.kappa_min"),
+    "dimensionless-detuning": (
+        {**BASE, "dimensionless": {"big_m": 100.0, "kappa": 1.2,
+                                   "delta_over_g0": "abc"}}, [],
+        "dimensionless.delta_over_g0"),
+    "dimensionless-missing": (
+        {**BASE, "dimensionless": {"big_m": 100.0}}, [], "dimensionless.kappa"),
+    "physical-detuning": (
+        {"mode": "spectrum", "physical": {**PHYSICAL, "delta": [1.0]}}, [],
+        "physical.delta"),
+    "physical-missing": (
+        {"mode": "spectrum", "physical": {"g0": 2e4, "mu": 1.467e6, "a": 3e-6}},
+        [], "physical.m"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_value_is_named_config_error(case, tmp_path, capsys):
+    payload, args, where = MALFORMED[case]
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert main([payload["mode"], "--config", cfg, "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_root_must_be_object(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1, 2]")
+    assert main(["spectrum", "--config", str(cfg), "--d-points", "3"]) == 1
+    assert "config root must be a JSON object" in capsys.readouterr().err
+
+
+class TestConfigHash:
+    """The hash covers the config as given; these were recorded before the
+    config table replaced the per-key lookups and must never move."""
+
+    def test_base(self):
+        assert parse_config(dict(BASE)).config_hash() == (
+            "03b4cd555d1e2ad264e4fb74c2d40126e1d545dde4d2692bdcad30794aee9cdf")
+
+    def test_physical_with_grid_overrides(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json",
+                           {"mode": "spectrum", "physical": PHYSICAL})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out),
+                     "--method", "both", "--d-points", "7",
+                     "--kappa-points", "5", "--kappa-min", "0.05",
+                     "--kappa-max", "1.3", "--d-max", "2"]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["config_hash"] == (
+            "f5b1064941f428b427d390ead77c5de7cfcf2b2c3e1a5a9e27b55f5a1de2dc6f")
+
+    def test_coerced_values_not_written_back(self):
+        raw = {**BASE, "grid": {"d_points": 5.0, "kappa_max": "1.3"}}
+        before = json.dumps(raw, sort_keys=True)
+        parsed = parse_config(raw)
+        assert parsed.grid["d_points"] == 5 and parsed.grid["kappa_max"] == 1.3
+        assert json.dumps(parsed.raw, sort_keys=True) == before
+
+
+def test_readme_block_keys_match_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Block keys:")[1].split("\n\n")[0]
+    listed = {}
+    for segment in paragraph.split(";"):
+        block, *keys = re.findall(r"`([a-z_0-9]+)`", segment)
+        listed[block] = keys
+    assert listed == {block: list(keys) for block, keys in BLOCKS.items()}
 
 
 class TestSpectrumCommand:
@@ -385,8 +492,7 @@ class TestColdStart:
                 "kappa_max": 1.3}
         configs = {
             "spectrum": {"mode": "spectrum", "method": "both", "grid": grid,
-                         "physical": {"g0": 2e4, "mu": 1.467e6, "a": 3e-6,
-                                      "m": 3.82e-26, "gamma": 0.5, "n0": 1e6}},
+                         "physical": PHYSICAL},
             "threshold": {"mode": "threshold",
                           "dimensionless": {"big_m": 100.0, "kappa": 1.0},
                           "grid": {"kappa_min": 1.0, "kappa_max": 2.0}},

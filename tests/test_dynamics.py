@@ -100,6 +100,14 @@ class TestNamedInputErrors:
         with pytest.raises(ParameterDomainError, match=name):
             PlaneWaveSource(**kw)
 
+    @pytest.mark.parametrize("name, value", [
+        ("width", -1.0), ("width", math.nan), ("width", math.inf),
+        ("strength", -1.0), ("strength", math.nan), ("strength", math.inf),
+    ])
+    def test_absorber_field(self, name, value):
+        with pytest.raises(ParameterDomainError, match=f"^{name} must be"):
+            AbsorberSpec(**{name: value})
+
 
 class TestFreeEvolution:
     def test_free_packet_translates_at_group_velocity(self):
@@ -300,7 +308,7 @@ class TestStationaryInterior:
             u=profile.astype(complex),
             w=vec_w * profile.astype(complex),
             t=0.0,
-            label=ModeLabel(channel="plus", mu=mu, k0=k),
+            label=ModeLabel(mu=mu, k0=k),
         )
         ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
                             x_lo=0.0, x_hi=length)

@@ -253,12 +253,15 @@ class TestPairAmplitude:
         with pytest.raises(ParameterDomainError, match=f"^{name} samples"):
             pair_amplitude(ramp, grid, t0=1.0, mu=1.0, **{name: v})
 
-    def test_nan_norm_trips_perturbation_guard(self):
-        # a NaN absorber strength makes every amplitude NaN; a NaN created
-        # norm is not a valid first-order result
+    def test_nan_norm_trips_perturbation_guard(self, monkeypatch):
+        # a NaN damping profile makes every amplitude NaN; a NaN created
+        # norm is not a valid first-order result. (A NaN envelope would
+        # not do: steps whose envelope is not above the skip level add
+        # nothing.)
         grid = GridSpec(x_min=-8.0, x_max=8.0, n_points=64, dt=0.05,
-                        boundary="dirichlet",
-                        absorber=AbsorberSpec(width=2.0, strength=math.nan))
+                        boundary="dirichlet")
+        monkeypatch.setattr(GridSpec, "absorber_profile",
+                            lambda self: np.full(self.x.shape, math.nan))
         ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
                             t_off=0.6, x_lo=-1.0, x_hi=1.0)
         fa = pair_amplitude(ramp, grid, t0=1.0, mu=1.0, raise_on_invalid=False)

@@ -66,10 +66,6 @@ class TestInteriorModes:
         assert k_lo.real == pytest.approx(0.0, abs=1e-14)
         assert k_lo.imag > 0
 
-    def test_exterior_flags(self):
-        m = interior_modes(DimensionlessParams(d=3.0, big_m=2.0, kappa=1.0))
-        assert m.exterior_open == (True, False)
-
 
 class TestSolveScattering:
     def test_zero_kappa_elastic(self):
