@@ -14,10 +14,8 @@ from .analytic import (
     loss_rate,
     r_analytic,
     r_large_mu_limit,
-    r_zero_detuning,
     spectrum_analytic,
     spectrum_large_mu,
-    tanh_two_theta,
     threshold_kappas,
     wavenumber_phase,
 )
@@ -67,6 +65,5 @@ from .spectrum import (
     compare_methods,
     find_threshold,
     flux_estimate,
-    ridge_locus,
     spectrum_grid,
 )

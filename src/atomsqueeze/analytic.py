@@ -13,7 +13,8 @@ arctanh[sqrt(d^2+1) - d], overflows at d = 0 and leaves its domain for
 d < 0; the simplified form is algebraically identical for d > 0 and
 extends the spectrum evenly. The mu >> g0 limit collapses phi to
 kappa * sqrt(1 + d^2), which at zero detuning gives the textbook
-r0 = |arctanh(sin kappa)| with its thresholds at kappa = pi/2 + n*pi.
+r0 = |arctanh(sin kappa)| with its thresholds at kappa = pi/2 + n*pi
+(``r_large_mu_limit(0.0, kappa)``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class SqueezingSpectrum:
 
 
 def _value_from_phase(d, phi) -> SqueezingValue:
-    """SqueezingValue for argument sin(phi)/sqrt(1+d^2), saturation-stable.
+    """SqueezingValue for argument sin(phi)/sqrt(1+d^2), saturation-stable;
+    1/sqrt(1+d^2) is tanh(2*theta).
 
     Near threshold the argument rounds to 1 long before the true
     divergence, so 1 - |arg| is assembled from cancellation-free pieces:
@@ -100,15 +102,6 @@ def _points(value: SqueezingValue) -> List[SqueezingValue]:
     fields = (value.r, value.above_threshold, value.arctanh_argument,
               value.near_threshold)
     return [SqueezingValue(*p) for p in zip(*(np.ravel(f).tolist() for f in fields))]
-
-
-def tanh_two_theta(d: float) -> float:
-    """Interaction mixing factor tanh(2*theta) = 1/sqrt(1 + d^2).
-
-    Equals tanh(2*arctanh(sqrt(d^2+1) - d)) wherever the latter is defined,
-    and is even in d. Ranges over (0, 1], saturating at d = 0 (resonance).
-    """
-    return 1.0 / math.sqrt(1.0 + d * d)
 
 
 def wavenumber_phase(params: DimensionlessParams) -> float:
@@ -164,11 +157,6 @@ def r_large_mu_limit(d: float, kappa: float) -> SqueezingValue:
     """
     (value,) = _points(r_closed_form(d, None, kappa))
     return value
-
-
-def r_zero_detuning(kappa: float) -> SqueezingValue:
-    """Peak squeezing r0 = |arctanh(sin kappa)| between the modes at mu."""
-    return r_large_mu_limit(0.0, kappa)
 
 
 def threshold_kappas(n_max: int) -> List[float]:

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import spectrum_large_mu
+from .analytic import r_large_mu_limit, spectrum_large_mu
 from .config import (BLOCKS, METHODS, MODES, RecordBuilder, RunConfig,
                      parse_config, parse_value, read_config)
 from .dynamics import steady_state_beta_squared
-from .errors import AtomsqueezeError, ConfigError
+from .errors import AtomsqueezeError, ConfigError, ParameterDomainError
 from .pairs import bell_metrics, post_select, quadrant_decompose
 from .spectrum import (
     FLUX_DEFINITION,
@@ -136,9 +136,13 @@ def cmd_compare(config: RunConfig, out_dir: Path, tolerance: float = 0.01) -> in
     rec = RecordBuilder(config)
     g = config.grid
     d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
-    k_grid = linspace_grid(
-        (max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3), g["kappa_points"])
-    )
+    k_lo, k_hi = max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3)
+    if k_hi < k_lo:
+        raise ConfigError(
+            f"grid.kappa_min/grid.kappa_max: [{g['kappa_min']!r}, "
+            f"{g['kappa_max']!r}] leaves nothing of the compared range [0.05, 1.3]"
+        )
+    k_grid = linspace_grid((k_lo, k_hi, g["kappa_points"]))
     big_ms = (10.0, 30.0, config.big_m, 3.0 * config.big_m)
     results = [compare_methods(d_grid, k_grid, m, tolerance) for m in big_ms]
     table = [
@@ -167,7 +171,15 @@ def cmd_dynamics(config: RunConfig, out_dir: Path) -> int:
     # the keys left after these three are steady_state_beta_squared options
     dyn = dict(config.dynamics)
     gamma_ratios, kappa, big_m = (dyn.pop(k) for k in ("gamma_ratios", "kappa", "big_m"))
-    target = math.sinh(abs(math.atanh(math.sin(kappa)))) ** 2
+    try:
+        target = math.sinh(r_large_mu_limit(0.0, kappa).r) ** 2
+    except ParameterDomainError:  # kappa negative or not finite
+        target = math.nan
+    if not 0.0 < target < math.inf:
+        raise ConfigError(
+            f"dynamics.kappa must give a finite target sinh^2(r0) > 0, "
+            f"got kappa = {kappa!r} (target {target!r})"
+        )
     rows = []
     for gr in gamma_ratios:
         res = steady_state_beta_squared(big_m, kappa, gr, **dyn)

@@ -168,6 +168,9 @@ def parse_config(raw: dict) -> RunConfig:
         big_m, kappa, delta = dp.big_m, dp.kappa, dp.d
         g0 = phys["g0"]
 
+    out_dir = raw.get("out_dir", "runs")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
     grid = _read_block("grid", raw.get("grid", {}))
     if grid["d_points"] < 1 or grid["kappa_points"] < 1:
         raise ConfigError("grid point counts must be >= 1")
@@ -176,7 +179,7 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(
         mode=mode,
         method=method,
-        out_dir=str(raw.get("out_dir", "runs")),
+        out_dir=out_dir,
         big_m=big_m,
         kappa=kappa,
         delta_over_g0=delta,

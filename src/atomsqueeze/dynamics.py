@@ -298,6 +298,22 @@ def _runs(mask: np.ndarray) -> List[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
+def _potential_samples(v, name: str, x: np.ndarray) -> np.ndarray:
+    """Potential samples on the grid points ``x``: zeros for None, else
+    finite floats of x's shape; a ParameterDomainError naming ``name``
+    otherwise."""
+    if v is None:
+        return np.zeros_like(x)
+    v = np.asarray(v, dtype=float)
+    if v.shape != x.shape:
+        raise ParameterDomainError(
+            f"{name} samples shape {v.shape} != grid shape {x.shape}"
+        )
+    if not np.isfinite(v).all():
+        raise ParameterDomainError(f"{name} samples must be finite")
+    return v
+
+
 class _SpectralPropagator:
     """Exact kinetic kicks of a field, in the sine or Fourier basis.
 
@@ -360,15 +376,9 @@ class _Stepper:
             axes=(-1,),
         )
         x = grid.x
-        if potential is None:
-            v = np.zeros_like(x)
-        else:
-            v = np.asarray(potential(x) if callable(potential) else potential,
-                           dtype=float)
-            if v.shape != x.shape:
-                raise ParameterDomainError(
-                    f"potential samples shape {v.shape} != grid shape {x.shape}"
-                )
+        if callable(potential):
+            potential = potential(x)
+        v = _potential_samples(potential, "potential", x)
         gmask = ramp.spatial_mask(grid)
         # outside the span where g or V can be nonzero the 2x2 step is the
         # identity; the absorber decay is a real scalar per point, so it
@@ -438,10 +448,14 @@ def evolve(
     one forward transform gives both the boundary state and the state
     kicked on into the next step; the final step ends with a half-kick.
 
-    Raises ParameterDomainError at setup if ``check_every`` is below 1,
+    ``potential`` is None (zero), samples on grid.x, or a callable of
+    grid.x returning them.
+
+    Raises ParameterDomainError at setup if ``check_every`` is below 1 or
+    the potential samples are not finite or not of the grid's shape,
     ResolutionError if the grid cannot resolve the mode's nominal carrier
-    (label.k0), and InstabilityDetectedError if the norm bound is violated
-    mid-run.
+    (label.k0), and InstabilityDetectedError if the norm is not within
+    the bound (a NaN norm included) mid-run.
     """
     if t_final < state.t:
         raise ParameterDomainError("t_final precedes the state's current time")
@@ -496,7 +510,7 @@ def evolve(
         if check:
             bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
             norm = plus_norm(state.copy_with(at[0], at[1], t), grid)
-            if norm > INSTABILITY_MARGIN * bound:
+            if not norm <= INSTABILITY_MARGIN * bound:
                 raise InstabilityDetectedError(
                     f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
                 )

@@ -22,11 +22,14 @@ grid points.
 
 Once the pair has escaped the coupling region the amplitude is decomposed
 by exit side into quadrants LL/LR/RL/RR (left: coordinate < -a; right:
-> a). Post-selecting one atom on each side keeps the LR and RL pieces and
-produces an effective two-qubit internal state in the basis
-{|+1 left, -1 right>, |-1 left, +1 right>}; when potentials are identical
-for the two internal components, the exchange symmetry f_LR(x, y) =
-f_RL(y, x) makes that state maximally entangled.
+> a), read as block views of f. Post-selecting one atom on each side
+keeps the LR and RL blocks and produces an effective two-qubit internal
+state in the basis {|+1 left, -1 right>, |-1 left, +1 right>}; when
+potentials are identical for the two internal components, the exchange
+symmetry f_LR(x, y) = f_RL(y, x) makes that state maximally entangled.
+The state lives in a two-dimensional subspace of the two qubits, so its
+CHSH maximum has a closed form in the branch coherence alone (see
+``chsh_maximum``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import CouplingRamp, GridSpec, _SpectralPropagator
+from .dynamics import (
+    CouplingRamp,
+    GridSpec,
+    _potential_samples,
+    _SpectralPropagator,
+)
 from .errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
@@ -71,10 +79,13 @@ class PairAmplitude:
 class QuadrantDecomposition:
     """Exit-side decomposition of a pair amplitude.
 
-    Weights are norm^2 of the restrictions; the restricted amplitudes are
-    kept on the full grid (zero outside their quadrant) so downstream
-    overlaps can use one quadrature. in_region_weight is everything not in
-    a quadrant (atoms not yet escaped).
+    Weights are norm^2 of the quadrant blocks of f; in_region_weight is
+    everything not in a quadrant (atoms not yet escaped). The two
+    off-diagonal blocks are kept for post-selection, both over (left
+    coordinate, right coordinate): ``f_lr`` is f(x, y) with x < -a < a < y
+    (the |+1 left, -1 right> branch), and ``f_rl`` is f(x, y) with
+    y < -a < a < x, transposed (the |-1 left, +1 right> branch). Both are
+    views of the amplitude's array.
     """
 
     w_ll: float
@@ -85,9 +96,7 @@ class QuadrantDecomposition:
     total: float
     f_lr: np.ndarray
     f_rl: np.ndarray
-    x: np.ndarray
     dx: float
-    a: float
 
 
 @dataclass(frozen=True)
@@ -103,18 +112,6 @@ class ProjectedPairState:
     psi_b: np.ndarray
     dx: float
     success_probability: float
-
-
-def _samples(v: Optional[np.ndarray], name: str, x: np.ndarray) -> np.ndarray:
-    """Potential samples on ``x``; zero for None, named errors otherwise."""
-    if v is None:
-        return np.zeros_like(x)
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise ParameterDomainError(f"{name} samples must match grid.x")
-    if not np.isfinite(v).all():
-        raise ParameterDomainError(f"{name} samples must be finite")
-    return v
 
 
 def pair_amplitude(
@@ -183,10 +180,9 @@ def pair_amplitude(
     if not (mu > 0 and math.isfinite(mu)):
         raise ParameterDomainError(f"mu must be finite and > 0, got {mu!r}")
     grid.validate_resolution(math.sqrt(mu))
-    vp = _samples(potential_plus, "potential_plus", x)
-    sides = [vp]
+    sides = [_potential_samples(potential_plus, "potential_plus", x)]
     if potential_minus is not potential_plus:
-        sides.append(_samples(potential_minus, "potential_minus", x))
+        sides.append(_potential_samples(potential_minus, "potential_minus", x))
 
     n = x.size
     dt = grid.dt
@@ -232,23 +228,20 @@ def pair_amplitude(
 
 
 def quadrant_decompose(fa: PairAmplitude) -> QuadrantDecomposition:
-    """Split f by exit side of each atom; weights partition the total norm^2."""
-    x, dx, a = fa.x, fa.dx, fa.a
-    left = x < -a
-    right = x > a
+    """Split f by exit side of each atom; weights partition the total norm^2.
+
+    The grid positions ``fa.x`` increase, so each side is one run of
+    indices and each quadrant a block view of f.
+    """
+    n, dx = fa.x.size, fa.dx
+    left = slice(0, int(np.count_nonzero(fa.x < -fa.a)))
+    right = slice(n - int(np.count_nonzero(fa.x > fa.a)), n)
     f = fa.f
-
-    def _restrict(mx, my):
-        out = np.zeros_like(f)
-        block = np.ix_(mx, my)
-        out[block] = f[block]
-        return out
-
-    f_lr = _restrict(left, right)
-    f_rl = _restrict(right, left)
+    f_lr = f[left, right]
+    f_rl = f[right, left].T
     w = lambda g: float(np.sum(np.abs(g) ** 2) * dx * dx)
-    w_ll = w(_restrict(left, left))
-    w_rr = w(_restrict(right, right))
+    w_ll = w(f[left, left])
+    w_rr = w(f[right, right])
     w_lr = w(f_lr)
     w_rl = w(f_rl)
     total = w(f)
@@ -261,30 +254,23 @@ def quadrant_decompose(fa: PairAmplitude) -> QuadrantDecomposition:
         total=total,
         f_lr=f_lr,
         f_rl=f_rl,
-        x=x,
         dx=dx,
-        a=a,
     )
 
 
 def post_select(q: QuadrantDecomposition) -> ProjectedPairState:
     """Project onto the one-atom-each-side subspace and normalize.
 
-    The |-1 left, +1 right> branch amplitude over (left, right) coordinates
-    is f_RL with its arguments swapped (its first argument is the +1 atom's
-    position, which after projection lives on the right side).
+    The branch amplitudes are the decomposition's off-diagonal blocks,
+    already over (left, right) coordinates, scaled to unit total norm.
     """
     n2 = q.w_lr + q.w_rl
     if n2 <= 0.0:
         raise EmptyPostSelectionError("no amplitude with one atom on each side")
-    left = q.x < -q.a
-    right = q.x > q.a
-    psi_a = q.f_lr[np.ix_(left, right)]
-    psi_b = q.f_rl[np.ix_(right, left)].T
     scale = 1.0 / math.sqrt(n2)
     return ProjectedPairState(
-        psi_a=psi_a * scale,
-        psi_b=psi_b * scale,
+        psi_a=q.f_lr * scale,
+        psi_b=q.f_rl * scale,
         dx=q.dx,
         success_probability=n2 / q.total if q.total > 0 else 0.0,
     )
@@ -314,37 +300,20 @@ def single_side_entropy(rho: np.ndarray) -> float:
     return float(-sum(p * math.log(p) for p in probs if p > 1e-300))
 
 
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-
-def _embed_two_qubit(rho: np.ndarray) -> np.ndarray:
-    """Embed the branch-basis 2x2 into the |+-⟩,|-+⟩ block of two qubits."""
-    full = np.zeros((4, 4), dtype=complex)
-    full[1, 1] = rho[0, 0]
-    full[1, 2] = rho[0, 1]
-    full[2, 1] = rho[1, 0]
-    full[2, 2] = rho[1, 1]
-    return full
-
-
 def chsh_maximum(rho: np.ndarray) -> float:
-    """Largest CHSH value over local settings, from the correlation matrix.
+    """Largest CHSH value over local settings of a branch-basis state.
 
-    For a two-qubit state with correlation matrix T_ij = Tr(rho s_i x s_j)
-    the optimum is 2*sqrt(m1 + m2) with m1, m2 the two largest eigenvalues
-    of T^T T: 2 for product states, 2*sqrt(2) for Bell states.
+    ``rho`` is the unit-trace 2x2 state of ``internal_reduced_state``, with
+    c = rho[0, 1] the branch coherence. As a two-qubit state it lives on
+    the span of |+1 -1> and |-1 +1>, where its correlation matrix
+    T_ij = Tr(rho s_i (x) s_j) has T_xx = T_yy = 2 Re c,
+    T_xy = -T_yx = 2 Im c and T_zz = -1 (the trace), all else zero. So
+    T^T T = diag(4|c|^2, 4|c|^2, 1), and the Horodecki optimum
+    2*sqrt(m1 + m2) over its two largest eigenvalues (R., P. and
+    M. Horodecki, Phys. Lett. A 200, 340 (1995)) is 2*sqrt(1 + 4|c|^2):
+    2 for a product state, 2*sqrt(2) for a Bell state (|c| = 1/2).
     """
-    full = _embed_two_qubit(rho)
-    t = np.empty((3, 3))
-    for i, pi in enumerate(_PAULIS):
-        for j, pj in enumerate(_PAULIS):
-            t[i, j] = float(np.real(np.trace(full @ np.kron(pi, pj))))
-    ev = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
-    return 2.0 * math.sqrt(max(ev[0] + ev[1], 0.0))
+    return 2.0 * math.sqrt(1.0 + 4.0 * abs(rho[0, 1]) ** 2)
 
 
 def bell_metrics(s: ProjectedPairState) -> dict:

@@ -198,12 +198,3 @@ def flux_estimate(spectrum: SqueezingSpectrum, g0: float) -> float:
         # single-bin convention: one channel-pair bin of width g0 (in d units: 1)
         return float(g0 * integrand[0] / (2.0 * math.pi))
     return float(g0 * np.trapezoid(integrand, ds) / (2.0 * math.pi))
-
-
-def ridge_locus(d: float) -> float:
-    """kappa of maximal r at fixed detuning ratio, (pi/2)/sqrt(1 + d^2).
-
-    In the large-mu spectrum the divergence ridge follows
-    kappa * sqrt(1 + d^2) = pi/2; grid sweeps should peak along this locus.
-    """
-    return (math.pi / 2.0) / math.sqrt(1.0 + d * d)

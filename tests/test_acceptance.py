@@ -21,14 +21,14 @@ from atomsqueeze import (
     quadrant_decompose,
     r_analytic,
     r_scattering,
-    r_zero_detuning,
+    r_large_mu_limit,
     solve_scattering,
     steady_state_beta_squared,
     symplectic_norm,
     to_dimensionless,
 )
 from atomsqueeze.dynamics import CouplingRamp, GridSpec, evolve, gaussian_packet
-from atomsqueeze.spectrum import find_threshold, flux_estimate, ridge_locus
+from atomsqueeze.spectrum import find_threshold, flux_estimate
 from atomsqueeze.analytic import spectrum_large_mu
 
 mp.mp.dps = 40
@@ -45,7 +45,7 @@ class TestCriterion1ZeroDetuningIdentity:
         kappas = rng.uniform(0.0, math.pi / 2 - 1e-3, size=10_000)
         worst = 0.0
         for k in kappas:
-            mine = r_zero_detuning(float(k)).r
+            mine = r_large_mu_limit(0.0, float(k)).r
             true = float(abs(mp.atanh(mp.sin(mp.mpf(float(k))))))
             worst = max(worst, abs(mine - true))
         assert worst < 1e-12
@@ -70,7 +70,7 @@ class TestCriterion3WorkedExample:
         p = PhysicalParams(g0=2e4, mu=mu, a=3e-6, m=m)
         dp = to_dimensionless(p)
         assert dp.kappa == pytest.approx(1.33, abs=0.01)
-        r0 = r_zero_detuning(dp.kappa).r
+        r0 = r_large_mu_limit(0.0, dp.kappa).r
         assert r0 == pytest.approx(2.1, abs=0.1)
         report("3 worked example", f"kappa = {dp.kappa:.4f}, r0 = {r0:.4f}")
 
@@ -206,6 +206,6 @@ class TestCriterion8DiagnosticsInLieuOfFlux:
                 for k in kappas
             ]
             k_peak = kappas[int(np.argmax(rs))]
-            assert abs(k_peak - ridge_locus(d)) <= dk
+            assert abs(k_peak - find_threshold(0.0, 2.0, d).kappa) <= dk
         report("8b spectrum ridge", "peak kappa follows (pi/2)/sqrt(1+d^2) "
                                     "at d in (0.5, 1, 2, 3)")

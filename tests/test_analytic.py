@@ -9,14 +9,18 @@ from atomsqueeze import (
     DimensionlessParams,
     r_analytic,
     r_large_mu_limit,
-    r_zero_detuning,
     spectrum_large_mu,
-    tanh_two_theta,
     threshold_kappas,
     wavenumber_phase,
 )
-from atomsqueeze.analytic import loss_rate, r_closed_form
+from atomsqueeze.analytic import _value_from_phase, loss_rate, r_closed_form
 from atomsqueeze.errors import ClosedChannelError, ParameterDomainError
+
+
+def tanh_two_theta(d):
+    """tanh(2*theta) as the closed form uses it: the arctanh argument at
+    sin(phi) = 1, i.e. 1/sqrt(1 + d^2)."""
+    return float(_value_from_phase(np.float64(d), math.pi / 2.0).arctanh_argument)
 
 
 def literal_tanh_two_theta(d):
@@ -160,25 +164,28 @@ class TestRLargeMuLimit:
 
 
 class TestRZeroDetuning:
+    """r0 = |arctanh(sin kappa)|: the mu >> g0 limit at zero detuning."""
+
     def test_zero(self):
-        assert r_zero_detuning(0.0).r == 0.0
+        assert r_large_mu_limit(0.0, 0.0).r == 0.0
 
     def test_pi_returns_to_zero(self):
         # sin(pi) = 0: r vanishes again past the divergence at pi/2
-        assert r_zero_detuning(math.pi).r == pytest.approx(0.0, abs=1e-12)
+        assert r_large_mu_limit(0.0, math.pi).r == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_squeezing(self):
-        assert r_zero_detuning(1.333).r == pytest.approx(2.124760058450118, abs=1e-12)
+        assert r_large_mu_limit(0.0, 1.333).r == pytest.approx(
+            2.124760058450118, abs=1e-12)
 
     def test_zero_coupling_continuity(self):
-        val = r_zero_detuning(1e-6)
+        val = r_large_mu_limit(0.0, 1e-6)
         assert not val.above_threshold
         assert val.r <= 1e-6 * (1.0 + 1e-9)
 
     def test_threshold_bracketing(self):
         eps = 1e-12
-        below = r_zero_detuning(math.pi / 2 - eps)
-        at = r_zero_detuning(math.pi / 2)
+        below = r_large_mu_limit(0.0, math.pi / 2 - eps)
+        at = r_large_mu_limit(0.0, math.pi / 2)
         assert not below.above_threshold and math.isfinite(below.r)
         assert at.above_threshold
         assert at.arctanh_argument == pytest.approx(1.0, abs=1e-12)
@@ -186,19 +193,19 @@ class TestRZeroDetuning:
     def test_argument_in_closed_interval_below_threshold(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            val = r_zero_detuning(rng.uniform(0.0, 6.0))
+            val = r_large_mu_limit(0.0, rng.uniform(0.0, 6.0))
             if not val.above_threshold:
                 assert -1.0 <= val.arctanh_argument <= 1.0
 
     def test_near_threshold_diagnostic(self):
         # one ulp below pi/2: still below threshold, flagged near, and the
         # (huge) r reported without clipping
-        val = r_zero_detuning(math.nextafter(math.pi / 2, 0.0))
+        val = r_large_mu_limit(0.0, math.nextafter(math.pi / 2, 0.0))
         assert not val.above_threshold
         assert val.near_threshold
         assert 30.0 < val.r < 50.0
         # an ordinary point is not near-flagged
-        assert not r_zero_detuning(1.3).near_threshold
+        assert not r_large_mu_limit(0.0, 1.3).near_threshold
 
 
 class TestThresholdKappas:

@@ -16,7 +16,7 @@ from atomsqueeze.analytic import spectrum_large_mu
 from atomsqueeze.cli import _write_csv, main
 from atomsqueeze.config import BLOCKS, parse_config
 from atomsqueeze.errors import AboveThresholdError, ConfigError
-from atomsqueeze.spectrum import find_threshold, ridge_locus
+from atomsqueeze.spectrum import find_threshold
 
 
 def write_config(path, payload):
@@ -138,6 +138,24 @@ MALFORMED = {
     "physical-missing": (
         {"mode": "spectrum", "physical": {"g0": 2e4, "mu": 1.467e6, "a": 3e-6}},
         [], "physical.m"),
+    "out-dir-null": ({**BASE, "out_dir": None}, [], "out_dir"),
+    "out-dir-number": ({**BASE, "out_dir": 5}, [], "out_dir"),
+    # compare clips kappa to [0.05, 1.3]: nothing of this grid is left
+    "compare-clipped-kappa-empty": (
+        {**BASE, "mode": "compare",
+         "grid": {"kappa_min": 1.4, "kappa_max": 1.45, "kappa_points": 3}},
+        [], "grid.kappa_min/grid.kappa_max"),
+    # sinh^2(r0) is inf at threshold and 0 at kappa = 0: no relative
+    # discrepancy exists, so the run must stop before stepping
+    "dynamics-kappa-at-threshold": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"kappa": math.pi / 2}}, [], "dynamics.kappa"),
+    "dynamics-kappa-zero": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"kappa": 0.0}}, [], "dynamics.kappa"),
+    "dynamics-kappa-negative": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"kappa": -1.0}}, [], "dynamics.kappa"),
 }
 
 
@@ -158,6 +176,15 @@ def test_config_root_must_be_object(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert main(["spectrum", "--config", str(cfg), "--d-points", "3"]) == 1
     assert "config root must be a JSON object" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3 and all(math.isfinite(float(v)) for v in printed)
 
 
 class TestConfigHash:
@@ -408,8 +435,11 @@ class TestFluxEstimate:
 
 class TestRidgeLocus:
     def test_locus_definition(self):
-        assert ridge_locus(0.0) == pytest.approx(math.pi / 2)
-        assert ridge_locus(1.0) == pytest.approx(math.pi / 2 / math.sqrt(2.0))
+        # the ridge kappa * sqrt(1 + d^2) = pi/2 is the first peak of the
+        # large-mu arctanh argument in kappa
+        assert find_threshold(0.0, 2.0, 0.0).kappa == pytest.approx(math.pi / 2)
+        assert find_threshold(0.0, 2.0, 1.0).kappa == pytest.approx(
+            math.pi / 2 / math.sqrt(2.0))
 
     def test_grid_peaks_follow_locus(self):
         kappas = np.linspace(0.05, 1.45, 57)
@@ -417,7 +447,8 @@ class TestRidgeLocus:
             rows = spectrum_grid([d], kappas, big_m=1e9, method="analytic")
             rs = np.array([row[2] for row in rows])
             k_at_peak = kappas[int(np.argmax(rs))]
-            assert abs(k_at_peak - ridge_locus(d)) <= (kappas[1] - kappas[0])
+            ridge = find_threshold(0.0, 2.0, d).kappa
+            assert abs(k_at_peak - ridge) <= (kappas[1] - kappas[0])
 
 
 class TestDynamicsAndPairsCommands:

@@ -20,8 +20,9 @@ from atomsqueeze import (
     steady_state_beta_squared,
     symplectic_norm,
 )
-from atomsqueeze.dynamics import plus_norm
+from atomsqueeze.dynamics import _Stepper, plus_norm
 from atomsqueeze.errors import (
+    InstabilityDetectedError,
     ParameterDomainError,
     ResolutionError,
     WindowTooShortError,
@@ -355,6 +356,33 @@ class TestInstabilityAndWindows:
         state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
         with pytest.raises(ParameterDomainError, match="check_every"):
             evolve(state, ramp, None, grid, 10 * grid.dt, check_every=check_every)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_potential_named(self, bad):
+        grid = periodic_grid(n=256, dt=0.01)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        v = np.zeros(grid.x.size)
+        v[100] = bad
+        with pytest.raises(ParameterDomainError, match="^potential samples"):
+            evolve(state, NO_RAMP, v, grid, 10 * grid.dt)
+
+    @pytest.mark.parametrize("scale", [1.1, math.nan], ids=["growth", "nan"])
+    def test_guard_trips_on_runaway_local_step(self, monkeypatch, scale):
+        # a local step that scales f by 1.1 (or turns it to NaN) each step
+        # must trip the guard of a periodic packet with no source
+        local_step = _Stepper.local_step
+
+        def runaway(self, f, t_mid):
+            local_step(self, f, t_mid)
+            f *= scale
+
+        monkeypatch.setattr(_Stepper, "local_step", runaway)
+        grid = periodic_grid(n=256, dt=0.01)
+        ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
+                            x_lo=20.0, x_hi=40.0)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        with pytest.raises(InstabilityDetectedError):
+            evolve(state, ramp, None, grid, 100 * grid.dt, check_every=10)
 
     def test_history_required(self):
         grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)

@@ -342,6 +342,27 @@ class TestQuadrants:
         assert q.w_lr == q.w_rl == q.w_rr == 0.0
 
 
+    def test_blocks_match_masked_quadrants(self):
+        # the block views against boolean-mask restrictions of a random f,
+        # with a coupling half-width between grid points
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        x = grid.x
+        rng = np.random.default_rng(7)
+        f = rng.normal(size=(x.size, x.size)) + 1j * rng.normal(size=(x.size, x.size))
+        fa = PairAmplitude(f=f, x=x, dx=grid.dx, a=1.9, t0=1.0,
+                           created_norm2=1.0, leakage=0.0)
+        q = quadrant_decompose(fa)
+        left, right = x < -1.9, x > 1.9
+        assert np.array_equal(q.f_lr, f[np.ix_(left, right)])
+        assert np.array_equal(q.f_rl, f[np.ix_(right, left)].T)
+        for w, (mx, my) in ((q.w_ll, (left, left)), (q.w_lr, (left, right)),
+                            (q.w_rl, (right, left)), (q.w_rr, (right, right))):
+            block = f[np.ix_(mx, my)]
+            assert w == pytest.approx(np.sum(np.abs(block) ** 2) * grid.dx**2,
+                                      rel=1e-12)
+        assert q.in_region_weight > 0
+
+
 class TestPostSelection:
     def test_empty_post_selection(self):
         grid = pair_grid(n=64, half_width=8.0, dt=0.05)
@@ -392,6 +413,30 @@ class TestInternalState:
         assert m["entropy"] == 0.0
 
 
+PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def correlation_matrix(rho2):
+    """T_ij = Tr(rho s_i (x) s_j) of a branch-basis 2x2 state embedded in
+    the |+1 -1>, |-1 +1> block of two qubits."""
+    full = np.zeros((4, 4), dtype=complex)
+    full[1:3, 1:3] = rho2
+    return np.array([[np.trace(full @ np.kron(pi, pj)).real for pj in PAULIS]
+                     for pi in PAULIS])
+
+
+def chsh_by_eigenvalues(rho2):
+    """Horodecki optimum 2*sqrt(m1 + m2), m1 >= m2 the two largest
+    eigenvalues of T^T T."""
+    t = correlation_matrix(rho2)
+    ev = np.linalg.eigvalsh(t.T @ t)
+    return 2.0 * math.sqrt(ev[-1] + ev[-2])
+
+
 def chsh_by_angle_scan(rho2, n_angles=49):
     """Direct CHSH optimization over measurement settings (oracle).
 
@@ -400,13 +445,7 @@ def chsh_by_angle_scan(rho2, n_angles=49):
     Independent of the closed-form eigenvalue route; a lower bound that
     approaches the optimum as the grid refines.
     """
-    from atomsqueeze.pairs import _PAULIS, _embed_two_qubit
-
-    full = _embed_two_qubit(rho2)
-    t = np.empty((3, 3))
-    for i, pi in enumerate(_PAULIS):
-        for j, pj in enumerate(_PAULIS):
-            t[i, j] = float(np.real(np.trace(full @ np.kron(pi, pj))))
+    t = correlation_matrix(rho2)
     thetas = np.linspace(0.0, math.pi, n_angles)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * n_angles)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -438,7 +477,8 @@ class TestBellMetrics:
         assert m["entropy"] == pytest.approx(math.log(2.0), abs=1e-3)
 
     def test_chsh_against_angle_scan(self):
-        # Horodecki closed form vs direct optimization over settings
+        # the closed form 2*sqrt(1 + 4|c|^2) against the T^T T eigenvalue
+        # route and against direct optimization over settings
         for rho in (
             np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),  # Bell
             np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),  # product
@@ -446,9 +486,19 @@ class TestBellMetrics:
             np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]),  # complex c
         ):
             closed = chsh_maximum(rho)
+            assert closed == pytest.approx(chsh_by_eigenvalues(rho), abs=1e-12)
             scanned = chsh_by_angle_scan(rho)
             assert scanned <= closed + 1e-6
             assert scanned == pytest.approx(closed, abs=0.02)
+        # random valid states: unit trace, |c|^2 <= w_a w_b, any phase of c
+        rng = np.random.default_rng(1995)
+        for _ in range(300):
+            w_a = rng.uniform()
+            c = (math.sqrt(w_a * (1.0 - w_a) * rng.uniform())
+                 * np.exp(2j * math.pi * rng.uniform()))
+            rho = np.array([[w_a, c], [np.conj(c), 1.0 - w_a]])
+            assert chsh_maximum(rho) == pytest.approx(chsh_by_eigenvalues(rho),
+                                                      abs=1e-12)
 
     def test_global_phase_invariance(self, symmetric_run):
         _, fa = symmetric_run
