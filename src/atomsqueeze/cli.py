@@ -1,7 +1,8 @@
 """Command-line driver: spectrum | threshold | compare | dynamics | pairs.
 
-Data files are columnar CSV with a '#'-prefixed metadata header; every run
-also writes a run_record.json with the config hash and file checksums.
+Data files are columnar CSV with a '#'-prefixed metadata header, or JSON;
+the run record (config.RunRecord) writes them all, then a run_record.json
+with the config hash and file checksums once the command has returned.
 Exit codes: 0 success, 1 config error, 2 solver error, 3 tolerance failure
 in compare mode.
 """
@@ -9,7 +10,6 @@ in compare mode.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import r_large_mu_limit, spectrum_large_mu
-from .config import (BLOCKS, METHODS, MODES, RecordBuilder, RunConfig,
+from .config import (BLOCKS, METHODS, MODES, RunConfig, RunRecord,
                      parse_config, parse_value, read_config)
 from .dynamics import steady_state_beta_squared
 from .errors import AtomsqueezeError, ConfigError, ParameterDomainError
@@ -38,36 +38,7 @@ EXIT_SOLVER = 2
 EXIT_TOLERANCE = 3
 
 
-def _header_lines(config: RunConfig, extra: dict) -> list:
-    lines = [
-        f"# atomsqueeze {__version__}",
-        f"# config_hash = {config.config_hash()}",
-        f"# mode = {config.mode}",
-    ]
-    for key, value in extra.items():
-        lines.append(f"# {key} = {value}")
-    return lines
-
-
-def _write_csv(path, header_lines, columns, rows):
-    """Write a '#'-header CSV. One str.format template, built from the
-    types of the first row, formats every row: bools as 0/1, floats at 12
-    significant digits, anything else as str()."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        if rows:
-            template = ",".join(
-                "{:d}" if isinstance(v, bool)
-                else "{:.12g}" if isinstance(v, float) else "{}"
-                for v in rows[0]
-            ) + "\n"
-            fh.writelines(template.format(*row) for row in rows)
-
-
-def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
-    rec = RecordBuilder(config)
+def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
     g = config.grid
     d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
     k_grid = linspace_grid((g["kappa_min"], g["kappa_max"], g["kappa_points"]))
@@ -75,15 +46,12 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
         ["analytic", "scattering"] if config.method == "both" else [config.method]
     )
     for method in methods:
-        rows = spectrum_grid(d_grid, k_grid, config.big_m, method)
-        path = out_dir / f"spectrum_{method}.csv"
-        _write_csv(
-            path,
-            _header_lines(config, {"big_m": config.big_m, "method": method}),
+        record.csv(
+            f"spectrum_{method}.csv",
+            {"big_m": config.big_m, "method": method},
             ["delta_over_g0", "kappa", "r", "above_threshold"],
-            rows,
+            spectrum_grid(d_grid, k_grid, config.big_m, method),
         )
-        rec.add_file(path)
     # flux diagnostic over the d-grid at the configured kappa (both signs of
     # detuning contribute; the grid is reflected evenly)
     if config.g0 is not None and config.kappa > 0:
@@ -91,31 +59,21 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
         spec = spectrum_large_mu(ds, config.kappa)
         if not spec.any_above_threshold():
             flux = flux_estimate(spec, config.g0)
-            path = out_dir / "flux.json"
-            path.write_text(
-                json.dumps(
-                    {
-                        "flux_atoms_per_s": flux,
-                        "flux_atoms_per_ms": flux / 1e3,
-                        "definition": FLUX_DEFINITION,
-                        "kappa": config.kappa,
-                        "g0_rad_per_s": config.g0,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            rec.add_file(path)
-    rec.finish(out_dir)
+            record.json("flux.json", {
+                "flux_atoms_per_s": flux,
+                "flux_atoms_per_ms": flux / 1e3,
+                "definition": FLUX_DEFINITION,
+                "kappa": config.kappa,
+                "g0_rad_per_s": config.g0,
+            })
     return EXIT_OK
 
 
-def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
-    rec = RecordBuilder(config)
+def cmd_threshold(config: RunConfig, record: RunRecord) -> int:
     big_m = None if math.isinf(config.big_m) else config.big_m
     result = find_threshold(config.grid["kappa_min"], config.grid["kappa_max"],
                             d=config.delta_over_g0, big_m=big_m)
-    payload = {
+    record.json("threshold.json", {
         "found": result.found,
         "kappa": result.kappa,
         "nearest_reference": result.nearest_reference,
@@ -124,16 +82,13 @@ def cmd_threshold(config: RunConfig, out_dir: Path) -> int:
         "peak_argument": result.peak_argument,
         "search_interval": [result.lo, result.hi],
         "note": "none in range" if not result.found else "",
-    }
-    path = out_dir / "threshold.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    rec.add_file(path)
-    rec.finish(out_dir)
+    })
     return EXIT_OK
 
 
-def cmd_compare(config: RunConfig, out_dir: Path, tolerance: float = 0.01) -> int:
-    rec = RecordBuilder(config)
+def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {tolerance!r}")
     g = config.grid
     d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
     k_lo, k_hi = max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3)
@@ -151,26 +106,23 @@ def cmd_compare(config: RunConfig, out_dir: Path, tolerance: float = 0.01) -> in
         for m, res in zip(big_ms, results)
     ]
     passed = results[2].passed
-    payload = {
+    record.json("compare.json", {
         "tolerance": tolerance,
         "passed": passed,
         "at_big_m": config.big_m,
         "m_dependence": table,
-    }
-    path = out_dir / "compare.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    rec.add_file(path)
-    rec.finish(out_dir)
+    })
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
-def cmd_dynamics(config: RunConfig, out_dir: Path) -> int:
+def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
     from .dynamics import export_state_columns
 
-    rec = RecordBuilder(config)
     # the keys left after these three are steady_state_beta_squared options
     dyn = dict(config.dynamics)
     gamma_ratios, kappa, big_m = (dyn.pop(k) for k in ("gamma_ratios", "kappa", "big_m"))
+    if not (big_m > 0 and math.isfinite(big_m)):
+        raise ConfigError(f"dynamics.big_m must be finite and > 0, got {big_m!r}")
     try:
         target = math.sinh(r_large_mu_limit(0.0, kappa).r) ** 2
     except ParameterDomainError:  # kappa negative or not finite
@@ -186,33 +138,26 @@ def cmd_dynamics(config: RunConfig, out_dir: Path) -> int:
         rows.append(
             (gr, res["beta2"], target, abs(res["beta2"] - target) / target)
         )
-        snap_path = out_dir / f"state_gamma_{gr}.csv"
-        cols = export_state_columns(res["final_state"], res["grid"])
-        with open(snap_path, "w") as fh:
-            for line in _header_lines(config, {"gamma_over_g0": gr,
-                                               "t": res["final_state"].t}):
-                fh.write(line + "\n")
-            fh.write("x,re_u,im_u,re_w,im_w\n")
-            np.savetxt(fh, cols, fmt="%.10e", delimiter=",")
-        rec.add_file(snap_path)
-    path = out_dir / "dynamics.csv"
-    _write_csv(
-        path,
-        _header_lines(config, {"kappa": kappa, "big_m": big_m,
-                               "target_sinh2_r0": target}),
+        record.array(
+            f"state_gamma_{gr}.csv",
+            {"gamma_over_g0": gr, "t": res["final_state"].t},
+            export_state_columns(res["final_state"], res["grid"]),
+            "%.10e",
+            ["x", "re_u", "im_u", "re_w", "im_w"],
+        )
+    record.csv(
+        "dynamics.csv",
+        {"kappa": kappa, "big_m": big_m, "target_sinh2_r0": target},
         ["gamma_over_g0", "beta0_squared", "sinh2_r0", "rel_discrepancy"],
         rows,
     )
-    rec.add_file(path)
-    rec.finish(out_dir)
     return EXIT_OK
 
 
-def cmd_pairs(config: RunConfig, out_dir: Path) -> int:
+def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
     from .dynamics import CouplingRamp, GridSpec
     from .pairs import pair_amplitude
 
-    rec = RecordBuilder(config)
     pc = config.pairs
     half_width = pc["half_width"]
     asym = pc["asymmetry"]
@@ -234,13 +179,15 @@ def cmd_pairs(config: RunConfig, out_dir: Path) -> int:
     vplus = None
     if asym != 0.0:
         xc, sig = pc["barrier_center"], pc["barrier_sigma"]
+        if not sig > 0:
+            raise ConfigError(f"pairs.barrier_sigma must be > 0 when "
+                              f"pairs.asymmetry is nonzero, got {sig!r}")
         vplus = asym * np.exp(-((grid.x - xc) ** 2) / (2.0 * sig**2))
     fa = pair_amplitude(ramp, grid, pc["t0"], pc["mu"], potential_plus=vplus)
     quads = quadrant_decompose(fa)
     state = post_select(quads)
-    metrics = bell_metrics(state)
-    payload = {
-        "metrics": metrics,
+    record.json("pairs_metrics.json", {
+        "metrics": bell_metrics(state),
         "weights": {
             "w_ll": quads.w_ll,
             "w_lr": quads.w_lr,
@@ -252,22 +199,25 @@ def cmd_pairs(config: RunConfig, out_dir: Path) -> int:
         "created_norm2": fa.created_norm2,
         "leakage": fa.leakage,
         "asymmetry": asym,
-    }
-    path = out_dir / "pairs_metrics.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    rec.add_file(path)
+    })
     # dense |f|^2 export for plotting
-    dens_path = out_dir / "pair_density.csv"
-    dens = np.abs(fa.f) ** 2
-    with open(dens_path, "w") as fh:
-        for line in _header_lines(config, {"grid": "rows: x of +1 atom, "
-                                           "cols: y of -1 atom",
-                                           "half_width": half_width}):
-            fh.write(line + "\n")
-        np.savetxt(fh, dens, fmt="%.8e", delimiter=",")
-    rec.add_file(dens_path)
-    rec.finish(out_dir)
+    record.array(
+        "pair_density.csv",
+        {"grid": "rows: x of +1 atom, cols: y of -1 atom",
+         "half_width": half_width},
+        np.abs(fa.f) ** 2,
+        "%.8e",
+    )
     return EXIT_OK
+
+
+COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "threshold": cmd_threshold,
+    "compare": cmd_compare,
+    "dynamics": cmd_dynamics,
+    "pairs": cmd_pairs,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,25 +270,18 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    record = RunRecord(config, out_dir)
+    options = {"tolerance": args.tolerance} if args.command == "compare" else {}
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(config, out_dir)
-        if args.command == "threshold":
-            return cmd_threshold(config, out_dir)
-        if args.command == "compare":
-            return cmd_compare(config, out_dir, tolerance=args.tolerance)
-        if args.command == "dynamics":
-            return cmd_dynamics(config, out_dir)
-        if args.command == "pairs":
-            return cmd_pairs(config, out_dir)
+        code = COMMANDS[args.command](config, record, **options)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AtomsqueezeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    print(f"error: unknown command {args.command!r}", file=sys.stderr)
-    return EXIT_CONFIG
+    record.finish()
+    return code
 
 
 if __name__ == "__main__":

@@ -3,23 +3,27 @@
 Configs are JSON objects with a documented key set (see BLOCKS below and the
 README). Exactly one of the "dimensionless" / "physical" parameter blocks
 must be present; a physical block is reduced through the unit-conversion
-boundary before any solver runs. Run records capture the config hash, tool
-version, timestamps, and a checksummed manifest of every produced file;
-re-running an identical config reproduces identical data checksums (the
-pipeline is deterministic; wall-clock only ever appears in the record).
+boundary before any solver runs. The run record writes every data file of
+a run, in one number format, and captures the config hash, tool version,
+timestamps, and a checksummed manifest of the files; re-running an
+identical config reproduces identical data checksums (the pipeline is
+deterministic; wall-clock only ever appears in the record).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import numbers
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParameterDomainError
@@ -218,39 +222,84 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
+def significant(value):
+    """``value`` with every float in it (inside dicts, lists and tuples
+    too) rounded to 12 significant digits, the precision of the CSV
+    columns: the one number format of header values and JSON data files."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: significant(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [significant(v) for v in value]
+    return value
+
+
 class RunRecord:
-    """Provenance of one pipeline run; serialized next to the outputs."""
+    """Provenance of one pipeline run, and the writer of its files.
 
-    config_hash: str
-    tool_version: str
-    started_at: float
-    finished_at: float
-    manifest: dict  # file name -> sha256
-    validity: Optional[dict] = None
+    Each writer puts one file into ``out_dir`` and records its sha256 in
+    ``manifest``; the text files start with a '#'-prefixed metadata
+    header (tool version, config hash, mode, then ``meta``). ``finish``
+    writes run_record.json next to them, so identical configs reproduce
+    identical data checksums while wall-clock lives only in the record.
+    """
 
-    def write(self, path):
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
-
-
-class RecordBuilder:
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, out_dir):
         self.config = config
-        self.started = time.time()
-        self.files = {}
-        self.validity = None
+        self.out_dir = Path(out_dir)
+        self.started_at = time.time()
+        self.manifest = {}  # file name -> sha256
 
-    def add_file(self, path):
-        self.files[Path(path).name] = sha256_file(path)
+    @contextlib.contextmanager
+    def _open(self, name: str, meta: Optional[dict]):
+        path = self.out_dir / name
+        with open(path, "w") as fh:
+            if meta is not None:
+                meta = {"config_hash": self.config.config_hash(),
+                        "mode": self.config.mode, **meta}
+                fh.write(f"# atomsqueeze {__version__}\n")
+                fh.writelines(f"# {key} = {significant(value)}\n"
+                              for key, value in meta.items())
+            yield fh
+        self.manifest[name] = sha256_file(path)
 
-    def finish(self, out_dir) -> RunRecord:
-        rec = RunRecord(
-            config_hash=self.config.config_hash(),
-            tool_version=__version__,
-            started_at=self.started,
-            finished_at=time.time(),
-            manifest=dict(sorted(self.files.items())),
-            validity=self.validity,
-        )
-        rec.write(Path(out_dir) / "run_record.json")
-        return rec
+    def csv(self, name: str, meta: dict, columns, rows):
+        """Rows under a column line. One str.format template, built from
+        the types of the first row, formats every row: bools as 0/1,
+        floats at 12 significant digits, anything else as str()."""
+        with self._open(name, meta) as fh:
+            fh.write(",".join(columns) + "\n")
+            if rows:
+                template = ",".join(
+                    "{:d}" if isinstance(v, bool)
+                    else "{:.12g}" if isinstance(v, float) else "{}"
+                    for v in rows[0]
+                ) + "\n"
+                fh.writelines(template.format(*row) for row in rows)
+
+    def array(self, name: str, meta: dict, array, fmt: str, columns=None):
+        """A 2-D array, one ``fmt`` line per row streamed by np.savetxt,
+        under the column line if ``columns`` are given."""
+        with self._open(name, meta) as fh:
+            if columns is not None:
+                fh.write(",".join(columns) + "\n")
+            np.savetxt(fh, array, fmt=fmt, delimiter=",")
+
+    def json(self, name: str, payload: dict):
+        """A JSON object, keys sorted, floats at 12 significant digits."""
+        with self._open(name, None) as fh:
+            fh.write(json.dumps(significant(payload), indent=2, sort_keys=True))
+
+    def finish(self):
+        """Write run_record.json (no validity report is made yet)."""
+        record = {
+            "config_hash": self.config.config_hash(),
+            "tool_version": __version__,
+            "started_at": self.started_at,
+            "finished_at": time.time(),
+            "manifest": dict(sorted(self.manifest.items())),
+            "validity": None,
+        }
+        (self.out_dir / "run_record.json").write_text(
+            json.dumps(record, indent=2, sort_keys=True))

@@ -629,7 +629,6 @@ def steady_state_beta_squared(
     dt: float = 0.01,
     measure_c: float = 5.0,
     settle_time: float = 20.0,
-    n_snapshots: int = 3,
 ) -> dict:
     """Measure |beta(Delta=0)|^2 through a coupling ramp of rate gamma.
 
@@ -653,6 +652,8 @@ def steady_state_beta_squared(
     """
     if gamma_ratio <= 0:
         raise ParameterDomainError("gamma_ratio must be > 0")
+    if not (big_m > 0 and math.isfinite(big_m)):
+        raise ParameterDomainError(f"big_m must be finite and > 0, got {big_m!r}")
     k0 = math.sqrt(big_m)
     a = kappa * math.sqrt(big_m)
     grid = GridSpec(
@@ -684,8 +685,8 @@ def steady_state_beta_squared(
         t=0.0,
         label=ModeLabel(mu=big_m, k0=k0),
     )
-    # a few closely spaced snapshots at the end give the estimator variance
-    snap_times = [t_meas - 2.0 * grid.dt * i for i in range(n_snapshots)][::-1]
+    # three closely spaced snapshots at the end give the estimator variance
+    snap_times = [t_meas - 2.0 * grid.dt * i for i in range(3)][::-1]
     _, snaps = evolve(
         state, ramp, None, grid, t_meas, source=source, snapshot_times=snap_times
     )

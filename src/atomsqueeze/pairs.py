@@ -121,7 +121,6 @@ def pair_amplitude(
     mu: float,
     potential_plus: Optional[np.ndarray] = None,
     potential_minus: Optional[np.ndarray] = None,
-    raise_on_invalid: bool = True,
 ) -> PairAmplitude:
     """Evolve the sourced two-atom amplitude to time ``t0``.
 
@@ -218,7 +217,7 @@ def pair_amplitude(
     norm2 = float(np.sum(np.abs(f) ** 2) * grid.dx**2)
     inside = np.abs(x) <= a
     leak = float(np.abs(f[np.ix_(inside, inside)]).max()) if inside.any() else 0.0
-    if not norm2 <= PERTURBATION_NORM_LIMIT and raise_on_invalid:
+    if not norm2 <= PERTURBATION_NORM_LIMIT:
         raise PerturbationInvalidError(
             f"created norm^2 = {norm2:.3g} is not <= {PERTURBATION_NORM_LIMIT}"
         )

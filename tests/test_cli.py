@@ -13,8 +13,8 @@ import pytest
 import atomsqueeze
 from atomsqueeze import flux_estimate, spectrum_grid
 from atomsqueeze.analytic import spectrum_large_mu
-from atomsqueeze.cli import _write_csv, main
-from atomsqueeze.config import BLOCKS, parse_config
+from atomsqueeze.cli import main
+from atomsqueeze.config import BLOCKS, RunRecord, parse_config
 from atomsqueeze.errors import AboveThresholdError, ConfigError
 from atomsqueeze.spectrum import find_threshold
 
@@ -95,6 +95,27 @@ class TestConfigValidation:
 PHYSICAL = {"g0": 2e4, "mu": 1.467e6, "a": 3e-6, "m": 3.82e-26,
             "gamma": 0.5, "n0": 1e6}
 
+#: One small config per mode, each writing every file of its mode.
+SMALL = {
+    "spectrum": {"mode": "spectrum", "method": "both", "physical": PHYSICAL,
+                 "grid": {"d_points": 4, "kappa_points": 3, "kappa_min": 0.05,
+                          "kappa_max": 1.3}},
+    "threshold": {"mode": "threshold",
+                  "dimensionless": {"big_m": 1e12, "kappa": 1.0},
+                  "grid": {"kappa_min": 1.0, "kappa_max": 2.0}},
+    "compare": {"mode": "compare", "method": "both",
+                "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+                "grid": {"d_points": 5, "kappa_points": 5, "kappa_min": 0.05,
+                         "kappa_max": 1.3}},
+    "dynamics": {"mode": "dynamics",
+                 "dimensionless": {"big_m": 100.0, "kappa": 1.0},
+                 "dynamics": {"gamma_ratios": [0.1], "kappa": 1.0,
+                              "n_points": 3200, "dt": 0.02, "measure_c": 5.0}},
+    "pairs": {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+              "pairs": {"n_points": 128, "half_width": 12.0, "dt": 0.04,
+                        "t0": 3.0, "mu": 4.0, "a": 1.5}},
+}
+
 #: (config, extra command-line arguments, the block.key the error names)
 MALFORMED = {
     "dynamics-count-text": (
@@ -156,6 +177,26 @@ MALFORMED = {
     "dynamics-kappa-negative": (
         {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
          "dynamics": {"kappa": -1.0}}, [], "dynamics.kappa"),
+    # the carrier is sqrt(big_m): no run exists for big_m <= 0 or infinite
+    "dynamics-big-m-negative": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"big_m": -4.0}}, [], "dynamics.big_m"),
+    "dynamics-big-m-zero": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"big_m": 0.0}}, [], "dynamics.big_m"),
+    "dynamics-big-m-infinite": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"big_m": math.inf}}, [], "dynamics.big_m"),
+    # a barrier of zero width has no finite samples
+    "pairs-barrier-sigma-zero": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"asymmetry": 1.0, "barrier_sigma": 0.0}}, [],
+        "pairs.barrier_sigma"),
+    # a NaN tolerance would also be written as NaN, which is not JSON
+    "compare-tolerance-nan": (
+        {**BASE, "mode": "compare"}, ["--tolerance", "nan"], "--tolerance"),
+    "compare-tolerance-negative": (
+        {**BASE, "mode": "compare"}, ["--tolerance", "-1"], "--tolerance"),
 }
 
 
@@ -317,30 +358,80 @@ def reference_fmt(v):
 
 
 class TestWriteCsv:
+    """The run record's csv writer, byte for byte: metadata header (floats
+    at 12 significant digits), column line, rows."""
+
+    HEADER = (
+        f"# atomsqueeze {atomsqueeze.__version__}\n"
+        "# config_hash = "
+        "03b4cd555d1e2ad264e4fb74c2d40126e1d545dde4d2692bdcad30794aee9cdf\n"
+        "# mode = spectrum\n"
+        "# x = 0.3\n"
+    )
+
     def test_matches_per_value_formatting(self, tmp_path):
         values = [math.inf, -math.inf, math.nan, -0.0, 1e-300,
                   123456789012345.0, 0.1, -2.5e-7, 1.0]
         rows = [(v, w, flag, np.float64(w))
                 for v in values for w in values[::-1] for flag in (True, False)]
+        record = RunRecord(parse_config(dict(BASE)), tmp_path)
+        record.csv("rows.csv", {"x": 0.1 + 0.2}, ["a", "b", "c", "d"], rows)
         path = tmp_path / "rows.csv"
-        _write_csv(path, ["# header"], ["a", "b", "c", "d"], rows)
-        want = "# header\na,b,c,d\n" + "".join(
+        want = self.HEADER + "a,b,c,d\n" + "".join(
             ",".join(reference_fmt(v) for v in row) + "\n" for row in rows)
         assert path.read_bytes() == want.encode()
+        assert record.manifest == {"rows.csv": sha(path)}
 
     def test_no_rows(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        _write_csv(path, ["# header"], ["a"], [])
-        assert path.read_text() == "# header\na\n"
+        record = RunRecord(parse_config(dict(BASE)), tmp_path)
+        record.csv("empty.csv", {"x": 0.1 + 0.2}, ["a"], [])
+        assert (tmp_path / "empty.csv").read_text() == self.HEADER + "a\n"
+
+
+def _floats(value):
+    """Every float in a parsed JSON value."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _floats(v)
+
+
+def test_header_and_json_floats_at_12_digits(tmp_path):
+    """Every float of a header line or a JSON data file, in every mode, is
+    printed at the 12 significant digits of the CSV columns."""
+    seen = []
+    for mode, payload in SMALL.items():
+        cfg = write_config(tmp_path / f"{mode}.json", payload)
+        out = tmp_path / mode
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        for path in (out / name for name in record["manifest"]):
+            if path.suffix == ".json":
+                values = list(_floats(json.loads(path.read_text())))
+            else:
+                values = []
+                for line in path.read_text().splitlines():
+                    if not line.startswith("#"):
+                        break
+                    try:
+                        values.append(float(line.partition(" = ")[2]))
+                    except ValueError:
+                        pass
+            seen.append(path.name)
+            for v in values:
+                assert math.isnan(v) or float(f"{v:.12g}") == v, (path.name, v)
+    assert {"flux.json", "threshold.json", "compare.json", "dynamics.csv",
+            "state_gamma_0.1.csv", "pairs_metrics.json",
+            "pair_density.csv"} <= set(seen)
 
 
 class TestThresholdCommand:
     def test_large_mu_first_threshold(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            "mode": "threshold",
-            "dimensionless": {"big_m": 1e12, "kappa": 1.0},
-            "grid": {"kappa_min": 1.0, "kappa_max": 2.0},
-        })
+        cfg = write_config(tmp_path / "c.json", SMALL["threshold"])
         out = tmp_path / "out"
         assert main(["threshold", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "threshold.json").read_text())
@@ -367,13 +458,7 @@ class TestThresholdCommand:
 
 class TestCompareCommand:
     def test_pass_at_m100(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            "mode": "compare",
-            "method": "both",
-            "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-            "grid": {"d_points": 5, "kappa_points": 5, "kappa_min": 0.05,
-                     "kappa_max": 1.3},
-        })
+        cfg = write_config(tmp_path / "c.json", SMALL["compare"])
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "compare.json").read_text())
@@ -453,12 +538,7 @@ class TestRidgeLocus:
 
 class TestDynamicsAndPairsCommands:
     def test_pairs_run_writes_metrics(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            "mode": "pairs",
-            "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-            "pairs": {"n_points": 128, "half_width": 12.0, "dt": 0.04,
-                      "t0": 3.0, "mu": 4.0, "a": 1.5},
-        })
+        cfg = write_config(tmp_path / "c.json", SMALL["pairs"])
         out = tmp_path / "out"
         assert main(["pairs", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "pairs_metrics.json").read_text())
@@ -492,12 +572,7 @@ class TestDynamicsAndPairsCommands:
         assert sums[0] == sums[1]
 
     def test_dynamics_run_reports_discrepancy(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            "mode": "dynamics",
-            "dimensionless": {"big_m": 100.0, "kappa": 1.0},
-            "dynamics": {"gamma_ratios": [0.1], "kappa": 1.0,
-                         "n_points": 3200, "dt": 0.02, "measure_c": 5.0},
-        })
+        cfg = write_config(tmp_path / "c.json", SMALL["dynamics"])
         out = tmp_path / "out"
         assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "dynamics.csv").read_text().splitlines()
@@ -519,17 +594,7 @@ class TestColdStart:
     )
 
     def test_frequency_domain_modes_never_load_scipy(self, tmp_path):
-        grid = {"d_points": 4, "kappa_points": 3, "kappa_min": 0.05,
-                "kappa_max": 1.3}
-        configs = {
-            "spectrum": {"mode": "spectrum", "method": "both", "grid": grid,
-                         "physical": PHYSICAL},
-            "threshold": {"mode": "threshold",
-                          "dimensionless": {"big_m": 100.0, "kappa": 1.0},
-                          "grid": {"kappa_min": 1.0, "kappa_max": 2.0}},
-            "compare": {"mode": "compare", "grid": grid,
-                        "dimensionless": {"big_m": 100.0, "kappa": 1.2}},
-        }
+        configs = {mode: SMALL[mode] for mode in ("spectrum", "threshold", "compare")}
         args = []
         for mode, payload in configs.items():
             cfg = write_config(tmp_path / f"{mode}.json", payload)

@@ -109,6 +109,11 @@ class TestNamedInputErrors:
         with pytest.raises(ParameterDomainError, match=f"^{name} must be"):
             AbsorberSpec(**{name: value})
 
+    @pytest.mark.parametrize("big_m", [0.0, -4.0, math.nan, math.inf])
+    def test_steady_output_big_m(self, big_m):
+        with pytest.raises(ParameterDomainError, match="^big_m must be"):
+            steady_state_beta_squared(big_m, 1.2, 0.1)
+
 
 class TestFreeEvolution:
     def test_free_packet_translates_at_group_velocity(self):
