@@ -11,22 +11,23 @@ phase difference accumulated by the two interior branches across the slab,
 ``phi = (k_plus - k_minus) * a``. The raw definition of theta,
 arctanh[sqrt(d^2+1) - d], overflows at d = 0 and leaves its domain for
 d < 0; the simplified form is algebraically identical for d > 0 and
-extends the spectrum evenly. The mu >> g0 limit collapses phi to
-kappa * sqrt(1 + d^2), which at zero detuning gives the textbook
+extends the spectrum evenly. The mu >> g0 limit is M = inf, where phi
+is exactly kappa * sqrt(1 + d^2); at zero detuning it gives the textbook
 r0 = |arctanh(sin kappa)| with its thresholds at kappa = pi/2 + n*pi
-(``r_large_mu_limit(0.0, kappa)``).
+(``r_large_mu_limit(0.0, kappa)``). The scattering solve has no such
+limit and needs a finite M.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import ClosedChannelError, ParameterDomainError
-from .params import DimensionlessParams, _first, check_dimensionless
+from .params import DimensionlessParams, _first
 
 #: |arctanh_argument| within this distance below 1 is flagged near-threshold.
 NEAR_THRESHOLD_BAND = 1e-12
@@ -52,23 +53,20 @@ class SqueezingValue:
 
 @dataclass(frozen=True)
 class SqueezingSpectrum:
-    """r over a strictly increasing detuning-ratio grid, with context."""
+    """r over a strictly increasing detuning-ratio grid, with context:
+    ``value`` holds one array per field, an entry per detuning."""
 
-    points: Tuple[Tuple[float, SqueezingValue], ...]
+    detunings: np.ndarray
+    value: SqueezingValue
     big_m: float
     kappa: float
 
     def __post_init__(self):
-        ds = [d for d, _ in self.points]
-        if any(b <= a for a, b in zip(ds, ds[1:])):
+        if np.any(np.diff(self.detunings) <= 0):
             raise ParameterDomainError("detuning grid must be strictly increasing")
 
-    @property
-    def detunings(self) -> List[float]:
-        return [d for d, _ in self.points]
-
     def any_above_threshold(self) -> bool:
-        return any(v.above_threshold for _, v in self.points)
+        return bool(np.any(self.value.above_threshold))
 
 
 def _value_from_phase(d, phi) -> SqueezingValue:
@@ -97,11 +95,9 @@ def _value_from_phase(d, phi) -> SqueezingValue:
     )
 
 
-def _points(value: SqueezingValue) -> List[SqueezingValue]:
-    """One SqueezingValue of Python scalars per entry of an array-valued one."""
-    fields = (value.r, value.above_threshold, value.arctanh_argument,
-              value.near_threshold)
-    return [SqueezingValue(*p) for p in zip(*(np.ravel(f).tolist() for f in fields))]
+def _scalar(value: SqueezingValue) -> SqueezingValue:
+    """A one-point array-valued SqueezingValue as Python scalars."""
+    return SqueezingValue(*(np.asarray(f).item() for f in vars(value).values()))
 
 
 def wavenumber_phase(params: DimensionlessParams) -> float:
@@ -114,9 +110,9 @@ def wavenumber_phase(params: DimensionlessParams) -> float:
         phi = kappa * M * (sqrt(1 + s/M) - sqrt(1 - s/M))
 
     evaluated here as 2*kappa*s / (sqrt(1 + s/M) + sqrt(1 - s/M)), which
-    avoids catastrophic cancellation at large M and has the exact limit
-    phi -> kappa * s as M -> inf. Elementwise when the parameters are
-    arrays.
+    avoids catastrophic cancellation at large M and at M = inf (the
+    mu >> g0 limit) is exactly kappa * s. Elementwise when the parameters
+    are arrays.
 
     Raises ClosedChannelError when M < s (k_minus imaginary: the lower
     interior branch is evanescent and the closed form does not apply).
@@ -134,29 +130,26 @@ def wavenumber_phase(params: DimensionlessParams) -> float:
 
 def r_closed_form(d, big_m, kappa) -> SqueezingValue:
     """Closed-form squeezing over broadcast arrays (d, M, kappa), one array
-    per field of the result; big_m=None gives the mu >> g0 limit."""
+    per field of the result; big_m = inf gives the mu >> g0 limit."""
     d, kappa = np.asarray(d, dtype=float), np.asarray(kappa, dtype=float)
-    if big_m is None:
-        check_dimensionless(d, None, kappa)
-        return _value_from_phase(d, kappa * np.sqrt(1.0 + d * d))
     params = DimensionlessParams(d=d, big_m=big_m, kappa=kappa)
     return _value_from_phase(d, wavenumber_phase(params))
 
 
 def r_analytic(params: DimensionlessParams) -> SqueezingValue:
-    """Squeezing parameter with the exact interior wavenumbers (finite M)."""
-    (value,) = _points(r_closed_form(params.d, params.big_m, params.kappa))
-    return value
+    """Squeezing parameter with the exact interior wavenumbers (M = inf
+    is the mu >> g0 limit)."""
+    return _scalar(r_closed_form(params.d, params.big_m, params.kappa))
 
 
 def r_large_mu_limit(d: float, kappa: float) -> SqueezingValue:
-    """Squeezing parameter in the mu >> g0 regime.
+    """Squeezing parameter in the mu >> g0 regime: :func:`r_analytic` at
+    M = inf.
 
-    arctanh_argument = sin(kappa*sqrt(1+d^2)) / sqrt(1+d^2); the M -> inf
-    limit of :func:`r_analytic`, even in d, and finite for all d != 0.
+    arctanh_argument = sin(kappa*sqrt(1+d^2)) / sqrt(1+d^2), even in d,
+    and finite for all d != 0.
     """
-    (value,) = _points(r_closed_form(d, None, kappa))
-    return value
+    return _scalar(r_closed_form(d, math.inf, kappa))
 
 
 def threshold_kappas(n_max: int) -> List[float]:
@@ -174,19 +167,14 @@ def loss_rate(r0: float, g0: float, n0: float) -> float:
 
 
 def spectrum_large_mu(d_grid: Sequence[float], kappa: float) -> SqueezingSpectrum:
-    """Evaluate the mu >> g0 spectrum over a detuning grid."""
-    return spectrum_analytic(d_grid, None, kappa)
+    """Evaluate the mu >> g0 spectrum (M = inf) over a detuning grid."""
+    return spectrum_analytic(d_grid, math.inf, kappa)
 
 
 def spectrum_analytic(
-    d_grid: Sequence[float], big_m: Optional[float], kappa: float
+    d_grid: Sequence[float], big_m: float, kappa: float
 ) -> SqueezingSpectrum:
-    """Evaluate the closed-form spectrum over a detuning grid in one call.
-
-    big_m=None gives the mu >> g0 limit (recorded as big_m = inf).
-    """
+    """Evaluate the closed-form spectrum over a detuning grid in one call;
+    big_m = inf gives the mu >> g0 limit."""
     ds = np.asarray(d_grid, dtype=float)
-    pts = tuple(zip(ds.tolist(), _points(r_closed_form(ds, big_m, kappa))))
-    return SqueezingSpectrum(
-        points=pts, big_m=math.inf if big_m is None else big_m, kappa=kappa
-    )
+    return SqueezingSpectrum(ds, r_closed_form(ds, big_m, kappa), big_m, kappa)

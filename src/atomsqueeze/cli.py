@@ -28,7 +28,6 @@ from .spectrum import (
     compare_methods,
     find_threshold,
     flux_estimate,
-    linspace_grid,
     spectrum_grid,
 )
 
@@ -40,17 +39,18 @@ EXIT_TOLERANCE = 3
 
 def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
     g = config.grid
-    d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
-    k_grid = linspace_grid((g["kappa_min"], g["kappa_max"], g["kappa_points"]))
+    d_grid = np.linspace(g["d_min"], g["d_max"], g["d_points"])
+    k_grid = np.linspace(g["kappa_min"], g["kappa_max"], g["kappa_points"])
     methods = (
         ["analytic", "scattering"] if config.method == "both" else [config.method]
     )
     for method in methods:
-        record.csv(
+        record.table(
             f"spectrum_{method}.csv",
             {"big_m": config.big_m, "method": method},
-            ["delta_over_g0", "kappa", "r", "above_threshold"],
+            ["%.12g", "%.12g", "%.12g", "%d"],
             spectrum_grid(d_grid, k_grid, config.big_m, method),
+            ["delta_over_g0", "kappa", "r", "above_threshold"],
         )
     # flux diagnostic over the d-grid at the configured kappa (both signs of
     # detuning contribute; the grid is reflected evenly)
@@ -70,9 +70,8 @@ def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
 
 
 def cmd_threshold(config: RunConfig, record: RunRecord) -> int:
-    big_m = None if math.isinf(config.big_m) else config.big_m
     result = find_threshold(config.grid["kappa_min"], config.grid["kappa_max"],
-                            d=config.delta_over_g0, big_m=big_m)
+                            d=config.delta_over_g0, big_m=config.big_m)
     record.json("threshold.json", {
         "found": result.found,
         "kappa": result.kappa,
@@ -90,22 +89,22 @@ def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise ConfigError(f"--tolerance must be finite and >= 0, got {tolerance!r}")
     g = config.grid
-    d_grid = linspace_grid((g["d_min"], g["d_max"], g["d_points"]))
+    d_grid = np.linspace(g["d_min"], g["d_max"], g["d_points"])
     k_lo, k_hi = max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3)
     if k_hi < k_lo:
         raise ConfigError(
             f"grid.kappa_min/grid.kappa_max: [{g['kappa_min']!r}, "
             f"{g['kappa_max']!r}] leaves nothing of the compared range [0.05, 1.3]"
         )
-    k_grid = linspace_grid((k_lo, k_hi, g["kappa_points"]))
+    k_grid = np.linspace(k_lo, k_hi, g["kappa_points"])
     big_ms = (10.0, 30.0, config.big_m, 3.0 * config.big_m)
-    results = [compare_methods(d_grid, k_grid, m, tolerance) for m in big_ms]
+    results = [compare_methods(d_grid, k_grid, m) for m in big_ms]
     table = [
         {"big_m": m, "max_abs": res.max_abs, "mean_abs": res.mean_abs,
          "n_points": res.n_points, "n_skipped": res.n_skipped}
         for m, res in zip(big_ms, results)
     ]
-    passed = results[2].passed
+    passed = results[2].max_abs <= tolerance
     record.json("compare.json", {
         "tolerance": tolerance,
         "passed": passed,
@@ -138,18 +137,19 @@ def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
         rows.append(
             (gr, res["beta2"], target, abs(res["beta2"] - target) / target)
         )
-        record.array(
+        record.table(
             f"state_gamma_{gr}.csv",
             {"gamma_over_g0": gr, "t": res["final_state"].t},
+            ["%.10e"] * 5,
             export_state_columns(res["final_state"], res["grid"]),
-            "%.10e",
             ["x", "re_u", "im_u", "re_w", "im_w"],
         )
-    record.csv(
+    record.table(
         "dynamics.csv",
         {"kappa": kappa, "big_m": big_m, "target_sinh2_r0": target},
-        ["gamma_over_g0", "beta0_squared", "sinh2_r0", "rel_discrepancy"],
+        ["%.12g"] * 4,
         rows,
+        ["gamma_over_g0", "beta0_squared", "sinh2_r0", "rel_discrepancy"],
     )
     return EXIT_OK
 
@@ -161,6 +161,8 @@ def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
     pc = config.pairs
     half_width = pc["half_width"]
     asym = pc["asymmetry"]
+    if not math.isfinite(asym):
+        raise ConfigError(f"pairs.asymmetry must be finite, got {asym!r}")
     if not pc["ramp_time"] > 0:
         raise ConfigError(f"pairs.ramp_time must be > 0, got {pc['ramp_time']!r}")
     grid = GridSpec(
@@ -201,12 +203,13 @@ def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
         "asymmetry": asym,
     })
     # dense |f|^2 export for plotting
-    record.array(
+    density = np.abs(fa.f) ** 2
+    record.table(
         "pair_density.csv",
         {"grid": "rows: x of +1 atom, cols: y of -1 atom",
          "half_width": half_width},
-        np.abs(fa.f) ** 2,
-        "%.8e",
+        ["%.8e"] * density.shape[1],
+        density,
     )
     return EXIT_OK
 
@@ -234,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--method", default=None, choices=METHODS)
-        p.add_argument("--tolerance", type=float, default=0.01,
-                       help="compare-mode pass/fail tolerance on max |dr|")
+        if name == "compare":
+            p.add_argument("--tolerance", type=float, default=0.01,
+                           help="pass/fail tolerance on max |dr|")
         for key in BLOCKS["grid"]:
             p.add_argument(f"--{key.replace('_', '-')}", default=None,
                            help=f"override grid.{key}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import numbers
 import time
 import types
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParameterDomainError
-from .params import PhysicalParams, to_dimensionless
+from .params import PhysicalParams, check_dimensionless, to_dimensionless
 
 MODES = ("spectrum", "threshold", "compare", "dynamics", "pairs")
 METHODS = ("analytic", "scattering", "both")
@@ -162,6 +163,17 @@ def parse_config(raw: dict) -> RunConfig:
     if dim is not None:
         dim = _read_block("dimensionless", dim)
         big_m, kappa, delta = dim["big_m"], dim["kappa"], dim["delta_over_g0"]
+        try:
+            check_dimensionless(delta, big_m, kappa)
+        except ParameterDomainError as exc:
+            key = "delta_over_g0" if exc.name == "d" else exc.name
+            raise ConfigError(f"dimensionless.{key}: {exc}") from exc
+        # the mu >> g0 limit has no scattering solve and no dynamics run
+        if math.isinf(big_m) and not (
+                mode == "threshold" or (mode == "spectrum" and method == "analytic")):
+            raise ConfigError(
+                "dimensionless.big_m: inf (the mu >> g0 limit) is only for "
+                "threshold and spectrum with method analytic")
     else:
         phys = _read_block("physical", phys)
         delta = phys.pop("delta")
@@ -264,27 +276,18 @@ class RunRecord:
             yield fh
         self.manifest[name] = sha256_file(path)
 
-    def csv(self, name: str, meta: dict, columns, rows):
-        """Rows under a column line. One str.format template, built from
-        the types of the first row, formats every row: bools as 0/1,
-        floats at 12 significant digits, anything else as str()."""
-        with self._open(name, meta) as fh:
-            fh.write(",".join(columns) + "\n")
-            if rows:
-                template = ",".join(
-                    "{:d}" if isinstance(v, bool)
-                    else "{:.12g}" if isinstance(v, float) else "{}"
-                    for v in rows[0]
-                ) + "\n"
-                fh.writelines(template.format(*row) for row in rows)
-
-    def array(self, name: str, meta: dict, array, fmt: str, columns=None):
-        """A 2-D array, one ``fmt`` line per row streamed by np.savetxt,
-        under the column line if ``columns`` are given."""
+    def table(self, name: str, meta: dict, formats, rows, columns=None):
+        """A table of numbers, under the column line if ``columns`` are
+        given. The per-column ``%`` formats (``"%.12g"`` for data, ``"%d"``
+        for 0/1 flags) joined by commas are one template, applied to each
+        row as the rows stream in; ``rows`` is a 2-D array or a list of
+        equal-length tuples of numbers."""
+        template = ",".join(formats) + "\n"
         with self._open(name, meta) as fh:
             if columns is not None:
                 fh.write(",".join(columns) + "\n")
-            np.savetxt(fh, array, fmt=fmt, delimiter=",")
+            fh.writelines(template % tuple(row.tolist())
+                          for row in np.asarray(rows, dtype=float))
 
     def json(self, name: str, payload: dict):
         """A JSON object, keys sorted, floats at 12 significant digits."""

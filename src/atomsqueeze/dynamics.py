@@ -317,21 +317,19 @@ def _potential_samples(v, name: str, x: np.ndarray) -> np.ndarray:
 class _SpectralPropagator:
     """Exact kinetic kicks of a field, in the sine or Fourier basis.
 
-    ``half`` lists phase factors whose broadcast product is the spectral
-    phase of one Strang half-kick; ``axes`` are the transformed axes. A
+    ``half`` is the spectral phase of one Strang half-kick, broadcast
+    against the transformed field; ``axes`` are the transformed axes. A
     full kick (two adjacent half-kicks fused) multiplies the precomputed
     squared phase, so it costs one forward and one inverse transform, the
     same as a half-kick. Transforms run in place on the caller's field.
     """
 
-    def __init__(self, half: Sequence[np.ndarray], dirichlet: bool, axes):
+    def __init__(self, half: np.ndarray, dirichlet: bool, axes):
         # not at module level: scipy loads with the first stepper only
         from scipy.fft import dstn, fftn, idstn, ifftn
 
-        self.half = list(half)
-        self.full = self.half[0] ** 2
-        for p in self.half[1:]:
-            self.full = self.full * p**2
+        self.half = half
+        self.full = half**2
         if dirichlet:
             forward, inverse, kw = dstn, idstn, {"type": 1}
         else:
@@ -341,19 +339,13 @@ class _SpectralPropagator:
 
     def kick(self, f: np.ndarray, full: bool) -> np.ndarray:
         spec = self._forward(f)
-        if full:
-            spec *= self.full
-        else:
-            for p in self.half:
-                spec *= p
+        spec *= self.full if full else self.half
         return self._inverse(spec)
 
     def split_kick(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Half-kicked and full-kicked ``f`` from one forward transform."""
         spec = self._forward(f)
-        half = spec.copy()
-        for p in self.half:
-            half *= p
+        half = spec * self.half
         spec *= self.full
         return self._inverse(half), self._inverse(spec)
 
@@ -371,7 +363,7 @@ class _Stepper:
         k = grid.wavenumbers()
         half = np.exp(-1j * (k**2 - mu) * grid.dt / 2.0)
         self.kinetic = _SpectralPropagator(
-            [np.stack([half, np.conj(half)])],
+            np.stack([half, np.conj(half)]),
             dirichlet=grid.boundary == "dirichlet",
             axes=(-1,),
         )

@@ -6,7 +6,12 @@ class AtomsqueezeError(Exception):
 
 
 class ParameterDomainError(AtomsqueezeError, ValueError):
-    """A physical or dimensionless parameter is outside its valid domain."""
+    """A physical or dimensionless parameter is outside its valid domain;
+    ``name`` is that parameter, when the check names one."""
+
+    def __init__(self, message: str, name=None):
+        super().__init__(message)
+        self.name = name
 
 
 class ClosedChannelError(AtomsqueezeError):

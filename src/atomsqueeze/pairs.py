@@ -187,8 +187,7 @@ def pair_amplitude(
     dt = grid.dt
     # frame: each particle rotated by mu
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
-    kinetic = _SpectralPropagator([half[:, None, None]], dirichlet=True,
-                                  axes=(0,))
+    kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axes=(0,))
     decay = np.exp(-grid.absorber_profile() * dt)
     # local factor A V per point and side, broadcast over the source columns
     v = np.stack(sides, axis=1)

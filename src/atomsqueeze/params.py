@@ -23,7 +23,7 @@ r0 ~ 2 for the standard sodium parameter set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +31,18 @@ from .errors import ParameterDomainError
 
 HBAR = 1.054571817e-34  # J s
 
-#: First few parametric thresholds kappa = pi/2 + n*pi live in analytic.py;
-#: validity reporting only needs distances to that grid.
+#: Cutoff of the ratios gamma/g0 and g0/mu in the validity report.
 DEFAULT_MARGIN = 0.1
 
 
-def _require(name, value, ok=True, what="finite"):
-    """Raise ParameterDomainError unless ``value`` is finite and ``ok``
-    holds, elementwise for arrays, naming the first offending value."""
-    ok = np.isfinite(value) & ok
+def _require(name, value, ok=True, what="finite", finite=True):
+    """Raise ParameterDomainError unless ``ok`` holds and (with ``finite``)
+    ``value`` is finite, elementwise for arrays, naming the first
+    offending value."""
+    ok = (np.isfinite(value) if finite else True) & np.asarray(ok)
     if not np.all(ok):
-        raise ParameterDomainError(f"{name} must be {what}, got {_first(value, ~ok)!r}")
+        raise ParameterDomainError(
+            f"{name} must be {what}, got {_first(value, ~ok)!r}", name)
 
 
 def _first(value, mask) -> float:
@@ -86,7 +87,9 @@ class DimensionlessParams:
 
     Attributes:
         d: detuning ratio delta/g0 (any real).
-        big_m: chemical-potential ratio mu/g0, > 0.
+        big_m: chemical-potential ratio mu/g0, > 0; inf is the mu >> g0
+            limit, which only the closed form takes (the scattering solve
+            needs a finite M).
         kappa: interaction coefficient g0 * tbar, >= 0.
     """
 
@@ -101,13 +104,13 @@ class DimensionlessParams:
 def check_dimensionless(d, big_m, kappa) -> None:
     """Raise ParameterDomainError unless every (d, big_m, kappa) is valid.
 
-    The domain of :class:`DimensionlessParams`: finite d, finite
-    big_m > 0, finite kappa >= 0, elementwise for arrays. big_m=None (the
-    mu >> g0 limit, which has no M) skips the big_m check.
+    The domain of :class:`DimensionlessParams`: finite d, big_m > 0 (inf,
+    the mu >> g0 limit, included; NaN not), finite kappa >= 0, elementwise
+    for arrays.
     """
     _require("d", d)
-    if big_m is not None:
-        _require("big_m", big_m, big_m > 0, "finite and > 0")
+    _require("big_m", big_m, np.greater(big_m, 0), "> 0 (inf for mu >> g0)",
+             finite=False)
     _require("kappa", kappa, kappa >= 0, "finite and >= 0")
 
 
@@ -128,7 +131,6 @@ class ValidityReport:
     large_mu_margin: float  # g0 / mu
     below_threshold: bool
     threshold_distance: float  # min_n |kappa - (pi/2 + n pi)|
-    ratio_threshold: float = field(default=DEFAULT_MARGIN)
 
 
 def vbar(p: PhysicalParams) -> float:
@@ -164,18 +166,14 @@ def threshold_distance(kappa: float) -> float:
     return abs(kappa - nearest_threshold(kappa))
 
 
-def validity(
-    p: PhysicalParams,
-    d_grid=None,
-    ratio_threshold: float = DEFAULT_MARGIN,
-) -> ValidityReport:
+def validity(p: PhysicalParams, d_grid=None) -> ValidityReport:
     """Check the operating point of ``p`` against the model's regime.
 
     ``d_grid`` is an optional iterable of detuning ratios; the threshold
     flag also fails if any grid point evaluates above threshold (which, in
     the closed-form spectrum, can only occur on the d = 0 axis exactly at
-    kappa = pi/2 + n*pi). With the default margins, steady output requires
-    gamma/g0 <= 0.1 and the large-mu regime g0/mu <= 0.1.
+    kappa = pi/2 + n*pi). Steady output requires gamma/g0 <= DEFAULT_MARGIN
+    and the large-mu regime g0/mu <= DEFAULT_MARGIN.
     """
     from .analytic import r_closed_form  # local import, avoids cycle
 
@@ -183,17 +181,16 @@ def validity(
     dist = threshold_distance(dp.kappa)
     below = dist > 1e-12
     if d_grid is not None and np.any(
-        r_closed_form(list(d_grid), None, dp.kappa).above_threshold
+        r_closed_form(list(d_grid), math.inf, dp.kappa).above_threshold
     ):
         below = False
     g_ratio = p.gamma / p.g0
     mu_ratio = p.g0 / p.mu
     return ValidityReport(
-        steady_output_ok=g_ratio <= ratio_threshold,
+        steady_output_ok=g_ratio <= DEFAULT_MARGIN,
         steady_output_margin=g_ratio,
-        large_mu_ok=mu_ratio <= ratio_threshold,
+        large_mu_ok=mu_ratio <= DEFAULT_MARGIN,
         large_mu_margin=mu_ratio,
         below_threshold=below,
         threshold_distance=dist,
-        ratio_threshold=ratio_threshold,
     )

@@ -30,14 +30,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .analytic import NEAR_THRESHOLD_BAND, SqueezingValue, _points
+from .analytic import NEAR_THRESHOLD_BAND, SqueezingValue, _scalar
 from .errors import (
     ClosedExteriorChannelError,
     IllConditionedWarning,
     InconsistentChannelsError,
     SolverError,
 )
-from .params import DimensionlessParams, _first
+from .params import DimensionlessParams, _first, _require
 
 #: 2-norm condition number above which a matching system counts as nearly
 #: singular. solve_matching computes the exact 1-norm condition number
@@ -48,6 +48,10 @@ CONDITION_LIMIT = 1e12
 
 #: Default tolerance for the symplectic identities of a converged solve.
 SOLVER_TOL = 1e-10
+
+#: Largest disagreement of the two channel ratios |beta|/|alpha|, relative
+#: to the ratio scale, that :func:`r_from_coefficients` averages away.
+CHANNEL_TOL = 10.0 * SOLVER_TOL
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,10 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
     condition number, or a matrix the solve finds exactly singular) is
     reported with condition number inf and NaN coefficients.
 
-    Raises ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
+    Raises ParameterDomainError for a non-finite M (at M = inf the slab
+    a = kappa sqrt(M) has no finite end to match at; only the closed form
+    takes the mu >> g0 limit), and
+    ClosedExteriorChannelError when mu - |delta| <= 0 (an exterior
     channel carries no flux and the input-output map is undefined). Emits
     one IllConditionedWarning when any 1-norm condition number exceeds
     CONDITION_LIMIT / 4, which happens approaching threshold: for 4x4
@@ -186,6 +193,7 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
     d, big_m, kappa = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d, big_m, kappa))
     )
+    _require("big_m", big_m, what="finite for the scattering solve")
     mat, rhs, a, ku, kw = _matching_system(d, big_m, kappa)
     try:
         sol = np.linalg.solve(mat, rhs)
@@ -246,21 +254,19 @@ def solve_scattering(params: DimensionlessParams) -> BogoliubovCoefficients:
     )
 
 
-def r_from_coefficients(
-    c: BogoliubovCoefficients, consistency_factor: float = 10.0
-) -> SqueezingValue:
+def r_from_coefficients(c: BogoliubovCoefficients) -> SqueezingValue:
     """Squeezing parameter tanh(r) = |beta|/|alpha| from solved coefficients.
 
     The two channel ratios are averaged to suppress round-off asymmetry;
-    a genuine mismatch beyond consistency_factor * SOLVER_TOL (relative to
-    the ratio scale) raises InconsistentChannelsError. Elementwise when
+    a genuine mismatch beyond CHANNEL_TOL (relative to the ratio scale)
+    raises InconsistentChannelsError. Elementwise when
     the coefficients are arrays (NaN coefficients give NaN r); the result
     then holds one array per field, else Python scalars.
     """
     t_p = np.abs(c.beta_p) / np.abs(c.alpha_p)
     t_m = np.abs(c.beta_m) / np.abs(c.alpha_m)
     scale = np.maximum(np.maximum(t_p, t_m), 1.0)
-    bad = np.abs(t_p - t_m) > consistency_factor * SOLVER_TOL * scale
+    bad = np.abs(t_p - t_m) > CHANNEL_TOL * scale
     if np.any(bad):
         raise InconsistentChannelsError(
             f"channel ratios disagree: |b+/a+|={_first(t_p, bad)!r}, "
@@ -274,7 +280,7 @@ def r_from_coefficients(
         r=r, above_threshold=above, arctanh_argument=t,
         near_threshold=~above & (t > 1.0 - NEAR_THRESHOLD_BAND),
     )
-    return value if np.ndim(t) else _points(value)[0]
+    return value if np.ndim(t) else _scalar(value)
 
 
 def r_scattering(params: DimensionlessParams) -> SqueezingValue:

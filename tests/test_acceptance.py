@@ -54,7 +54,7 @@ class TestCriterion1ZeroDetuningIdentity:
 
 class TestCriterion2Threshold:
     def test_bisection_locates_pi_half(self):
-        res = find_threshold(1.0, 2.0, d=0.0, big_m=None)
+        res = find_threshold(1.0, 2.0, d=0.0, big_m=math.inf)
         assert res.found and res.diverges
         assert abs(res.kappa - math.pi / 2) < 1e-9
         report("2 threshold", f"kappa* = {res.kappa!r}, |dev| = "

@@ -136,15 +136,27 @@ class TestRLargeMuLimit:
             ),
             min_size=1, max_size=16,
         ),
-        st.booleans(),  # the mu >> g0 limit (big_m=None)
+        st.booleans(),  # the mu >> g0 limit (big_m = inf)
     )
     def test_closed_form_even_in_d(self, points, limit):
         d, gap, kappa = (np.array(v) for v in zip(*points))
-        big_m = None if limit else np.sqrt(1.0 + d * d) + gap
+        big_m = math.inf if limit else np.sqrt(1.0 + d * d) + gap
         plus = r_closed_form(d, big_m, kappa)
         minus = r_closed_form(-d, big_m, kappa)
         for name in ("r", "above_threshold", "arctanh_argument", "near_threshold"):
             np.testing.assert_array_equal(getattr(minus, name), getattr(plus, name))
+
+    def test_infinite_m_is_the_limit_phase_bitwise(self):
+        # M = inf through the finite-M phase 2 kappa s/(sqrt(1+s/M) +
+        # sqrt(1-s/M)) is bit for bit the limit phase kappa * s
+        d = np.concatenate([[0.0], np.linspace(-6.0, 6.0, 481)])[:, None]
+        kappa = np.concatenate([np.linspace(0.0, 9.0, 901), threshold_kappas(2),
+                                [math.nextafter(math.pi / 2, 0.0)]])
+        got = r_closed_form(d, math.inf, kappa)
+        want = _value_from_phase(d, kappa * np.sqrt(1.0 + d * d))
+        assert want.above_threshold[0, 901]  # d = 0, kappa = pi/2
+        for name in ("r", "above_threshold", "arctanh_argument", "near_threshold"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_limit_of_r_analytic(self):
         # the M -> inf limit is checked against the exact form at M = 1e4
@@ -246,5 +258,5 @@ class TestSpectrumContainer:
 
     def test_points_flagged(self):
         spec = spectrum_large_mu(np.linspace(0, 3, 11), kappa=1.2)
-        assert len(spec.points) == 11
+        assert len(spec.detunings) == len(spec.value.r) == 11
         assert not spec.any_above_threshold()

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import atomsqueeze
 from atomsqueeze import flux_estimate, spectrum_grid
-from atomsqueeze.analytic import spectrum_large_mu
+from atomsqueeze.analytic import r_large_mu_limit, spectrum_large_mu
 from atomsqueeze.cli import main
 from atomsqueeze.config import BLOCKS, RunRecord, parse_config
 from atomsqueeze.errors import AboveThresholdError, ConfigError
@@ -197,6 +198,46 @@ MALFORMED = {
         {**BASE, "mode": "compare"}, ["--tolerance", "nan"], "--tolerance"),
     "compare-tolerance-negative": (
         {**BASE, "mode": "compare"}, ["--tolerance", "-1"], "--tolerance"),
+    # the dimensionless block is held to the domain of DimensionlessParams
+    "dimensionless-big-m-negative": (
+        {**BASE, "dimensionless": {"big_m": -5.0, "kappa": 1.2}}, [],
+        "dimensionless.big_m"),
+    "dimensionless-big-m-nan": (
+        {**BASE, "dimensionless": {"big_m": math.nan, "kappa": 1.2}}, [],
+        "dimensionless.big_m"),
+    "dimensionless-kappa-negative": (
+        {**BASE, "dimensionless": {"big_m": 100.0, "kappa": -1.0}}, [],
+        "dimensionless.kappa"),
+    "dimensionless-detuning-nan": (
+        {**BASE, "dimensionless": {"big_m": 100.0, "kappa": 1.2,
+                                   "delta_over_g0": math.nan}}, [],
+        "dimensionless.delta_over_g0"),
+    "compare-dimensionless-kappa-negative": (
+        {**BASE, "mode": "compare",
+         "dimensionless": {"big_m": 100.0, "kappa": -1.0}}, [],
+        "dimensionless.kappa"),
+    # big_m = inf (the mu >> g0 limit) only where the closed form alone runs
+    "spectrum-both-big-m-infinite": (
+        {**BASE, "method": "both",
+         "dimensionless": {"big_m": math.inf, "kappa": 1.2}}, [],
+        "dimensionless.big_m"),
+    "spectrum-scattering-big-m-infinite": (
+        {**BASE, "dimensionless": {"big_m": math.inf, "kappa": 1.2}},
+        ["--method", "scattering"], "dimensionless.big_m"),
+    "compare-big-m-infinite": (
+        {**BASE, "mode": "compare",
+         "dimensionless": {"big_m": math.inf, "kappa": 1.2}}, [],
+        "dimensionless.big_m"),
+    "dynamics-run-big-m-infinite": (
+        {"mode": "dynamics", "dimensionless": {"big_m": math.inf, "kappa": 1.2}},
+        [], "dimensionless.big_m"),
+    # a barrier of infinite or undefined height has no finite samples
+    "pairs-asymmetry-infinite": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"asymmetry": math.inf}}, [], "pairs.asymmetry"),
+    "pairs-asymmetry-nan": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"asymmetry": math.nan}}, [], "pairs.asymmetry"),
 }
 
 
@@ -210,6 +251,45 @@ def test_malformed_value_is_named_config_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and where in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "threshold", "dynamics", "pairs"])
+def test_tolerance_is_a_compare_flag(mode, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", SMALL[mode])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--config", cfg, "--out", str(out), "--tolerance", "nan"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestLargeMuLimitRuns:
+    """big_m = inf in the dimensionless block runs the mu >> g0 limit."""
+
+    def test_spectrum_analytic(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            **BASE, "dimensionless": {"big_m": math.inf, "kappa": 1.2},
+            "grid": {"d_points": 3, "kappa_points": 4, "kappa_max": math.pi / 2}})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "spectrum_analytic.csv").read_text().splitlines()
+        assert "# big_m = inf" in lines
+        start = lines.index("delta_over_g0,kappa,r,above_threshold") + 1
+        ds, ks = np.linspace(0.0, 3.0, 3), np.linspace(0.0, math.pi / 2, 4)
+        want = [(d, k, r_large_mu_limit(d, k)) for d in ds for k in ks]
+        assert lines[start:] == [f"{d:.12g},{k:.12g},{v.r:.12g},{v.above_threshold:d}"
+                                 for d, k, v in want]
+        assert lines[start + 3].endswith(",inf,1")  # d = 0 at kappa = pi/2
+
+    def test_threshold(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            **SMALL["threshold"], "dimensionless": {"big_m": math.inf, "kappa": 1.0}})
+        out = tmp_path / "out"
+        assert main(["threshold", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "threshold.json").read_text())
+        assert payload["found"] and payload["diverges"]
+        assert payload["kappa"] == float(f"{math.pi / 2:.12g}")
 
 
 def test_config_root_must_be_object(tmp_path, capsys):
@@ -358,8 +438,8 @@ def reference_fmt(v):
 
 
 class TestWriteCsv:
-    """The run record's csv writer, byte for byte: metadata header (floats
-    at 12 significant digits), column line, rows."""
+    """The run record's table writer, byte for byte: metadata header
+    (floats at 12 significant digits), column line, rows."""
 
     HEADER = (
         f"# atomsqueeze {atomsqueeze.__version__}\n"
@@ -375,7 +455,8 @@ class TestWriteCsv:
         rows = [(v, w, flag, np.float64(w))
                 for v in values for w in values[::-1] for flag in (True, False)]
         record = RunRecord(parse_config(dict(BASE)), tmp_path)
-        record.csv("rows.csv", {"x": 0.1 + 0.2}, ["a", "b", "c", "d"], rows)
+        record.table("rows.csv", {"x": 0.1 + 0.2}, ["%.12g", "%.12g", "%d", "%.12g"],
+                     rows, ["a", "b", "c", "d"])
         path = tmp_path / "rows.csv"
         want = self.HEADER + "a,b,c,d\n" + "".join(
             ",".join(reference_fmt(v) for v in row) + "\n" for row in rows)
@@ -384,8 +465,20 @@ class TestWriteCsv:
 
     def test_no_rows(self, tmp_path):
         record = RunRecord(parse_config(dict(BASE)), tmp_path)
-        record.csv("empty.csv", {"x": 0.1 + 0.2}, ["a"], [])
+        record.table("empty.csv", {"x": 0.1 + 0.2}, ["%.12g"], [], ["a"])
         assert (tmp_path / "empty.csv").read_text() == self.HEADER + "a\n"
+
+    @pytest.mark.parametrize("fmt", ["%.8e", "%.10e"])
+    def test_exponent_rows_match_savetxt(self, fmt, tmp_path):
+        # the snapshot and pair-density format, as np.savetxt wrote it
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+        data[0, :4] = [0.0, -0.0, 1e-320, 1.0]
+        record = RunRecord(parse_config(dict(BASE)), tmp_path)
+        record.table("grid.csv", {"x": 0.1 + 0.2}, [fmt] * 5, data)
+        want = io.StringIO()
+        np.savetxt(want, data, fmt=fmt, delimiter=",")
+        assert (tmp_path / "grid.csv").read_text() == self.HEADER + want.getvalue()
 
 
 def _floats(value):
@@ -498,10 +591,10 @@ class TestFluxEstimate:
         from atomsqueeze.analytic import SqueezingSpectrum, SqueezingValue
 
         r = math.asinh(1.0)
-        val = SqueezingValue(r=r, above_threshold=False,
-                             arctanh_argument=math.tanh(r))
-        spec = SqueezingSpectrum(points=((0.0, val),), big_m=math.inf,
-                                 kappa=0.5)
+        val = SqueezingValue(r=np.array([r]), above_threshold=np.array([False]),
+                             arctanh_argument=np.array([math.tanh(r)]))
+        spec = SqueezingSpectrum(detunings=np.array([0.0]), value=val,
+                                 big_m=math.inf, kappa=0.5)
         assert flux_estimate(spec, g0=2e4) == pytest.approx(2e4 / math.pi)
 
     def test_above_threshold_rejected(self):

@@ -53,6 +53,13 @@ class TestPhysicalParams:
             DimensionlessParams(d=0.0, big_m=10.0, kappa=-0.1)
         DimensionlessParams(d=-5.0, big_m=10.0, kappa=0.0)  # d any real
 
+    def test_infinite_big_m_is_the_limit(self):
+        DimensionlessParams(d=0.5, big_m=math.inf, kappa=1.0)
+        for bad in (math.nan, -math.inf, 0.0):
+            with pytest.raises(ParameterDomainError, match="big_m") as exc:
+                DimensionlessParams(d=0.5, big_m=bad, kappa=1.0)
+            assert exc.value.name == "big_m"
+
 
 class TestTransitTime:
     def test_reference_value(self):

@@ -49,10 +49,16 @@ class TestFindThreshold:
 
     def test_detuned_peak_does_not_diverge(self):
         s = math.sqrt(1.0 + 0.5**2)
-        res = find_threshold(0.5, 2.0, d=0.5, big_m=None)
+        res = find_threshold(0.5, 2.0, d=0.5, big_m=math.inf)
         assert res.found and not res.diverges
         assert res.kappa == (math.pi / 2.0) / s
         assert res.peak_argument == pytest.approx(1.0 / s, rel=1e-15)
+
+    def test_limit_phase_constant_is_exact(self):
+        # at big_m = inf the phase per unit kappa is sqrt(1 + d^2) exactly
+        for d in np.linspace(-10.0, 10.0, 2001).tolist():
+            c = wavenumber_phase(DimensionlessParams(d=d, big_m=math.inf, kappa=1.0))
+            assert c == math.sqrt(1.0 + d * d)
 
     def test_minimum_only_bracket_not_found(self):
         # the argument sin(kappa) has its minimum at 3 pi/2, no maximum here
@@ -82,16 +88,27 @@ class TestSpectrumGrid:
     def test_rows_match_the_scalar_api(self, method, big_m):
         ds, ks = [0.0, 0.7, 2.0], np.linspace(0.0, 1.4, 8)
         rows = spectrum_grid(ds, ks, big_m=big_m, method=method)
+        assert rows.dtype == np.float64 and rows.shape == (len(ds) * len(ks), 4)
         assert [(d, k) for d, k, _, _ in rows] == [(d, k) for d in ds for k in ks]
-        for d, k, r, above in rows:
+        for d, k, r, above in rows.tolist():
             if math.isinf(big_m):
                 want = r_large_mu_limit(d, k)
             else:
                 p = DimensionlessParams(d=d, big_m=big_m, kappa=k)
                 want = r_analytic(p) if method == "analytic" else r_scattering(p)
-            assert type(r) is float
             assert r == pytest.approx(want.r, rel=1e-13)
-            assert above is want.above_threshold
+            assert above == want.above_threshold and above in (0.0, 1.0)
+
+    def test_scattering_needs_finite_m(self):
+        for call in (
+            lambda: solve_scattering(
+                DimensionlessParams(d=0.3, big_m=math.inf, kappa=0.5)),
+            lambda: spectrum_grid([0.3], [0.5, 1.0], big_m=math.inf,
+                                  method="scattering"),
+        ):
+            with pytest.raises(ParameterDomainError, match="big_m") as exc:
+                call()
+            assert exc.value.name == "big_m"
 
     def test_closed_exterior_channel_in_a_row(self):
         with pytest.raises(ClosedExteriorChannelError):
