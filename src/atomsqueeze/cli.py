@@ -3,8 +3,8 @@
 Data files are columnar CSV with a '#'-prefixed metadata header, or JSON;
 the run record (config.RunRecord) writes them all, then a run_record.json
 with the config hash and file checksums once the command has returned.
-Exit codes: 0 success, 1 config error, 2 solver error, 3 tolerance failure
-in compare mode.
+Exit codes: 0 success, 1 config error (a usage error on the command line
+included), 2 solver error, 3 tolerance failure in compare mode.
 """
 
 from __future__ import annotations
@@ -260,7 +260,10 @@ def _apply_overrides(raw: dict, args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: a usage error, or --help/--version
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         config = parse_config(_apply_overrides(read_config(args.config), args))
     except ConfigError as exc:

@@ -14,7 +14,10 @@ eigenvectors of [[M + d, -1], [-1, M - d]] with wavenumbers sqrt(M +/- s),
 s = sqrt(1 + d^2); the slab length is a = kappa * sqrt(M).
 
 Each scattering experiment (unit flux injected in one channel) produces a
-column of the Bogoliubov input-output relation. Amplitudes are converted
+column of the Bogoliubov input-output relation. Matching at the slab edge
+is a 4x4 linear problem per point; eliminating the two outgoing amplitudes
+leaves a 2x2 system in the interior coefficients, solved elementwise over
+a row of points by Cramer's rule. Amplitudes are converted
 to flux normalization so the coefficients satisfy the symplectic
 constraints |alpha|^2 - |beta|^2 = 1 and alpha_p beta_m = alpha_m beta_p.
 Outgoing/incoming amplitudes are referenced at the origin (the plane-wave
@@ -40,8 +43,9 @@ from .errors import (
 from .params import DimensionlessParams, _first, _require
 
 #: 2-norm condition number above which a matching system counts as nearly
-#: singular. solve_matching computes the exact 1-norm condition number
-#: kappa_1 = ||A||_1 ||A^-1||_1 and warns when kappa_1 > CONDITION_LIMIT / 4;
+#: singular. solve_matching takes the exact 1-norm condition number
+#: kappa_1 = ||A||_1 ||A^-1||_1 of the 4x4 matching matrix A from
+#: np.linalg.cond(A, 1) and warns when kappa_1 > CONDITION_LIMIT / 4;
 #: since kappa_2 <= 4 kappa_1 for 4x4 matrices, every system above this
 #: limit in the 2-norm is flagged.
 CONDITION_LIMIT = 1e12
@@ -79,9 +83,11 @@ class BogoliubovCoefficients:
     alpha_p*beta_m - alpha_m*beta_p = 0, and equal channel ratios
     |beta_p|/|alpha_p| = |beta_m|/|alpha_m| = tanh(r).
 
-    ``condition_number`` is the exact 1-norm condition number
-    ||A||_1 ||A^-1||_1 of the matching matrix A (inf when A is singular);
-    :func:`solve_matching` warns when it exceeds CONDITION_LIMIT / 4.
+    The amplitudes come from the 2x2 elimination of :func:`solve_matching`.
+    ``condition_number`` is np.linalg.cond(A, 1), the exact 1-norm
+    condition number ||A||_1 ||A^-1||_1 of the 4x4 matching matrix A (inf,
+    with NaN amplitudes, when the point is singular); :func:`solve_matching`
+    warns when it exceeds CONDITION_LIMIT / 4.
     """
 
     alpha_p: complex
@@ -126,11 +132,14 @@ def interior_modes(params: DimensionlessParams) -> InteriorModes:
 def _matching_system(d, big_m, kappa):
     """Assemble the matching problem of a row of points.
 
-    ``d``, ``big_m`` and ``kappa`` are 1-D arrays of one shape. Returns
-    ``(mat, rhs, a, ku, kw)``: the (N, 4, 4) matching matrices, the
-    (N, 4, 6) right-hand sides [rhs | I4] (one column per incoming channel,
-    then the identity, whose solution is the inverse), the slab length and
-    the exterior wavenumbers. Raises ClosedExteriorChannelError as
+    ``d``, ``big_m`` and ``kappa`` are 1-D arrays of one shape. With
+    S_j = sin(k_j a), K_j = k_j cos(k_j a) and (e_j^u, e_j^w) the edge
+    values and polarization of interior branch j, returns
+    ``(mat, rows, edges, a, ku, kw)``: the (N, 4, 4) matching matrices A,
+    the rows e_j^u (K_j - i ku S_j) and e_j^w (K_j + i kw S_j) of the 2x2
+    system, the edge values S_j e_j^u and S_j e_j^w of u and w (both
+    indexed [row, j, point]), the slab length and the exterior
+    wavenumbers. Raises ClosedExteriorChannelError as
     :func:`solve_matching` does.
     """
     modes = interior_modes(DimensionlessParams(d=d, big_m=big_m, kappa=kappa))
@@ -143,41 +152,33 @@ def _matching_system(d, big_m, kappa):
     a = kappa * np.sqrt(big_m)
     ku = np.sqrt(big_m + d)
     kw = np.sqrt(big_m - d)
+    k = np.stack(modes.wavevectors)
+    e = np.stack(modes.eigenvectors, axis=1)
+    sin, kcos = np.sin(k * a), k * np.cos(k * a)
+    edges = e * sin
+    rows = e * (kcos + 1j * np.stack([-ku, kw])[:, None] * sin)
 
-    # Unknowns per experiment: interior coefficients c1, c2 and outgoing
-    # amplitudes p (u channel) and q (w channel), referenced at x = a.
-    mat = np.zeros(d.shape + (4, 4), dtype=complex)
-    for j, (k, (eu, ew)) in enumerate(zip(modes.wavevectors, modes.eigenvectors)):
-        sin, kcos = np.sin(k * a), k * np.cos(k * a)
-        mat[:, :, j] = np.stack([sin * eu, kcos * eu, sin * ew, kcos * ew], axis=-1)
-    mat[:, 0, 2] = mat[:, 2, 3] = -1.0
-    mat[:, 1, 2], mat[:, 3, 3] = -1j * ku, 1j * kw
-    # experiment 1: unit incident u wave exp(-i ku (x-a)); experiment 2:
-    # unit incident w wave exp(+i kw (x-a)).
-    rhs = np.zeros(d.shape + (4, 6), dtype=complex)
-    rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
-    rhs[:, 1, 0], rhs[:, 3, 1] = -1j * ku, 1j * kw
-    rhs[:, :, 2:] = np.eye(4)
-    return mat, rhs, a, ku, kw
-
-
-def _norm_1(mat):
-    """Matrix 1-norm (largest column sum of moduli) of each matrix of a stack."""
-    return np.abs(mat).sum(axis=-2).max(axis=-1)
+    mat = np.zeros((4, 4) + d.shape, dtype=complex)
+    mat[0::2, :2], mat[1::2, :2] = edges, e * kcos
+    mat[0, 2] = mat[2, 3] = -1.0
+    mat[1, 2], mat[3, 3] = -1j * ku, 1j * kw
+    return mat.transpose(2, 0, 1), rows, edges, a, ku, kw
 
 
 def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
-    """Solve the 4x4 boundary-matching problem at every point of a row.
+    """Solve the boundary-matching problem at every point of a row.
 
-    Two interior coefficients (one per branch, each vanishing at the wall)
-    and two outgoing amplitudes are matched against continuity of (u, w)
-    and their derivatives at x = a, once per incoming channel. The row of
-    N points (``d``, ``big_m``, ``kappa`` broadcast) is one stacked solve
-    of the (N, 4, 4) matrices A against [rhs | I4]: one LU factorization
-    per point gives both the coefficients and A^-1, hence the exact 1-norm
-    condition number ||A||_1 ||A^-1||_1. A singular point (a non-finite
-    condition number, or a matrix the solve finds exactly singular) is
-    reported with condition number inf and NaN coefficients.
+    Two interior coefficients c_j (one per branch, each vanishing at the
+    wall) and the outgoing amplitudes p, q are matched against continuity
+    of (u, w) and their derivatives at x = a, once per incoming channel
+    (a unit wave exp(-i ku (x-a)) in u, or exp(+i kw (x-a)) in w).
+    Eliminating p and q leaves a 2x2 system in c_j with right-hand side
+    (-2i ku, 0) for the u experiment and (0, 2i kw) for the w one, solved
+    by Cramer's rule elementwise over the row of N points (``d``,
+    ``big_m``, ``kappa`` broadcast). The 4x4 matrices A serve only
+    np.linalg.cond(A, 1), the exact 1-norm condition number. A point whose
+    determinant is zero or whose condition number is not finite is
+    singular: condition number inf and NaN coefficients.
 
     Raises ParameterDomainError for a non-finite M (at M = inf the slab
     a = kappa sqrt(M) has no finite end to match at; only the closed form
@@ -194,23 +195,11 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d, big_m, kappa))
     )
     _require("big_m", big_m, what="finite for the scattering solve")
-    mat, rhs, a, ku, kw = _matching_system(d, big_m, kappa)
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        # a matrix LAPACK finds exactly singular (e.g. M = sqrt(1 + d^2),
-        # where the lower branch has k = 0 and its sin(kx) column vanishes)
-        # fails the whole stack: solve point by point, leaving those NaN
-        sol = np.full(rhs.shape, np.nan, dtype=complex)
-        for i in range(d.size):
-            try:
-                sol[i] = np.linalg.solve(mat[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-    cond = _norm_1(mat) * _norm_1(sol[:, :, 2:])
-    singular = ~np.isfinite(cond)
+    mat, (bu, bw), edges, a, ku, kw = _matching_system(d, big_m, kappa)
+    det = bu[0] * bw[1] - bu[1] * bw[0]
+    cond = np.linalg.cond(mat, 1)
+    singular = (det == 0) | ~np.isfinite(cond)
     cond[singular] = np.inf
-    sol[singular] = np.nan
     ill = cond > CONDITION_LIMIT / 4.0
     if np.any(ill):
         i = int(np.argmax(cond))
@@ -221,8 +210,13 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
             IllConditionedWarning,
             stacklevel=2,
         )
-    p1, q1 = sol[:, 2, 0], sol[:, 3, 0]
-    p2, q2 = sol[:, 2, 1], sol[:, 3, 1]
+    inv_det = np.divide(1.0, det, out=np.full_like(det, np.nan), where=~singular)
+    # Cramer's rule for c_j, then (p, q) = (u, w) at x = a less the
+    # incident wave, for the u experiment (p1, q1) and the w one (p2, q2)
+    p1, q1 = (-2j * ku * inv_det * (bw[1] * edges[:, 0] - bw[0] * edges[:, 1])
+              - [[1.0], [0.0]])
+    p2, q2 = (2j * kw * inv_det * (bu[0] * edges[:, 1] - bu[1] * edges[:, 0])
+              - [[0.0], [1.0]])
 
     # Re-reference amplitudes to the origin and flux-normalize. The w
     # channel rides on the conjugate field, so its coefficients conjugate.
@@ -239,7 +233,7 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
 
 
 def solve_scattering(params: DimensionlessParams) -> BogoliubovCoefficients:
-    """Solve the 4x4 boundary-matching problem for one operating point.
+    """Solve the boundary-matching problem for one operating point.
 
     :func:`solve_matching` with one point; raises SolverError when its
     matching matrix is singular.

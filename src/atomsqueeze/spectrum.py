@@ -3,11 +3,12 @@
 These are the computations behind the CLI subcommands; they are kept
 importable so the analysis pipeline can be driven programmatically and so
 the tests can exercise them without file I/O.
-Grids are evaluated in one array call per d-row (a row, not the whole
-grid, bounds the memory of the stacked 4x4 solves) into one numeric
-table; thresholds come from the closed form, whose phase is linear in
-kappa. big_m = inf is the mu >> g0 limit, which only the closed form
-takes: the scattering solve needs a finite M.
+Grids are evaluated in one array call per d-row into one numeric table
+(one call for the whole grid was faster but raised the peak RSS of a
+161 x 120 CLI spectrum from 67 to 79 MiB); thresholds come from the
+closed form, whose phase is linear in kappa. big_m = inf is the
+mu >> g0 limit, which only the closed form takes: the scattering solve
+needs a finite M.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def spectrum_grid(
     columns d, kappa, r and above_threshold (0 or 1).
 
     Each d-row is one array call: the closed form (``big_m = inf`` gives
-    the mu >> g0 limit) or one stacked scattering solve, which raises
+    the mu >> g0 limit) or one scattering solve, which raises
     SolverError if a matching matrix of the row is singular.
     """
     if method not in ("analytic", "scattering"):
@@ -61,10 +62,9 @@ def spectrum_grid(
 class ThresholdResult:
     """Outcome of a threshold search over a kappa interval.
 
-    ``found`` means the interval contains a local maximum of the arctanh
-    argument; ``diverges`` whether that maximum actually saturates the
-    argument (a true threshold; at d != 0 the peak stays below 1 and no
-    divergence exists).
+    ``found`` means the interval contains a peak of |arctanh argument|;
+    ``diverges`` whether that peak actually saturates it (a true threshold;
+    at d != 0 the peak stays below 1 and no divergence exists).
     """
 
     found: bool
@@ -72,7 +72,7 @@ class ThresholdResult:
     nearest_reference: Optional[float]  # closest pi/2 + n*pi
     deviation: Optional[float]
     diverges: bool
-    peak_argument: Optional[float]
+    peak_argument: Optional[float]  # signed: -1 at 3 pi/2 when d = 0
     lo: float
     hi: float
 
@@ -87,20 +87,20 @@ def find_threshold(
 
     The phase is linear in kappa, phi = c * kappa, with c the phase at
     kappa = 1 (:func:`wavenumber_phase`; exactly sqrt(1 + d^2) in the
-    mu >> g0 limit big_m = inf). The arctanh argument sin(phi)/sqrt(1 + d^2)
-    therefore peaks exactly at kappa_n = (pi/2 + 2*n*pi)/c. The result is
-    the first kappa_n inside (lo, hi); an interval holding none (only a
-    minimum of the argument, or no extremum) reports found=False. The peak
+    mu >> g0 limit big_m = inf). The modulus of the arctanh argument
+    sin(phi)/sqrt(1 + d^2) therefore peaks exactly at
+    kappa_n = (pi/2 + n*pi)/c. The result is the first kappa_n inside
+    (lo, hi); an interval holding none reports found=False. The peak
     saturates the argument only at d = 0; then with big_m = inf the
-    located kappa is the textbook threshold pi/2 + 2*n*pi.
+    located kappa is the textbook threshold pi/2 + n*pi.
     """
     if not 0.0 <= lo < hi:
         raise ParameterDomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     check_dimensionless(d, big_m, hi)
     c = float(wavenumber_phase(DimensionlessParams(d=d, big_m=big_m, kappa=1.0)))
     # floor() can land one peak low or high at the rounding edge
-    n = max(0, math.floor((lo * c - math.pi / 2.0) / (2.0 * math.pi)))
-    while (kappa_star := (math.pi / 2.0 + 2.0 * n * math.pi) / c) <= lo:
+    n = max(0, math.floor((lo * c - math.pi / 2.0) / math.pi))
+    while (kappa_star := (math.pi / 2.0 + n * math.pi) / c) <= lo:
         n += 1
     if kappa_star >= hi:
         return ThresholdResult(
@@ -114,7 +114,7 @@ def find_threshold(
         kappa=kappa_star,
         nearest_reference=nearest,
         deviation=abs(kappa_star - nearest),
-        diverges=peak >= 1.0 - 1e-9,
+        diverges=abs(peak) >= 1.0 - 1e-9,
         peak_argument=peak,
         lo=lo,
         hi=hi,

@@ -257,11 +257,34 @@ def test_malformed_value_is_named_config_error(case, tmp_path, capsys):
 def test_tolerance_is_a_compare_flag(mode, tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", SMALL[mode])
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([mode, "--config", cfg, "--out", str(out), "--tolerance", "nan"])
-    assert exc.value.code == 2
+    assert main([mode, "--config", cfg, "--out", str(out),
+                 "--tolerance", "nan"]) == 1
     assert "--tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--bogus", "1"], "--bogus"),
+    (["--method", "bogus"], "--method"),
+])
+def test_usage_error_is_a_config_error(args, named, tmp_path, capsys):
+    # exit 1 like any config error; 2 is left to solver errors
+    cfg = write_config(tmp_path / "c.json", SMALL["spectrum"])
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), *args]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_config_is_a_config_error(capsys):
+    assert main(["spectrum"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--help"], ["spectrum", "--help"]])
+def test_help_and_version_exit_zero(args, capsys):
+    assert main(args) == 0
+    assert capsys.readouterr().out
 
 
 class TestLargeMuLimitRuns:

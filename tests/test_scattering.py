@@ -251,6 +251,54 @@ class TestConditionNumber:
         assert flagged_rows > 0  # the grid reaches the 2-norm limit
 
 
+def lu_coefficients(d, big_m, kappas):
+    """Oracle: the coefficients from a dense LU solve of the 4x4 matching
+    problem (unknowns c_1, c_2, p, q; one right-hand side per incoming
+    channel), re-referenced to the origin and flux-normalized."""
+    mat = matching_matrices(d, big_m, kappas)
+    ku, kw = math.sqrt(big_m + d), math.sqrt(big_m - d)
+    rhs = np.zeros((len(kappas), 4, 2), dtype=complex)
+    rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
+    rhs[:, 1, 0], rhs[:, 3, 1] = -1j * ku, 1j * kw
+    (p1, p2), (q1, q2) = np.linalg.solve(mat, rhs)[:, 2:].transpose(1, 2, 0)
+    a = kappas * math.sqrt(big_m)
+    return (
+        p1 * np.exp(-2j * ku * a),
+        p2 * np.exp(1j * (kw - ku) * a) * math.sqrt(ku / kw),
+        np.conj(q2 * np.exp(2j * kw * a)),
+        np.conj(q1 * np.exp(1j * (kw - ku) * a)) * math.sqrt(kw / ku),
+    )
+
+
+class TestEliminationAgainstLU:
+    @pytest.mark.parametrize("big_m", [10.0, 100.0, 1000.0])
+    def test_amplitudes_match_dense_solve(self, big_m):
+        kappas = np.linspace(0.05, 1.45, 120)
+        for d in np.linspace(-3.0, 3.0, 161).tolist():
+            c = solve_matching(d, big_m, kappas)
+            want = lu_coefficients(d, big_m, kappas)
+            got = (c.alpha_p, c.beta_p, c.alpha_m, c.beta_m)
+            scale = np.abs(want[0])
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 1e-13 * scale)
+
+
+class TestNormDefectNearThreshold:
+    @pytest.mark.parametrize("big_m", [50.0, 100.0, 1000.0])
+    def test_relative_to_alpha_squared(self, big_m):
+        # close to threshold |alpha|^2 grows past 1e30 and the absolute
+        # defect |alpha|^2 - |beta|^2 - 1 with it: what is left is the
+        # rounding of |alpha|^2 itself, not an inaccurate solve
+        for d, kappas in near_threshold_rows(big_m):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                c = solve_matching(d, big_m, kappas)
+            ok = np.isfinite(c.condition_number)
+            for alpha, beta in ((c.alpha_p, c.beta_p), (c.alpha_m, c.beta_m)):
+                a2, b2 = np.abs(alpha[ok]) ** 2, np.abs(beta[ok]) ** 2
+                assert np.all(np.abs(a2 - b2 - 1.0) <= 1e-14 * (a2 + b2))
+
+
 class TestConvergenceToClosedForm:
     def test_monotone_in_m(self):
         d_grid = np.linspace(0.0, 3.0, 9)

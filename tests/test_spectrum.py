@@ -23,20 +23,10 @@ from atomsqueeze.errors import (
 )
 
 
-def make_first_point_singular(monkeypatch):
-    """Make the matching matrix of the first point of every row singular.
-
-    The stacked solve returns NaN for point 0 of each row, so its inverse,
-    and with it its 1-norm condition number, is not finite (cond = inf).
-    """
-    solve = np.linalg.solve
-
-    def fake(a, b):
-        x = solve(a, b)
-        x[0] = np.nan
-        return x
-
-    monkeypatch.setattr(np.linalg, "solve", fake)
+#: 1 + d^2 = M^2 exactly: the lower interior branch is at rest (k = 0),
+#: its sin(kx) column vanishes and every matching matrix of the row d = 0.75
+#: at M = 1.25 is singular, whatever kappa
+SINGULAR_D, SINGULAR_M = 0.75, 1.25
 
 
 class TestFindThreshold:
@@ -60,9 +50,15 @@ class TestFindThreshold:
             c = wavenumber_phase(DimensionlessParams(d=d, big_m=math.inf, kappa=1.0))
             assert c == math.sqrt(1.0 + d * d)
 
-    def test_minimum_only_bracket_not_found(self):
-        # the argument sin(kappa) has its minimum at 3 pi/2, no maximum here
+    def test_trough_threshold_found(self):
+        # the argument sin(kappa) reaches -1 at 3 pi/2: r diverges there too
         res = find_threshold(4.0, 5.5)
+        assert res.found and res.diverges
+        assert res.kappa == 1.5 * math.pi == res.nearest_reference
+        assert res.peak_argument == -1.0
+
+    def test_no_peak_in_bracket(self):
+        res = find_threshold(2.0, 4.5)
         assert not res.found and res.kappa is None and not res.diverges
 
     def test_second_peak(self):
@@ -74,7 +70,7 @@ class TestFindThreshold:
 
     def test_peak_at_open_bracket_edge_excluded(self):
         assert not find_threshold(0.5, math.pi / 2.0).found
-        assert find_threshold(math.pi / 2.0, 9.0).kappa == 2.5 * math.pi
+        assert find_threshold(math.pi / 2.0, 9.0).kappa == 1.5 * math.pi
 
     def test_negative_bracket_rejected(self):
         with pytest.raises(ParameterDomainError):
@@ -121,23 +117,22 @@ class TestSpectrumGrid:
             spectrum_grid([0.3], [0.5, 1.0], big_m=50.0, method="scattering")
 
     @pytest.mark.filterwarnings("ignore::atomsqueeze.errors.IllConditionedWarning")
-    def test_singular_point_raises(self, monkeypatch):
-        make_first_point_singular(monkeypatch)
+    def test_singular_point_raises(self):
         with pytest.raises(SolverError):
-            spectrum_grid([0.3], [0.5, 1.0], big_m=50.0, method="scattering")
+            spectrum_grid([SINGULAR_D], [0.5, 1.0], big_m=SINGULAR_M,
+                          method="scattering")
         with pytest.raises(SolverError):
-            solve_scattering(DimensionlessParams(d=0.3, big_m=50.0, kappa=0.5))
+            solve_scattering(DimensionlessParams(d=SINGULAR_D, big_m=SINGULAR_M,
+                                                 kappa=0.5))
 
 
 class TestCompareMethods:
-    def test_singular_point_skipped_without_its_row(self, monkeypatch):
-        ds, ks = np.linspace(0.0, 2.0, 4), np.linspace(0.05, 1.3, 7)
-        base = compare_methods(ds, ks, 50.0)
-        rest = compare_methods(ds, ks[1:], 50.0)
-        make_first_point_singular(monkeypatch)
+    def test_singular_row_skipped_alone(self):
+        ds, ks = [0.0, 0.25, 0.5, SINGULAR_D], np.linspace(0.05, 1.3, 7)
+        rest = compare_methods(ds[:3], ks, SINGULAR_M)
         with pytest.warns(IllConditionedWarning):
-            res = compare_methods(ds, ks, 50.0)
-        assert res.n_skipped == base.n_skipped + len(ds)
-        assert res.n_points == base.n_points - len(ds) == rest.n_points
-        assert res.max_abs == pytest.approx(rest.max_abs, rel=1e-12)
-        assert res.mean_abs == pytest.approx(rest.mean_abs, rel=1e-12)
+            res = compare_methods(ds, ks, SINGULAR_M)
+        assert res.n_skipped == rest.n_skipped + len(ks)
+        assert res.n_points == rest.n_points
+        assert res.max_abs == rest.max_abs
+        assert res.mean_abs == rest.mean_abs
