@@ -34,9 +34,12 @@ exist at a step boundary (a snapshot time, an instability-guard check)
 one forward transform yields both the half-kicked boundary state and
 the fully kicked state the next step continues from, and the final step
 ends with a half-kick. u and w are carried as one (2, n) array, so each
-kick is one forward and one inverse transform. The 2x2 local exponential
-runs only on the span where g or V is nonzero, and the absorber decay
-only on the absorbing layer.
+kick is one forward and one inverse call of a 1-D transform along the
+grid axis (the pair amplitude transforms axis 0 of its column block).
+The 2x2 local exponential runs only on the span where g or V is nonzero,
+evaluated once per distinct (V, coupling-mask) pair of that span and
+gathered to its points; the absorber decay runs only on the absorbing
+layer.
 
 The propagator is the package's only user of scipy: ``scipy.fft`` is
 imported when the first propagator is built (the first ``evolve`` or
@@ -318,24 +321,28 @@ class _SpectralPropagator:
     """Exact kinetic kicks of a field, in the sine or Fourier basis.
 
     ``half`` is the spectral phase of one Strang half-kick, broadcast
-    against the transformed field; ``axes`` are the transformed axes. A
-    full kick (two adjacent half-kicks fused) multiplies the precomputed
+    against the transformed field; ``axis`` is the one transformed axis.
+    A full kick (two adjacent half-kicks fused) multiplies the precomputed
     squared phase, so it costs one forward and one inverse transform, the
-    same as a half-kick. Transforms run in place on the caller's field.
+    same as a half-kick. The transforms are the 1-D ``scipy.fft`` calls
+    (type-I ``dst``/``idst`` or ``fft``/``ifft``), bound once to the axis:
+    the n-D wrappers run the same pocketfft kernel behind a per-call
+    dispatch that costs about as much as the kernel on small grids. They
+    run in place on the caller's field.
     """
 
-    def __init__(self, half: np.ndarray, dirichlet: bool, axes):
+    def __init__(self, half: np.ndarray, dirichlet: bool, axis: int):
         # not at module level: scipy loads with the first stepper only
-        from scipy.fft import dstn, fftn, idstn, ifftn
+        from scipy.fft import dst, fft, idst, ifft
 
         self.half = half
         self.full = half**2
         if dirichlet:
-            forward, inverse, kw = dstn, idstn, {"type": 1}
+            forward, inverse, kw = dst, idst, {"type": 1}
         else:
-            forward, inverse, kw = fftn, ifftn, {}
-        self._forward = functools.partial(forward, axes=axes, overwrite_x=True, **kw)
-        self._inverse = functools.partial(inverse, axes=axes, overwrite_x=True, **kw)
+            forward, inverse, kw = fft, ifft, {}
+        self._forward = functools.partial(forward, axis=axis, overwrite_x=True, **kw)
+        self._inverse = functools.partial(inverse, axis=axis, overwrite_x=True, **kw)
 
     def kick(self, f: np.ndarray, full: bool) -> np.ndarray:
         spec = self._forward(f)
@@ -365,7 +372,7 @@ class _Stepper:
         self.kinetic = _SpectralPropagator(
             np.stack([half, np.conj(half)]),
             dirichlet=grid.boundary == "dirichlet",
-            axes=(-1,),
+            axis=-1,
         )
         x = grid.x
         if callable(potential):
@@ -378,8 +385,14 @@ class _Stepper:
         runs = _runs((gmask != 0) | (v != 0))
         self.coupled = slice(runs[0].start, runs[-1].stop) if runs else None
         if self.coupled is not None:
-            self.v = v[self.coupled]
-            self.gmask = gmask[self.coupled]
+            # the 2x2 step of a point depends on its (V, g-mask) pair only:
+            # keep the distinct pairs (the complex key holds both exactly)
+            # and, per point, the index of its pair
+            pairs, self._index = np.unique(
+                v[self.coupled] + 1j * gmask[self.coupled], return_inverse=True
+            )
+            self.v = pairs.real
+            self.gmask = pairs.imag
             self._env = None
         profile = grid.absorber_profile()
         self.absorber = [(s, np.exp(-profile[s] * grid.dt)) for s in _runs(profile)]
@@ -391,12 +404,15 @@ class _Stepper:
         With Omega = sqrt(V^2 - g^2) (possibly imaginary) the exponential
         is cos(Omega dt) I - i sinc-like(Omega dt) [[V, g], [-g, -V]];
         evaluated with the complex cos/sin so both signs of V^2 - g^2 are
-        covered by one formula.
+        covered by one formula. It is evaluated once per distinct
+        (V, g-mask) pair of the coupled span (two on a slab with no
+        potential) and gathered to the points, whenever the envelope
+        moves; a constant or saturated ramp reuses the gathered matrix.
         """
         s = self.coupled
         if s is not None:
             env = self.ramp.envelope(t_mid)
-            if env != self._env:  # constant or saturated ramps reuse the matrix
+            if env != self._env:
                 g = env * self.gmask
                 v = self.v
                 dt = self.grid.dt
@@ -407,8 +423,10 @@ class _Stepper:
                 small = np.abs(phi) < 1e-8
                 snc = np.where(small, dt, np.sin(np.where(small, 1.0, phi)) /
                                np.where(small, 1.0 / dt, om))
+                i = self._index
                 self._env = env
-                self._matrix = (c - 1j * snc * v, 1j * snc * g, c + 1j * snc * v)
+                self._matrix = ((c - 1j * snc * v)[i], (1j * snc * g)[i],
+                                (c + 1j * snc * v)[i])
             uu, uw, ww = self._matrix
             u, w = f[0, s], f[1, s]
             un = uu * u - uw * w
@@ -443,16 +461,26 @@ def evolve(
     ``potential`` is None (zero), samples on grid.x, or a callable of
     grid.x returning them.
 
-    Raises ParameterDomainError at setup if ``check_every`` is below 1 or
-    the potential samples are not finite or not of the grid's shape,
-    ResolutionError if the grid cannot resolve the mode's nominal carrier
-    (label.k0), and InstabilityDetectedError if the norm is not within
-    the bound (a NaN norm included) mid-run.
+    Raises ParameterDomainError at setup, naming the field, if
+    ``t_final``, ``state.t`` or a snapshot time is not finite,
+    ``t_final`` precedes ``state.t``, ``check_every`` is not >= 1, the
+    source sits outside [grid.x_min, grid.x_max], or the potential
+    samples are not finite or not of the grid's shape; ResolutionError
+    if the grid cannot resolve the mode's nominal carrier (label.k0), and
+    InstabilityDetectedError if the norm is not within the bound (a NaN
+    norm included) mid-run.
     """
+    _require("t_final", t_final)
+    _require("state.t", state.t)
     if t_final < state.t:
         raise ParameterDomainError("t_final precedes the state's current time")
-    if check_every < 1:
+    if snapshot_times is not None:
+        _require("snapshot_times", np.asarray(snapshot_times, dtype=float))
+    if not check_every >= 1:  # a NaN interval would never check
         raise ParameterDomainError(f"check_every must be >= 1, got {check_every}")
+    if source is not None:
+        _require("x_pos", source.x_pos, grid.x_min <= source.x_pos <= grid.x_max,
+                 f"in [grid.x_min, grid.x_max] = [{grid.x_min!r}, {grid.x_max!r}]")
     grid.validate_resolution(state.label.k0)
     stepper = _Stepper(grid, ramp, potential, mu=state.label.mu)
     u = np.asarray(state.u)
@@ -465,7 +493,7 @@ def evolve(
         isrc = int(np.argmin(np.abs(grid.x - source.x_pos)))
 
     n_steps = int(math.ceil((t_final - state.t) / grid.dt - 1e-12))
-    pending = sorted(snapshot_times) if snapshot_times else []
+    pending = sorted(snapshot_times) if snapshot_times is not None else []
     snapshots: List[ModeState] = []
     norm0 = plus_norm(state, grid)
     guarded = norm0 > 0 and source is None
@@ -640,12 +668,16 @@ def steady_state_beta_squared(
     length/n_points give dx = 0.05).
 
     Returns a dict with the measured |beta0|^2, the measured |alpha0|^2,
-    snapshot variance, and the run's bookkeeping.
+    snapshot variance, and the run's bookkeeping. A ``big_m``,
+    ``measure_c`` or ``settle_time`` that is not finite is a
+    ParameterDomainError naming it.
     """
     if gamma_ratio <= 0:
         raise ParameterDomainError("gamma_ratio must be > 0")
     if not (big_m > 0 and math.isfinite(big_m)):
         raise ParameterDomainError(f"big_m must be finite and > 0, got {big_m!r}")
+    _require("measure_c", measure_c)
+    _require("settle_time", settle_time)
     k0 = math.sqrt(big_m)
     a = kappa * math.sqrt(big_m)
     grid = GridSpec(

@@ -51,6 +51,7 @@ from .errors import (
     ParameterDomainError,
     PerturbationInvalidError,
 )
+from .params import _require
 
 #: First-order treatment is rejected above this created norm^2.
 PERTURBATION_NORM_LIMIT = 0.1
@@ -133,8 +134,8 @@ def pair_amplitude(
 
     The ramp should switch off before t0 (shape 'pulse') so the pair has a
     free escape interval; the leakage metric reports how completely it
-    left the coupling square. ``t0`` must be a whole number of steps
-    ``grid.dt`` (ParameterDomainError otherwise).
+    left the coupling square. ``t0`` must be finite and a whole number of
+    steps ``grid.dt`` (ParameterDomainError naming it otherwise).
 
     The result is that of N = t0/dt Strang steps T = K_h A V K_h of the
     2-D field (K_h the kinetic half-kick, V the potential phase, A the
@@ -166,6 +167,7 @@ def pair_amplitude(
     a = ramp.x_hi
     if a <= 0 or a >= grid.x_max:
         raise ParameterDomainError("coupling support must satisfy 0 < a < x_max")
+    _require("t0", t0)
     if not math.isfinite(ramp.t_off) or ramp.t_off >= t0:
         raise ParameterDomainError(
             "ramp must switch off before t0 (use shape='pulse')"
@@ -187,7 +189,7 @@ def pair_amplitude(
     dt = grid.dt
     # frame: each particle rotated by mu
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
-    kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axes=(0,))
+    kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axis=0)
     decay = np.exp(-grid.absorber_profile() * dt)
     # local factor A V per point and side, broadcast over the source columns
     v = np.stack(sides, axis=1)

@@ -276,6 +276,20 @@ def test_usage_error_is_a_config_error(args, named, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, block, key", [
+    ("pairs", "pairs", "t0"),
+    ("dynamics", "dynamics", "measure_c"),
+])
+def test_non_finite_time_is_a_solver_error(mode, block, key, tmp_path, capsys):
+    # the library names the field; no traceback reaches the caller
+    payload = json.loads(json.dumps(SMALL[mode]))
+    payload[block][key] = math.nan
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"solver error: {key} must be finite, got nan\n"
+
+
 def test_missing_config_is_a_config_error(capsys):
     assert main(["spectrum"]) == 1
     assert "--config" in capsys.readouterr().err

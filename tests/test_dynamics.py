@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import dst, idst
+from scipy.fft import dst, dstn, fftn, idst, idstn, ifftn
+from scipy.linalg import expm
 
 from atomsqueeze import (
     AbsorberSpec,
@@ -20,7 +21,7 @@ from atomsqueeze import (
     steady_state_beta_squared,
     symplectic_norm,
 )
-from atomsqueeze.dynamics import _Stepper, plus_norm
+from atomsqueeze.dynamics import _SpectralPropagator, _Stepper, plus_norm
 from atomsqueeze.errors import (
     InstabilityDetectedError,
     ParameterDomainError,
@@ -114,6 +115,49 @@ class TestNamedInputErrors:
         with pytest.raises(ParameterDomainError, match="^big_m must be"):
             steady_state_beta_squared(big_m, 1.2, 0.1)
 
+    @pytest.mark.parametrize("name", ["measure_c", "settle_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_steady_output_times(self, name, value):
+        with pytest.raises(ParameterDomainError, match=f"^{name} must be finite"):
+            steady_state_beta_squared(100.0, 1.2, 0.1, **{name: value})
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_evolve_t_final(self, t_final):
+        grid = periodic_grid(n=256, dt=0.01)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        with pytest.raises(ParameterDomainError, match="^t_final must be finite"):
+            evolve(state, NO_RAMP, None, grid, t_final)
+        later = state.copy_with(state.u, state.w, t_final)
+        with pytest.raises(ParameterDomainError, match=r"^state\.t must be finite"):
+            evolve(later, NO_RAMP, None, grid, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_evolve_snapshot_time(self, bad):
+        # a NaN time would never be reached, so its snapshot never taken
+        grid = periodic_grid(n=256, dt=0.01)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        with pytest.raises(ParameterDomainError, match="^snapshot_times must be"):
+            evolve(state, NO_RAMP, None, grid, 0.1, snapshot_times=[0.05, bad])
+
+    @pytest.mark.parametrize("x_pos", [-0.5, 40.5])
+    def test_evolve_source_outside_grid(self, x_pos):
+        # nearest-point placement would move it to the edge point silently
+        grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01)
+        zeros = np.zeros(grid.x.shape, dtype=complex)
+        state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
+        with pytest.raises(ParameterDomainError, match=r"^x_pos must be in \[grid"):
+            evolve(state, NO_RAMP, None, grid, 0.1,
+                   source=PlaneWaveSource(x_pos=x_pos))
+
+    @pytest.mark.parametrize("x_pos", [0.0, 40.0])
+    def test_evolve_source_on_grid_edge_accepted(self, x_pos):
+        grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01)
+        zeros = np.zeros(grid.x.shape, dtype=complex)
+        state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
+        final, _ = evolve(state, NO_RAMP, None, grid, 0.1,
+                          source=PlaneWaveSource(x_pos=x_pos, t_on=0.0))
+        assert np.abs(final.u).max() > 0
+
 
 class TestFreeEvolution:
     def test_free_packet_translates_at_group_velocity(self):
@@ -140,6 +184,10 @@ class TestFreeEvolution:
         arrays = [final.u] + [s.u for s in snaps]
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        # the times may come as an array
+        _, again = evolve(state, NO_RAMP, None, grid, t_final=0.5,
+                          snapshot_times=np.array([0.1, 0.3, 0.5]))
+        assert [s.t for s in again] == [s.t for s in snaps]
 
 
 class TestSymplecticStructure:
@@ -287,6 +335,121 @@ class TestKickFusion:
         assert_same_final_state(snaps[49], mid)
 
 
+def expm_local_step(f, v, g, dt):
+    """f after exp(-i dt [[V, g], [-g, -V]]) at each point, by scipy's expm
+    (oracle for the stepper's closed form)."""
+    out = np.empty_like(f)
+    for j in range(f.shape[1]):
+        e = expm(-1j * dt * np.array([[v[j], g[j]], [-g[j], -v[j]]]))
+        out[:, j] = e @ f[:, j]
+    return out
+
+
+class TestLocalStepExponential:
+    """The closed-form 2x2 exponential, evaluated on the distinct
+    (V, g-mask) pairs of the coupled span and gathered to the points,
+    against a per-point matrix exponential."""
+
+    GRID = GridSpec(x_min=0.0, x_max=20.0, n_points=200, dt=0.05)
+    RAMP = CouplingRamp(g0_peak=1.5, gamma=1.0, shape="tanh", t_on=0.0,
+                        x_lo=5.0, x_hi=10.0)
+    # envelopes from about 4e-3 to 1.5, then a repeat (the cached matrix)
+    T_MIDS = (-3.0, -0.4, 0.0, 0.7, 3.0, 3.0)
+
+    def check(self, potential, n_distinct):
+        grid, ramp = self.GRID, self.RAMP
+        stepper = _Stepper(grid, ramp, potential, mu=4.0)
+        assert stepper.v.size == n_distinct
+        v = np.zeros(grid.x.size) if potential is None else potential(grid.x)
+        gmask = ramp.spatial_mask(grid)
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=(2, grid.x.size)) + 1j * rng.normal(size=(2, grid.x.size))
+        signs = set()
+        for t_mid in self.T_MIDS:
+            g = ramp.envelope(t_mid) * gmask
+            want = expm_local_step(f, v, g, grid.dt)
+            stepper.local_step(f, t_mid)
+            assert np.abs(f - want).max() < 1e-13 * np.abs(want).max()
+            signs.update(np.sign(v * v - g * g))
+        return signs
+
+    def test_no_potential_half_weight_edges(self):
+        gmask = self.RAMP.spatial_mask(self.GRID)
+        assert np.count_nonzero(gmask == 0.5) == 2
+        # the slab's full and half weights: V^2 - g^2 < 0 throughout
+        assert self.check(None, n_distinct=2) == {-1.0, 0.0}
+
+    def test_smooth_potential_all_distinct(self):
+        def potential(x):
+            return 0.3 + 0.5 * np.tanh((x - 7.0) / 3.0)
+
+        span = self.GRID.x.size  # nonzero everywhere: the whole grid couples
+        assert self.check(potential, n_distinct=span) == {-1.0, 1.0}
+
+    def test_potential_outside_slab(self):
+        # a step at [12, 14] beyond the slab [5, 10]: the span runs from the
+        # slab to the step, through points where V = g = 0
+        def potential(x):
+            return np.where((x > 12.0) & (x < 14.0), 0.7, 0.0)
+
+        # (0, 0.5), (0, 1), (0, 0) between them, (0.7, 0)
+        assert self.check(potential, n_distinct=4) == {-1.0, 0.0, 1.0}
+
+    def test_env_on_both_signs(self):
+        # V = 0.75 on the slab: V^2 - g^2 changes sign at env = 0.75 (full
+        # weight) and 1.5 (half weight, not reached), so full-weight points
+        # take both branches of the complex square root; at t_mid = 0 the
+        # envelope is 0.75 exactly, the nilpotent case V = g of the
+        # small-phase branch
+        def potential(x):
+            return np.where((x > 4.0) & (x < 11.0), 0.75, 0.0)
+
+        assert self.RAMP.envelope(0.0) == 0.75
+        signs = self.check(potential, n_distinct=3)
+        assert {-1.0, 0.0, 1.0} <= signs
+
+
+def nd_kick(f, half, dirichlet, axis, full):
+    """One kick by the n-D scipy.fft transforms over the single ``axis``."""
+    forward, inverse, kw = ((dstn, idstn, {"type": 1}) if dirichlet
+                            else (fftn, ifftn, {}))
+    spec = forward(f, axes=(axis,), **kw)
+    return inverse(spec * (half**2 if full else half), axes=(axis,), **kw)
+
+
+class TestOneAxisTransforms:
+    """The propagator's 1-D transform calls give the n-D calls' numbers
+    exactly, in the stepper's (2, n) layout along the last axis and in the
+    pair amplitude's (n, sides, |S|) column block along axis 0."""
+
+    N = 125
+
+    def layouts(self):
+        rng = np.random.default_rng(11)
+        h = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, self.N))
+        stepper = (np.stack([h, np.conj(h)]), -1, (2, self.N))
+        columns = (h[:, None, None], 0, (self.N, 2, 5))
+        for half, axis, shape in (stepper, columns):
+            f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            yield half, axis, f
+
+    @pytest.mark.parametrize("dirichlet", [True, False], ids=["dst", "fft"])
+    def test_kick(self, dirichlet):
+        for half, axis, f in self.layouts():
+            prop = _SpectralPropagator(half, dirichlet=dirichlet, axis=axis)
+            for full in (False, True):
+                want = nd_kick(f, half, dirichlet, axis, full)
+                assert np.array_equal(prop.kick(f.copy(), full=full), want)
+
+    @pytest.mark.parametrize("dirichlet", [True, False], ids=["dst", "fft"])
+    def test_split_kick(self, dirichlet):
+        for half, axis, f in self.layouts():
+            prop = _SpectralPropagator(half, dirichlet=dirichlet, axis=axis)
+            at, on = prop.split_kick(f.copy())
+            assert np.array_equal(at, nd_kick(f, half, dirichlet, axis, False))
+            assert np.array_equal(on, nd_kick(f, half, dirichlet, axis, True))
+
+
 class TestStationaryInterior:
     def test_single_k_rotation_matches_interior_modes(self):
         # uniform coupling over the whole (Dirichlet) box: a sine mode of the
@@ -352,7 +515,7 @@ class TestInstabilityAndWindows:
             extract_output_correlators([state], window, grid,
                                        detunings=(0.0, 0.05))
 
-    @pytest.mark.parametrize("check_every", [0, -3])
+    @pytest.mark.parametrize("check_every", [0, -3, math.nan])
     def test_guard_interval_below_one_rejected(self, check_every):
         # a periodic packet with no source runs guarded
         grid = periodic_grid(n=256, dt=0.01)

@@ -234,6 +234,14 @@ class TestPairAmplitude:
         assert scale > 0
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf])
+    def test_t0_not_finite_named(self, t0):
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
+                            t_off=0.6, x_lo=-1.0, x_hi=1.0)
+        with pytest.raises(ParameterDomainError, match=r"^t0 must be finite"):
+            pair_amplitude(ramp, grid, t0=t0, mu=1.0)
+
     @pytest.mark.parametrize("mu", [0.0, -4.0, math.nan, math.inf])
     def test_mu_outside_domain_named(self, mu):
         grid = pair_grid(n=64, half_width=8.0, dt=0.05)
