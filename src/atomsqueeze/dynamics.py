@@ -25,8 +25,10 @@ solution error is second order in dt. Dirichlet boundaries use a type-I
 discrete sine transform (a hard wall at x_min comes for free); periodic
 boundaries use the FFT.
 
-One private spectral propagator serves this module and, as 1-D kicks of
-a block of source columns, the pair amplitude of ``pairs``. The trailing
+One private spectral propagator serves this module and, through its
+bound forward and inverse transforms, the pair amplitude of ``pairs``,
+which steps a block of source columns along axis 0 and sums the pair
+amplitude in the sine basis (see ``pairs.pair_amplitude``). The trailing
 half-kick of one step and the leading half-kick of the next are fused
 into one full kick (the phase squared), which leaves the scheme second
 order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); where the state must
@@ -35,7 +37,7 @@ one forward transform yields both the half-kicked boundary state and
 the fully kicked state the next step continues from, and the final step
 ends with a half-kick. u and w are carried as one (2, n) array, so each
 kick is one forward and one inverse call of a 1-D transform along the
-grid axis (the pair amplitude transforms axis 0 of its column block).
+grid axis.
 The 2x2 local exponential runs only on the span where g or V is nonzero,
 evaluated once per distinct (V, coupling-mask) pair of that span and
 gathered to its points; the absorber decay runs only on the absorbing
@@ -110,8 +112,10 @@ class GridSpec:
     boundary: str = "dirichlet"
 
     def __post_init__(self):
-        if self.n_points < 16:
-            raise ParameterDomainError(f"n_points must be >= 16, got {self.n_points}")
+        # NaN and +-inf fail the whole-number test too (their remainder is NaN)
+        _require("n_points", self.n_points,
+                 self.n_points % 1 == 0 and self.n_points >= 16,
+                 "a whole number >= 16")
         _require("dt", self.dt, self.dt > 0, "finite and > 0")
         _require("x_min", self.x_min)
         _require("x_max", self.x_max)
@@ -328,7 +332,10 @@ class _SpectralPropagator:
     (type-I ``dst``/``idst`` or ``fft``/``ifft``), bound once to the axis:
     the n-D wrappers run the same pocketfft kernel behind a per-call
     dispatch that costs about as much as the kernel on small grids. They
-    run in place on the caller's field.
+    run in place on the caller's field, and are the attributes
+    ``forward`` and ``inverse`` for callers that work in the spectral
+    basis themselves (``pairs.pair_amplitude``, which also passes
+    ``axis=1`` for its one 2-D inverse).
     """
 
     def __init__(self, half: np.ndarray, dirichlet: bool, axis: int):
@@ -341,20 +348,20 @@ class _SpectralPropagator:
             forward, inverse, kw = dst, idst, {"type": 1}
         else:
             forward, inverse, kw = fft, ifft, {}
-        self._forward = functools.partial(forward, axis=axis, overwrite_x=True, **kw)
-        self._inverse = functools.partial(inverse, axis=axis, overwrite_x=True, **kw)
+        self.forward = functools.partial(forward, axis=axis, overwrite_x=True, **kw)
+        self.inverse = functools.partial(inverse, axis=axis, overwrite_x=True, **kw)
 
     def kick(self, f: np.ndarray, full: bool) -> np.ndarray:
-        spec = self._forward(f)
+        spec = self.forward(f)
         spec *= self.full if full else self.half
-        return self._inverse(spec)
+        return self.inverse(spec)
 
     def split_kick(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Half-kicked and full-kicked ``f`` from one forward transform."""
-        spec = self._forward(f)
+        spec = self.forward(f)
         half = spec * self.half
         spec *= self.full
-        return self._inverse(half), self._inverse(spec)
+        return self.inverse(half), self.inverse(spec)
 
 
 class _Stepper:

@@ -16,9 +16,11 @@ The amplitude is that of Strang steps of the 2-D field, computed without
 stepping the field: H_+(x) + H_-(y) is separable and the source sits on
 the diagonal inside the coupling slab, so f is a sum over steps of
 products of 1-D source columns, each stepped on its own axis to the
-final time (see ``pair_amplitude``). A step costs 1-D transforms of the
-slab's source columns and one matrix product of rank the slab's width in
-grid points.
+final time (see ``pair_amplitude``). The sum is kept in the sine basis: a
+step costs one forward and one inverse 1-D transform of the slab's source
+columns, the spectra of a block of steps are added by one matrix product
+of inner dimension at most ``BLOCK_WIDTH``, and one 2-D inverse transform
+per run returns the sum to (x, y).
 
 Once the pair has escaped the coupling region the amplitude is decomposed
 by exit side into quadrants LL/LR/RL/RR (left: coordinate < -a; right:
@@ -55,6 +57,12 @@ from .params import _require
 
 #: First-order treatment is rejected above this created norm^2.
 PERTURBATION_NORM_LIMIT = 0.1
+
+#: Largest inner dimension of a product that adds a block of steps to the
+#: pair amplitude. Up to this inner dimension OpenBLAS gave the same bits
+#: at 1 and 2 threads for every row count tried; from 129 on most
+#: inner dimensions gave other bits (see ``pair_amplitude``).
+BLOCK_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -148,14 +156,32 @@ def pair_amplitude(
 
     with k = N-1-n, S the support of the coupling mask, m_S the mask on
     it (half weights included) and c_n = -i dt/dx g(t_n + dt/2); steps
-    with g below 1e-14 g0_peak add nothing. The |S| columns G_+/- are
-    stepped by 1-D kicks of the shared spectral propagator (see
-    ``dynamics``), one forward transform giving both the half-kicked
-    columns G and the fully kicked columns of the next k; the minus
-    columns are the plus columns when both potentials are the same
-    array. f is accumulated by one rank-|S| product per step: one
-    product over many steps would have an inner dimension in the
-    hundreds, where the BLAS result depends on its thread count.
+    with g below 1e-14 g0_peak add nothing. The sum is taken in the sine
+    basis. With C^(k) = (A V K_f)^k A e_S the stepped columns and
+    Q the inverse sine transform, G^(k) = K_h C^(k) = Q diag(h) C^(k)^,
+    where ^ is the forward transform and h the half-kick phase, so
+
+        f = Q diag(h) F^ diag(h) Q^T,   F^ = sum_n c_n C_+^ diag(m_S) (C_-^)^T.
+
+    Each step makes one forward transform of the columns along axis 0,
+    keeps the spectrum C^ for F^, multiplies it by the full-kick phase and
+    makes one inverse transform to continue the columns: two transform
+    calls of the shared spectral propagator (see ``dynamics``) per step.
+    The minus columns are the plus columns when both potentials are the
+    same array. The spectra of max(1, BLOCK_WIDTH // |S|) active steps
+    are laid side by side and added to F^ by one product, blocks in step
+    order; the last block may be partial, and a slab wider than
+    BLOCK_WIDTH points gives one step per block, added in column chunks
+    of at most BLOCK_WIDTH. f is then one 2-D inverse transform of
+    diag(h) F^ diag(h) (Q is symmetric).
+
+    No product has an inner dimension above BLOCK_WIDTH, so the result
+    does not depend on the BLAS thread count: OpenBLAS 0.3.31 (Haswell
+    kernels) gave the same bits at 1 and 2 threads for every inner
+    dimension 1-128 on 63 to 1023 rows, and other bits for most above
+    (all except multiples of 8 and one less, from 129 to 5000 on 255
+    rows). ``tests/test_pairs.py`` compares f bit for bit at 1 and 2
+    threads.
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
@@ -205,15 +231,39 @@ def pair_amplitude(
     on = env > 1e-14 * ramp.g0_peak
     first = int(np.argmax(on)) if on.any() else steps
 
-    f = np.zeros((n, n), dtype=complex)
-    # after k steps of the columns, g is G^(k), which carries the source of
-    # step steps-1-k to t0; sources before the first active step add nothing
+    # the spectra of one block of active steps (BLOCK_WIDTH // |S| of them,
+    # at least one), side by side: plus columns, and minus columns scaled
+    # by c_n m
+    width = max(1, BLOCK_WIDTH // max(support.size, 1)) * support.size
+    plus = np.empty((n, width), dtype=complex)
+    minus = np.empty((n, width), dtype=complex)
+    filled = 0
+    fhat = np.zeros((n, n), dtype=complex)
+    # after k steps the columns' spectrum, times half, is that of G^(k),
+    # which carries the source of step steps-1-k to t0; sources before the
+    # first active step add nothing
     for k in range(steps - first):
-        g, cols = kinetic.split_kick(cols)
-        cols *= local
+        spec = kinetic.forward(cols)
         src = steps - 1 - k
         if on[src]:
-            f += g[:, 0] @ (g[:, -1] * (coeff[src] * m)).T
+            block = slice(filled, filled + support.size)
+            plus[:, block] = spec[:, 0]
+            np.multiply(spec[:, -1], coeff[src] * m, out=minus[:, block])
+            filled = block.stop
+            # the last step is the first active one: it adds the partial block
+            if filled == width or k == steps - first - 1:
+                # one product per block; a slab wider than BLOCK_WIDTH
+                # points is split so no inner dimension exceeds it
+                for j in range(0, filled, BLOCK_WIDTH):
+                    cut = slice(j, min(j + BLOCK_WIDTH, filled))
+                    fhat += plus[:, cut] @ minus[:, cut].T
+                filled = 0
+        spec *= kinetic.full
+        cols = kinetic.inverse(spec)
+        cols *= local
+    fhat *= half[:, None]
+    fhat *= half
+    f = kinetic.inverse(kinetic.inverse(fhat), axis=1)
 
     norm2 = float(np.sum(np.abs(f) ** 2) * grid.dx**2)
     inside = np.abs(x) <= a

@@ -64,6 +64,8 @@ class TestNamedInputErrors:
     @pytest.mark.parametrize("name, value", [
         ("dt", math.nan), ("dt", math.inf), ("x_min", math.nan),
         ("x_min", -math.inf), ("x_max", math.nan), ("x_max", math.inf),
+        ("n_points", math.nan), ("n_points", math.inf),
+        ("n_points", -math.inf), ("n_points", 100.5),
     ])
     def test_grid_field(self, name, value):
         kw = dict(x_min=0.0, x_max=10.0, n_points=32, dt=0.01)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.fft import dst, idst
 from scipy.integrate import simpson
 
+import atomsqueeze
 from atomsqueeze import (
     AbsorberSpec,
     CouplingRamp,
@@ -21,6 +26,7 @@ from atomsqueeze.errors import (
     PerturbationInvalidError,
 )
 from atomsqueeze.pairs import (
+    BLOCK_WIDTH,
     PairAmplitude,
     ProjectedPairState,
     chsh_maximum,
@@ -36,9 +42,9 @@ def pair_grid(n=256, half_width=24.0, dt=0.02):
                     boundary="dirichlet")
 
 
-def pulse_ramp(g_peak=0.05, t_on=0.8, t_off=2.2, tau=0.35):
+def pulse_ramp(g_peak=0.05, t_on=0.8, t_off=2.2, tau=0.35, a=A_REGION):
     return CouplingRamp(g0_peak=g_peak, gamma=1.0 / tau, shape="pulse",
-                        t_on=t_on, t_off=t_off, x_lo=-A_REGION, x_hi=A_REGION)
+                        t_on=t_on, t_off=t_off, x_lo=-a, x_hi=a)
 
 
 def barrier(height, grid, center=3.0, sigma=0.8):
@@ -203,29 +209,45 @@ class TestPairAmplitude:
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
 
     @pytest.mark.parametrize(
-        "h_plus, h_minus, absorber, tau",
+        "h_plus, h_minus, absorber, tau, t0, a, n, blocks",
         [
-            (0.0, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True), 0.35),
+            (0.0, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
+             0.35, 3.0, A_REGION, 64, (9, 14, 5)),
             # reaches into the coupling slab, so the source itself is damped
-            (1.5, 0.7, AbsorberSpec(width=13.0, strength=1.0), 0.35),
-            (1.5, 0.0, AbsorberSpec(width=3.0, strength=6.0, two_sided=True), 0.02),
+            (1.5, 0.7, AbsorberSpec(width=13.0, strength=1.0),
+             0.35, 3.0, A_REGION, 64, (9, 14, 5)),
+            (1.5, 0.0, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
+             0.02, 3.0, A_REGION, 64, (9, 14, 13)),
+            # five whole blocks, then a last block of one step
+            (1.5, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
+             0.35, 2.84, A_REGION, 64, (9, 14, 1)),
+            # a 145-point slab: one step per block, added as 128 + 17 columns
+            (1.5, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
+             0.35, 2.0, 5.4, 320, (145, 1, 0)),
         ],
-        ids=["minus_only", "one_sided_absorber", "fast_edges"],
+        ids=["minus_only", "one_sided_absorber", "fast_edges", "partial_block",
+             "wide_slab"],
     )
-    def test_matches_unfused_strang_steps(self, h_plus, h_minus, absorber, tau):
+    def test_matches_unfused_strang_steps(self, h_plus, h_minus, absorber, tau,
+                                          t0, a, n, blocks):
         # the separable column scheme against dense 2-D Strang steps
-        grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=64, dt=0.04,
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=n, dt=0.04,
                         boundary="dirichlet", absorber=absorber)
-        ramp = pulse_ramp(t_on=0.6, t_off=1.6, tau=tau)
+        ramp = pulse_ramp(t_on=0.6, t_off=1.6, tau=tau, a=a)
         vp = barrier(h_plus, grid)
         vm = barrier(h_minus, grid, center=-2.0)
-        t0 = 3.0
         env = np.array([ramp.envelope((k + 0.5) * grid.dt)
                         for k in range(int(round(t0 / grid.dt)))])
         below = env <= 1e-14 * ramp.g0_peak
         # fast edges leave steps below the source skip at both ends
         assert (below[0] and below[-1]) == (tau < 0.1)
-        assert not below.all()
+        # slab points, steps per block and steps in the last block; every
+        # case adds at least one whole block
+        support = np.count_nonzero(ramp.spatial_mask(grid))
+        per_block = max(1, BLOCK_WIDTH // support)
+        active = np.count_nonzero(~below)
+        assert active > per_block
+        assert (support, per_block, active % per_block) == blocks
         fa = pair_amplitude(ramp, grid, t0=t0, mu=MU,
                             potential_plus=vp if h_plus else None,
                             potential_minus=vm if h_minus else None)
@@ -233,6 +255,38 @@ class TestPairAmplitude:
         scale = np.abs(ref).max()
         assert scale > 0
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # fresh interpreters, since OpenBLAS reads its thread count at load.
+        # A 9-point slab (14 steps per block; 75 active steps, so five whole
+        # blocks and a partial one) and a 145-point slab (one step per
+        # block, added as 128 + 17 columns); a single product of inner
+        # dimension 145 gave other bits at 2 threads than at 1.
+        code = (
+            "import hashlib, numpy as np, atomsqueeze as a\n"
+            "for n, w in ((64, 1.5), (320, 5.4)):\n"
+            "    grid = a.GridSpec(x_min=-12.0, x_max=12.0, n_points=n,\n"
+            "                      dt=0.04, boundary='dirichlet')\n"
+            "    ramp = a.CouplingRamp(g0_peak=0.05, gamma=1 / 0.35,\n"
+            "                          shape='pulse', t_on=0.6, t_off=1.6,\n"
+            "                          x_lo=-w, x_hi=w)\n"
+            "    v = 1.5 * np.exp(-(grid.x - 3.0) ** 2 / 1.28)\n"
+            "    fa = a.pair_amplitude(ramp, grid, t0=3.0, mu=4.0,\n"
+            "                          potential_plus=v)\n"
+            "    print(hashlib.sha256(fa.f.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(atomsqueeze.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        digests = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path,
+                         OPENBLAS_NUM_THREADS=threads), timeout=600)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf])
     def test_t0_not_finite_named(self, t0):
