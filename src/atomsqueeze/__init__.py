@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 from .analytic import (
     SqueezingSpectrum,
     SqueezingValue,
-    loss_rate,
     r_analytic,
     r_large_mu_limit,
     spectrum_analytic,
     spectrum_large_mu,
-    threshold_kappas,
     wavenumber_phase,
 )
 from .dynamics import (
@@ -35,12 +33,10 @@ from .dynamics import (
 )
 from .pairs import (
     PairAmplitude,
-    ProjectedPairState,
     QuadrantDecomposition,
     bell_metrics,
     internal_reduced_state,
     pair_amplitude,
-    post_select,
     quadrant_decompose,
 )
 from .params import (

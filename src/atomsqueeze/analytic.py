@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,20 +150,6 @@ def r_large_mu_limit(d: float, kappa: float) -> SqueezingValue:
     and finite for all d != 0.
     """
     return _scalar(r_closed_form(d, math.inf, kappa))
-
-
-def threshold_kappas(n_max: int) -> List[float]:
-    """The parametric thresholds kappa = pi/2 + n*pi for n = 0..n_max."""
-    if n_max < 0:
-        raise ParameterDomainError(f"n_max must be >= 0, got {n_max}")
-    return [math.pi / 2.0 + n * math.pi for n in range(n_max + 1)]
-
-
-def loss_rate(r0: float, g0: float, n0: float) -> float:
-    """Condensate loss rate from output coupling, 2*g0*sinh^2(r0)/n0 (rad/s)."""
-    if n0 < 1:
-        raise ParameterDomainError(f"n0 must be >= 1, got {n0}")
-    return 2.0 * g0 * math.sinh(r0) ** 2 / n0
 
 
 def spectrum_large_mu(d_grid: Sequence[float], kappa: float) -> SqueezingSpectrum:

@@ -22,7 +22,7 @@ from .config import (BLOCKS, METHODS, MODES, RunConfig, RunRecord,
                      parse_config, parse_value, read_config)
 from .dynamics import steady_state_beta_squared
 from .errors import AtomsqueezeError, ConfigError, ParameterDomainError
-from .pairs import bell_metrics, post_select, quadrant_decompose
+from .pairs import bell_metrics, quadrant_decompose
 from .spectrum import (
     FLUX_DEFINITION,
     compare_methods,
@@ -187,9 +187,8 @@ def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
         vplus = asym * np.exp(-((grid.x - xc) ** 2) / (2.0 * sig**2))
     fa = pair_amplitude(ramp, grid, pc["t0"], pc["mu"], potential_plus=vplus)
     quads = quadrant_decompose(fa)
-    state = post_select(quads)
     record.json("pairs_metrics.json", {
-        "metrics": bell_metrics(state),
+        "metrics": bell_metrics(quads),
         "weights": {
             "w_ll": quads.w_ll,
             "w_lr": quads.w_lr,

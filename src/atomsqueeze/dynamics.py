@@ -579,9 +579,10 @@ def extract_output_correlators(
     exp(-i k_u x) component of u. Returns a dict with per-detuning mean
     estimates and the across-snapshot estimator variance.
 
-    Raises WindowTooShortError when the requested detuning spacing is
-    finer than the window's spectral resolution (group velocity times
-    2*pi / window length).
+    Raises ParameterDomainError when a detuning closes an exterior
+    channel (|Delta| >= mu), checked first, and WindowTooShortError when
+    the requested detuning spacing is finer than the window's spectral
+    resolution (group velocity times 2*pi / window length).
     """
     if not history:
         raise ParameterDomainError("history must contain at least one snapshot")
@@ -592,6 +593,9 @@ def extract_output_correlators(
     xs = grid.x[idx]
     length = xs[-1] - xs[0]
     det = np.asarray(list(detunings), dtype=float)
+    for dd in det:
+        if mu - abs(dd) <= 0:
+            raise ParameterDomainError(f"exterior channel closed at detuning {dd}")
     if det.size > 1:
         spacing = np.min(np.diff(np.sort(det)))
         k0 = math.sqrt(mu)
@@ -606,8 +610,6 @@ def extract_output_correlators(
     var_alpha2 = {}
     var_beta2 = {}
     for dd in det:
-        if mu - abs(dd) <= 0:
-            raise ParameterDomainError(f"exterior channel closed at detuning {dd}")
         ku = math.sqrt(mu + dd)
         kw = math.sqrt(mu - dd)
         a_s, b_s = [], []
@@ -675,14 +677,14 @@ def steady_state_beta_squared(
     length/n_points give dx = 0.05).
 
     Returns a dict with the measured |beta0|^2, the measured |alpha0|^2,
-    snapshot variance, and the run's bookkeeping. A ``big_m``,
-    ``measure_c`` or ``settle_time`` that is not finite is a
-    ParameterDomainError naming it.
+    snapshot variance, and the run's bookkeeping. A ``big_m`` or
+    ``gamma_ratio`` that is not finite and > 0, a ``kappa`` that is not
+    finite and >= 0, or a ``measure_c`` or ``settle_time`` that is not
+    finite is a ParameterDomainError naming it.
     """
-    if gamma_ratio <= 0:
-        raise ParameterDomainError("gamma_ratio must be > 0")
-    if not (big_m > 0 and math.isfinite(big_m)):
-        raise ParameterDomainError(f"big_m must be finite and > 0, got {big_m!r}")
+    _require("big_m", big_m, big_m > 0, "finite and > 0")
+    _require("kappa", kappa, kappa >= 0, "finite and >= 0")
+    _require("gamma_ratio", gamma_ratio, gamma_ratio > 0, "finite and > 0")
     _require("measure_c", measure_c)
     _require("settle_time", settle_time)
     k0 = math.sqrt(big_m)

@@ -29,9 +29,11 @@ keeps the LR and RL blocks and produces an effective two-qubit internal
 state in the basis {|+1 left, -1 right>, |-1 left, +1 right>}; when
 potentials are identical for the two internal components, the exchange
 symmetry f_LR(x, y) = f_RL(y, x) makes that state maximally entangled.
-The state lives in a two-dimensional subspace of the two qubits, so its
-CHSH maximum has a closed form in the branch coherence alone (see
-``chsh_maximum``).
+That state needs only the two block weights and the overlap of the
+blocks, so the metrics are read straight off the decomposition:
+``bell_metrics(quadrant_decompose(fa))``. The state lives in a
+two-dimensional subspace of the two qubits, so its CHSH maximum has a
+closed form in the branch coherence alone (see ``chsh_maximum``).
 """
 
 from __future__ import annotations
@@ -106,21 +108,6 @@ class QuadrantDecomposition:
     f_lr: np.ndarray
     f_rl: np.ndarray
     dx: float
-
-
-@dataclass(frozen=True)
-class ProjectedPairState:
-    """Post-selected one-atom-each-side state.
-
-    ``psi_a`` is the motional amplitude of the |+1 left, -1 right> branch
-    over (left coordinate, right coordinate); ``psi_b`` the |-1 left,
-    +1 right> branch in the same coordinates. Norm one after projection.
-    """
-
-    psi_a: np.ndarray
-    psi_b: np.ndarray
-    dx: float
-    success_probability: float
 
 
 def pair_amplitude(
@@ -308,46 +295,24 @@ def quadrant_decompose(fa: PairAmplitude) -> QuadrantDecomposition:
     )
 
 
-def post_select(q: QuadrantDecomposition) -> ProjectedPairState:
-    """Project onto the one-atom-each-side subspace and normalize.
+def internal_reduced_state(q: QuadrantDecomposition) -> np.ndarray:
+    """2x2 internal density matrix after post-selecting one atom per side.
 
-    The branch amplitudes are the decomposition's off-diagonal blocks,
-    already over (left, right) coordinates, scaled to unit total norm.
+    In the branch basis {|+1 left, -1 right>, |-1 left, +1 right>} with the
+    motion traced out, rho = [[w_lr, c], [c*, w_rl]] / (w_lr + w_rl), where
+    c = <f_rl, f_lr> is the motional overlap of the two exit blocks; unit
+    trace. The single-side internal state is its diagonal (the
+    off-diagonal element is killed by the orthogonal internal label of the
+    other side), so the one-side entropy depends on the weights alone while
+    fidelity and CHSH also see the coherence c. EmptyPostSelectionError
+    when neither block holds any amplitude.
     """
     n2 = q.w_lr + q.w_rl
     if n2 <= 0.0:
         raise EmptyPostSelectionError("no amplitude with one atom on each side")
-    scale = 1.0 / math.sqrt(n2)
-    return ProjectedPairState(
-        psi_a=q.f_lr * scale,
-        psi_b=q.f_rl * scale,
-        dx=q.dx,
-        success_probability=n2 / q.total if q.total > 0 else 0.0,
-    )
-
-
-def internal_reduced_state(s: ProjectedPairState) -> np.ndarray:
-    """2x2 internal density matrix in the branch basis, motional traced out.
-
-    rho = [[w_A, c], [c*, w_B]] with w_A/B the branch weights and
-    c = <psi_B, psi_A> the motional overlap; unit trace. The single-side
-    internal state is its diagonal (the off-diagonal element is killed by
-    the orthogonal internal label of the other side), so the one-side
-    entropy depends on the weights alone while fidelity and CHSH also see
-    the coherence c.
-    """
-    d2 = s.dx * s.dx
-    w_a = float(np.sum(np.abs(s.psi_a) ** 2) * d2)
-    w_b = float(np.sum(np.abs(s.psi_b) ** 2) * d2)
-    c = complex(np.sum(np.conj(s.psi_b) * s.psi_a) * d2)
-    rho = np.array([[w_a, c], [np.conj(c), w_b]], dtype=complex)
-    return rho / np.trace(rho).real
-
-
-def single_side_entropy(rho: np.ndarray) -> float:
-    """Entanglement entropy of one side's internal qubit, in nats."""
-    probs = np.real(np.diag(rho))
-    return float(-sum(p * math.log(p) for p in probs if p > 1e-300))
+    c = complex(np.sum(np.conj(q.f_rl) * q.f_lr) * q.dx * q.dx)
+    rho = np.array([[q.w_lr, c], [np.conj(c), q.w_rl]], dtype=complex)
+    return rho / n2
 
 
 def chsh_maximum(rho: np.ndarray) -> float:
@@ -366,20 +331,24 @@ def chsh_maximum(rho: np.ndarray) -> float:
     return 2.0 * math.sqrt(1.0 + 4.0 * abs(rho[0, 1]) ** 2)
 
 
-def bell_metrics(s: ProjectedPairState) -> dict:
+def bell_metrics(q: QuadrantDecomposition) -> dict:
     """Fidelity with the symmetric Bell state, CHSH maximum, side entropy.
 
+    All from the post-selected state of ``internal_reduced_state``.
     Fidelity is <Phi|rho|Phi> with |Phi> = (|+1,-1> + |-1,+1>)/sqrt(2) in
-    the internal space; all three quantities are invariant under a global
-    phase of the pair amplitude.
+    the internal space; the entropy is that of one side's internal qubit,
+    in nats; the success probability is the share (w_lr + w_rl) / total of
+    the created norm^2 that post-selection keeps. All four are invariant
+    under a global factor of the pair amplitude.
     """
-    rho = internal_reduced_state(s)
+    rho = internal_reduced_state(q)
     fidelity = float(
         0.5 * np.real(rho[0, 0] + rho[1, 1] + rho[0, 1] + rho[1, 0])
     )
+    probs = np.real(np.diag(rho))
     return {
         "fidelity": fidelity,
         "chsh": chsh_maximum(rho),
-        "entropy": single_side_entropy(rho),
-        "success_probability": s.success_probability,
+        "entropy": float(-sum(p * math.log(p) for p in probs if p > 1e-300)),
+        "success_probability": (q.w_lr + q.w_rl) / q.total,
     }

@@ -17,7 +17,6 @@ from atomsqueeze import (
     PhysicalParams,
     bell_metrics,
     pair_amplitude,
-    post_select,
     quadrant_decompose,
     r_analytic,
     r_scattering,
@@ -159,7 +158,7 @@ class TestCriterion7PairEntanglement:
                 -((grid.x - 3.0) ** 2) / (2.0 * 0.8**2)
             )
         fa = pair_amplitude(ramp, grid, t0=6.0, mu=4.0, potential_plus=vplus)
-        return bell_metrics(post_select(quadrant_decompose(fa)))
+        return bell_metrics(quadrant_decompose(fa))
 
     def test_symmetric_configuration(self):
         m = self._metrics(0.0)

@@ -10,10 +10,9 @@ from atomsqueeze import (
     r_analytic,
     r_large_mu_limit,
     spectrum_large_mu,
-    threshold_kappas,
     wavenumber_phase,
 )
-from atomsqueeze.analytic import _value_from_phase, loss_rate, r_closed_form
+from atomsqueeze.analytic import _value_from_phase, r_closed_form
 from atomsqueeze.errors import ClosedChannelError, ParameterDomainError
 
 
@@ -150,7 +149,8 @@ class TestRLargeMuLimit:
         # M = inf through the finite-M phase 2 kappa s/(sqrt(1+s/M) +
         # sqrt(1-s/M)) is bit for bit the limit phase kappa * s
         d = np.concatenate([[0.0], np.linspace(-6.0, 6.0, 481)])[:, None]
-        kappa = np.concatenate([np.linspace(0.0, 9.0, 901), threshold_kappas(2),
+        thresholds = [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2]
+        kappa = np.concatenate([np.linspace(0.0, 9.0, 901), thresholds,
                                 [math.nextafter(math.pi / 2, 0.0)]])
         got = r_closed_form(d, math.inf, kappa)
         want = _value_from_phase(d, kappa * np.sqrt(1.0 + d * d))
@@ -218,37 +218,6 @@ class TestRZeroDetuning:
         assert 30.0 < val.r < 50.0
         # an ordinary point is not near-flagged
         assert not r_large_mu_limit(0.0, 1.3).near_threshold
-
-
-class TestThresholdKappas:
-    def test_first(self):
-        assert threshold_kappas(0) == [math.pi / 2]
-
-    def test_first_three(self):
-        ks = threshold_kappas(2)
-        assert ks == pytest.approx([math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2])
-
-    def test_spacing(self):
-        ks = threshold_kappas(6)
-        assert np.diff(ks) == pytest.approx([math.pi] * 6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            threshold_kappas(-1)
-
-
-class TestLossRate:
-    def test_no_output_no_loss(self):
-        assert loss_rate(0.0, 2e4, 1e6) == 0.0
-
-    def test_reference(self):
-        # sinh^2(2) = 13.1540...: 2 * 2e4 * sinh^2(2) / 1e6
-        assert loss_rate(2.0, 2e4, 1e6) == pytest.approx(0.526165, rel=1e-5)
-
-    def test_halves_with_doubled_n0(self):
-        assert loss_rate(1.5, 1e4, 2e6) == pytest.approx(
-            loss_rate(1.5, 1e4, 1e6) / 2.0, rel=1e-14
-        )
 
 
 class TestSpectrumContainer:

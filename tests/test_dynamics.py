@@ -117,11 +117,19 @@ class TestNamedInputErrors:
         with pytest.raises(ParameterDomainError, match="^big_m must be"):
             steady_state_beta_squared(big_m, 1.2, 0.1)
 
-    @pytest.mark.parametrize("name", ["measure_c", "settle_time"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value, name", [
+        *((v, n) for v in (math.nan, math.inf)
+          for n in ("measure_c", "settle_time", "kappa", "gamma_ratio")),
+        (-0.5, "kappa"), (0.0, "gamma_ratio"), (-1.0, "gamma_ratio"),
+    ])
     def test_steady_output_times(self, name, value):
-        with pytest.raises(ParameterDomainError, match=f"^{name} must be finite"):
-            steady_state_beta_squared(100.0, 1.2, 0.1, **{name: value})
+        # the slab and ramp inputs are named too, before any grid is built
+        kw = dict(big_m=100.0, kappa=1.2, gamma_ratio=0.1)
+        kw[name] = value
+        with pytest.raises(ParameterDomainError,
+                           match=f"^{name} must be finite") as err:
+            steady_state_beta_squared(**kw)
+        assert err.value.name == name
 
     @pytest.mark.parametrize("t_final", [math.nan, math.inf])
     def test_evolve_t_final(self, t_final):
@@ -516,6 +524,22 @@ class TestInstabilityAndWindows:
         with pytest.raises(WindowTooShortError):
             extract_output_correlators([state], window, grid,
                                        detunings=(0.0, 0.05))
+
+    @pytest.mark.parametrize("mu", [0.0, -9.0])
+    @pytest.mark.parametrize("detunings", [(0.0,), (0.0, 0.05)])
+    def test_closed_channel_named_at_any_detuning_count(self, detunings, mu):
+        # the channel check comes before the spacing check, whose
+        # resolution needs sqrt(mu)
+        grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
+        state = ModeState(
+            u=np.exp(-1j * 3.0 * grid.x),
+            w=np.zeros_like(grid.x, dtype=complex),
+            t=0.0,
+            label=ModeLabel(mu=mu, k0=3.0),
+        )
+        window = OutputWindow(x_lo=10.0, x_hi=14.0)
+        with pytest.raises(ParameterDomainError, match="^exterior channel closed"):
+            extract_output_correlators([state], window, grid, detunings=detunings)
 
     @pytest.mark.parametrize("check_every", [0, -3, math.nan])
     def test_guard_interval_below_one_rejected(self, check_every):

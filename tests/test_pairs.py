@@ -17,7 +17,6 @@ from atomsqueeze import (
     bell_metrics,
     internal_reduced_state,
     pair_amplitude,
-    post_select,
     quadrant_decompose,
 )
 from atomsqueeze.errors import (
@@ -28,9 +27,7 @@ from atomsqueeze.errors import (
 from atomsqueeze.pairs import (
     BLOCK_WIDTH,
     PairAmplitude,
-    ProjectedPairState,
     chsh_maximum,
-    single_side_entropy,
 )
 
 A_REGION = 1.5
@@ -433,44 +430,48 @@ class TestPostSelection:
         fa = PairAmplitude(f=f, x=x, dx=grid.dx, a=2.0, t0=1.0,
                            created_norm2=1.0, leakage=0.0)
         with pytest.raises(EmptyPostSelectionError):
-            post_select(quadrant_decompose(fa))
+            bell_metrics(quadrant_decompose(fa))
 
     def test_success_probability(self, symmetric_run):
         _, fa = symmetric_run
         q = quadrant_decompose(fa)
-        s = post_select(q)
-        assert s.success_probability == pytest.approx(
+        m = bell_metrics(q)
+        assert m["success_probability"] == pytest.approx(
             (q.w_lr + q.w_rl) / q.total, rel=1e-12
         )
         # normalized after projection
-        d2 = s.dx * s.dx
-        total = (np.sum(np.abs(s.psi_a) ** 2) + np.sum(np.abs(s.psi_b) ** 2)) * d2
-        assert total == pytest.approx(1.0, rel=1e-12)
+        rho = internal_reduced_state(q)
+        assert np.trace(rho).real == pytest.approx(1.0, rel=1e-12)
 
 
 class TestInternalState:
     def test_symmetric_case_maximally_entangled(self, symmetric_run):
         _, fa = symmetric_run
-        rho = internal_reduced_state(post_select(quadrant_decompose(fa)))
+        q = quadrant_decompose(fa)
+        rho = internal_reduced_state(q)
         assert np.trace(rho).real == pytest.approx(1.0, rel=1e-12)
         # both branches equal and fully coherent: rho -> |Phi><Phi|
         assert rho[0, 0].real == pytest.approx(0.5, abs=1e-10)
         assert abs(rho[0, 1]) == pytest.approx(0.5, abs=1e-10)
-        assert single_side_entropy(rho) == pytest.approx(math.log(2.0), abs=1e-10)
+        assert bell_metrics(q)["entropy"] == pytest.approx(math.log(2.0),
+                                                           abs=1e-10)
 
     def test_product_state(self):
-        s = ProjectedPairState(
-            psi_a=np.ones((4, 4), dtype=complex) / 4.0,
-            psi_b=np.zeros((4, 4), dtype=complex),
-            dx=1.0,
-            success_probability=1.0,
-        )
-        rho = internal_reduced_state(s)
-        assert single_side_entropy(rho) == 0.0
-        m = bell_metrics(s)
+        # amplitude only in the LR block: one branch, no coherence
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        x = grid.x
+        f = np.zeros((len(x), len(x)), dtype=complex)
+        f[np.ix_(np.where(x < -2.0)[0], np.where(x > 2.0)[0])] = 1.0
+        fa = PairAmplitude(f=f, x=x, dx=grid.dx, a=2.0, t0=1.0,
+                           created_norm2=1.0, leakage=0.0)
+        q = quadrant_decompose(fa)
+        rho = internal_reduced_state(q)
+        assert np.array_equal(rho, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        m = bell_metrics(q)
         assert m["fidelity"] == pytest.approx(0.5, abs=1e-12)
         assert m["chsh"] == pytest.approx(2.0, abs=1e-9)
         assert m["entropy"] == 0.0
+        assert m["success_probability"] == 1.0
 
 
 PAULIS = (
@@ -531,7 +532,7 @@ def chsh_by_angle_scan(rho2, n_angles=49):
 class TestBellMetrics:
     def test_ideal_symmetric_values(self, symmetric_run):
         _, fa = symmetric_run
-        m = bell_metrics(post_select(quadrant_decompose(fa)))
+        m = bell_metrics(quadrant_decompose(fa))
         assert m["fidelity"] >= 0.999
         assert m["chsh"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-3)
         assert m["entropy"] == pytest.approx(math.log(2.0), abs=1e-3)
@@ -561,16 +562,18 @@ class TestBellMetrics:
                                                       abs=1e-12)
 
     def test_global_phase_invariance(self, symmetric_run):
+        # a global phase, and a phase with a scale: the metrics are those
+        # of the normalized post-selected state
         _, fa = symmetric_run
-        rotated = PairAmplitude(
-            f=fa.f * np.exp(1.23j), x=fa.x, dx=fa.dx, a=fa.a, t0=fa.t0,
-            created_norm2=fa.created_norm2, leakage=fa.leakage,
-        )
-        m0 = bell_metrics(post_select(quadrant_decompose(fa)))
-        m1 = bell_metrics(post_select(quadrant_decompose(rotated)))
-        assert m1["fidelity"] == pytest.approx(m0["fidelity"], rel=1e-12)
-        assert m1["chsh"] == pytest.approx(m0["chsh"], rel=1e-12)
-        assert m1["entropy"] == pytest.approx(m0["entropy"], rel=1e-12)
+        m0 = bell_metrics(quadrant_decompose(fa))
+        for factor in (np.exp(1.23j), 0.03 * np.exp(1.23j)):
+            rotated = PairAmplitude(
+                f=fa.f * factor, x=fa.x, dx=fa.dx, a=fa.a, t0=fa.t0,
+                created_norm2=fa.created_norm2, leakage=fa.leakage,
+            )
+            m1 = bell_metrics(quadrant_decompose(rotated))
+            for key in ("fidelity", "chsh", "entropy", "success_probability"):
+                assert m1[key] == pytest.approx(m0[key], rel=1e-12), key
 
 
 class TestAsymmetryMonotonicity:
@@ -585,7 +588,7 @@ class TestAsymmetryMonotonicity:
             # 167 steps of dt = 0.03
             fa = pair_amplitude(pulse_ramp(), grid, t0=5.01, mu=MU,
                                 potential_plus=vplus)
-            m = bell_metrics(post_select(quadrant_decompose(fa)))
+            m = bell_metrics(quadrant_decompose(fa))
             fids.append(m["fidelity"])
             ents.append(m["entropy"])
             chshs.append(m["chsh"])

@@ -10,7 +10,6 @@ from atomsqueeze import (
     transit_time,
     validity,
 )
-from atomsqueeze.analytic import loss_rate
 from atomsqueeze.errors import ParameterDomainError
 from atomsqueeze.params import threshold_distance
 
@@ -123,9 +122,9 @@ class TestToDimensionless:
 
 class TestValidity:
     def test_reference_regime(self):
-        # loss-rate-sized gamma: ~0.53 rad/s against g0 = 2e4
-        gamma = loss_rate(2.0, 2e4, 1e6)
-        assert gamma == pytest.approx(0.5262, rel=1e-3)
+        # loss-rate-sized gamma, 2 g0 sinh^2(r0) / n0 at r0 = 2, g0 = 2e4,
+        # n0 = 1e6: ~0.53 rad/s
+        gamma = 0.5261646567203297
         p = PhysicalParams(g0=2e4, mu=MU_REF, a=3e-6, m=SODIUM_MASS, gamma=gamma)
         rep = validity(p)
         assert rep.steady_output_ok
