@@ -8,15 +8,7 @@ beam dynamics, and post-selected pair entanglement.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    SqueezingSpectrum,
-    SqueezingValue,
-    r_analytic,
-    r_large_mu_limit,
-    spectrum_analytic,
-    spectrum_large_mu,
-    wavenumber_phase,
-)
+from .analytic import SqueezingValue, r_closed_form, wavenumber_phase
 from .dynamics import (
     AbsorberSpec,
     CouplingRamp,
@@ -52,7 +44,6 @@ from .scattering import (
     InteriorModes,
     interior_modes,
     r_from_coefficients,
-    r_scattering,
     solve_scattering,
 )
 from .spectrum import (

@@ -14,19 +14,18 @@ d < 0; the simplified form is algebraically identical for d > 0 and
 extends the spectrum evenly. The mu >> g0 limit is M = inf, where phi
 is exactly kappa * sqrt(1 + d^2); at zero detuning it gives the textbook
 r0 = |arctanh(sin kappa)| with its thresholds at kappa = pi/2 + n*pi
-(``r_large_mu_limit(0.0, kappa)``). The scattering solve has no such
-limit and needs a finite M.
+(``r_closed_form(0.0, math.inf, kappa)``). The scattering solve has no
+such limit and needs a finite M.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ClosedChannelError, ParameterDomainError
+from .errors import ClosedChannelError
 from .params import DimensionlessParams, _first
 
 #: |arctanh_argument| within this distance below 1 is flagged near-threshold.
@@ -35,8 +34,9 @@ NEAR_THRESHOLD_BAND = 1e-12
 
 @dataclass(frozen=True)
 class SqueezingValue:
-    """Squeezing parameter at one operating point (inside the package also
-    a row of points, one array per field; see :func:`r_closed_form`).
+    """Squeezing parameter over an array of operating points: one array
+    per field, an entry per point (0-d arrays for a single point; see
+    :func:`r_closed_form`).
 
     ``arctanh_argument`` is tanh(2*theta) * sin(phi); the point is above
     threshold when its magnitude reaches 1, in which case ``r`` is inf and
@@ -45,28 +45,10 @@ class SqueezingValue:
     of r is still reported as-is (no clipping) so divergences stay visible.
     """
 
-    r: float
-    above_threshold: bool
-    arctanh_argument: float
-    near_threshold: bool = False
-
-
-@dataclass(frozen=True)
-class SqueezingSpectrum:
-    """r over a strictly increasing detuning-ratio grid, with context:
-    ``value`` holds one array per field, an entry per detuning."""
-
-    detunings: np.ndarray
-    value: SqueezingValue
-    big_m: float
-    kappa: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.detunings) <= 0):
-            raise ParameterDomainError("detuning grid must be strictly increasing")
-
-    def any_above_threshold(self) -> bool:
-        return bool(np.any(self.value.above_threshold))
+    r: np.ndarray
+    above_threshold: np.ndarray
+    arctanh_argument: np.ndarray
+    near_threshold: np.ndarray
 
 
 def _value_from_phase(d, phi) -> SqueezingValue:
@@ -93,11 +75,6 @@ def _value_from_phase(d, phi) -> SqueezingValue:
         arctanh_argument=t / s,
         near_threshold=~above & (s_minus_abs_t / s < NEAR_THRESHOLD_BAND),
     )
-
-
-def _scalar(value: SqueezingValue) -> SqueezingValue:
-    """A one-point array-valued SqueezingValue as Python scalars."""
-    return SqueezingValue(*(np.asarray(f).item() for f in vars(value).values()))
 
 
 def wavenumber_phase(params: DimensionlessParams) -> float:
@@ -134,33 +111,3 @@ def r_closed_form(d, big_m, kappa) -> SqueezingValue:
     d, kappa = np.asarray(d, dtype=float), np.asarray(kappa, dtype=float)
     params = DimensionlessParams(d=d, big_m=big_m, kappa=kappa)
     return _value_from_phase(d, wavenumber_phase(params))
-
-
-def r_analytic(params: DimensionlessParams) -> SqueezingValue:
-    """Squeezing parameter with the exact interior wavenumbers (M = inf
-    is the mu >> g0 limit)."""
-    return _scalar(r_closed_form(params.d, params.big_m, params.kappa))
-
-
-def r_large_mu_limit(d: float, kappa: float) -> SqueezingValue:
-    """Squeezing parameter in the mu >> g0 regime: :func:`r_analytic` at
-    M = inf.
-
-    arctanh_argument = sin(kappa*sqrt(1+d^2)) / sqrt(1+d^2), even in d,
-    and finite for all d != 0.
-    """
-    return _scalar(r_closed_form(d, math.inf, kappa))
-
-
-def spectrum_large_mu(d_grid: Sequence[float], kappa: float) -> SqueezingSpectrum:
-    """Evaluate the mu >> g0 spectrum (M = inf) over a detuning grid."""
-    return spectrum_analytic(d_grid, math.inf, kappa)
-
-
-def spectrum_analytic(
-    d_grid: Sequence[float], big_m: float, kappa: float
-) -> SqueezingSpectrum:
-    """Evaluate the closed-form spectrum over a detuning grid in one call;
-    big_m = inf gives the mu >> g0 limit."""
-    ds = np.asarray(d_grid, dtype=float)
-    return SqueezingSpectrum(ds, r_closed_form(ds, big_m, kappa), big_m, kappa)

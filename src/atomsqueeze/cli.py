@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import r_large_mu_limit, spectrum_large_mu
+from .analytic import r_closed_form
 from .config import (BLOCKS, METHODS, MODES, RunConfig, RunRecord,
                      parse_config, parse_value, read_config)
 from .dynamics import steady_state_beta_squared
@@ -56,9 +56,9 @@ def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
     # detuning contribute; the grid is reflected evenly)
     if config.g0 is not None and config.kappa > 0:
         ds = np.unique(np.concatenate([-d_grid[::-1], d_grid]))
-        spec = spectrum_large_mu(ds, config.kappa)
-        if not spec.any_above_threshold():
-            flux = flux_estimate(spec, config.g0)
+        value = r_closed_form(ds, math.inf, config.kappa)
+        if not value.above_threshold.any():
+            flux = flux_estimate(ds, value.r, config.g0)
             record.json("flux.json", {
                 "flux_atoms_per_s": flux,
                 "flux_atoms_per_ms": flux / 1e3,
@@ -123,7 +123,7 @@ def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
     if not (big_m > 0 and math.isfinite(big_m)):
         raise ConfigError(f"dynamics.big_m must be finite and > 0, got {big_m!r}")
     try:
-        target = math.sinh(r_large_mu_limit(0.0, kappa).r) ** 2
+        target = math.sinh(r_closed_form(0.0, math.inf, kappa).r) ** 2
     except ParameterDomainError:  # kappa negative or not finite
         target = math.nan
     if not 0.0 < target < math.inf:
@@ -235,23 +235,25 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--method", default=None, choices=METHODS)
+        if name == "spectrum":
+            p.add_argument("--method", default=None, choices=METHODS)
         if name == "compare":
             p.add_argument("--tolerance", type=float, default=0.01,
                            help="pass/fail tolerance on max |dr|")
-        for key in BLOCKS["grid"]:
-            p.add_argument(f"--{key.replace('_', '-')}", default=None,
-                           help=f"override grid.{key}")
+        if name in ("spectrum", "threshold", "compare"):  # read the grid block
+            for key in BLOCKS["grid"]:
+                p.add_argument(f"--{key.replace('_', '-')}", default=None,
+                               help=f"override grid.{key}")
     return parser
 
 
 def _apply_overrides(raw: dict, args) -> dict:
     overrides = {key: parse_value("grid", key, getattr(args, key))
-                 for key in BLOCKS["grid"] if getattr(args, key) is not None}
+                 for key in BLOCKS["grid"] if getattr(args, key, None) is not None}
     grid = raw.get("grid", {})
     if overrides and isinstance(grid, dict):
         raw["grid"] = {**grid, **overrides}
-    if args.method is not None:
+    if getattr(args, "method", None) is not None:
         raw["method"] = args.method
     if args.command:
         raw["mode"] = args.command

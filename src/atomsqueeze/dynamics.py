@@ -579,10 +579,12 @@ def extract_output_correlators(
     exp(-i k_u x) component of u. Returns a dict with per-detuning mean
     estimates and the across-snapshot estimator variance.
 
-    Raises ParameterDomainError when a detuning closes an exterior
-    channel (|Delta| >= mu), checked first, and WindowTooShortError when
-    the requested detuning spacing is finer than the window's spectral
-    resolution (group velocity times 2*pi / window length).
+    Raises ParameterDomainError, naming the field, when ``label.mu`` or a
+    detuning is not finite or ``detunings`` is empty, and when a detuning
+    closes an exterior channel (|Delta| >= mu); all are checked before
+    WindowTooShortError, raised when the requested detuning spacing is
+    finer than the window's spectral resolution (group velocity times
+    2*pi / window length).
     """
     if not history:
         raise ParameterDomainError("history must contain at least one snapshot")
@@ -593,6 +595,9 @@ def extract_output_correlators(
     xs = grid.x[idx]
     length = xs[-1] - xs[0]
     det = np.asarray(list(detunings), dtype=float)
+    _require("label.mu", mu)
+    _require("number of detunings", det.size, det.size > 0, "> 0")
+    _require("detunings", det)
     for dd in det:
         if mu - abs(dd) <= 0:
             raise ParameterDomainError(f"exterior channel closed at detuning {dd}")

@@ -161,8 +161,7 @@ def nearest_threshold(kappa: float) -> float:
 
 def threshold_distance(kappa: float) -> float:
     """Distance from kappa to the nearest parametric threshold pi/2 + n*pi."""
-    if kappa < 0:
-        raise ParameterDomainError(f"kappa must be >= 0, got {kappa}")
+    _require("kappa", kappa, kappa >= 0, "finite and >= 0")
     return abs(kappa - nearest_threshold(kappa))
 
 

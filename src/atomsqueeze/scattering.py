@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .analytic import NEAR_THRESHOLD_BAND, SqueezingValue, _scalar
+from .analytic import NEAR_THRESHOLD_BAND, SqueezingValue
 from .errors import (
     ClosedExteriorChannelError,
     IllConditionedWarning,
@@ -253,9 +253,9 @@ def r_from_coefficients(c: BogoliubovCoefficients) -> SqueezingValue:
 
     The two channel ratios are averaged to suppress round-off asymmetry;
     a genuine mismatch beyond CHANNEL_TOL (relative to the ratio scale)
-    raises InconsistentChannelsError. Elementwise when
-    the coefficients are arrays (NaN coefficients give NaN r); the result
-    then holds one array per field, else Python scalars.
+    raises InconsistentChannelsError. Elementwise over the coefficients
+    (NaN coefficients give NaN r); the result holds one array per field,
+    0-d for the Python scalars of :func:`solve_scattering`.
     """
     t_p = np.abs(c.beta_p) / np.abs(c.alpha_p)
     t_m = np.abs(c.beta_m) / np.abs(c.alpha_m)
@@ -270,13 +270,8 @@ def r_from_coefficients(c: BogoliubovCoefficients) -> SqueezingValue:
     above = (t_p >= 1.0) | (t_m >= 1.0) | (t >= 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(above, np.inf, np.arctanh(t))
-    value = SqueezingValue(
+    return SqueezingValue(
         r=r, above_threshold=above, arctanh_argument=t,
         near_threshold=~above & (t > 1.0 - NEAR_THRESHOLD_BAND),
     )
-    return value if np.ndim(t) else _scalar(value)
 
-
-def r_scattering(params: DimensionlessParams) -> SqueezingValue:
-    """Convenience composition: solve_scattering then r_from_coefficients."""
-    return r_from_coefficients(solve_scattering(params))

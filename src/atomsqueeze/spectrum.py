@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import SqueezingSpectrum, r_closed_form, wavenumber_phase
+from .analytic import r_closed_form, wavenumber_phase
 from .errors import AboveThresholdError, ParameterDomainError, SolverError
 from .params import DimensionlessParams, check_dimensionless, nearest_threshold
 from .scattering import r_from_coefficients, solve_matching
@@ -136,7 +136,7 @@ def compare_methods(
     kappa_grid: Sequence[float],
     big_m: float,
 ) -> CompareResult:
-    """Max/mean |r_scattering - r_analytic| over a shared grid, by rows.
+    """Max/mean |r scattering - r closed form| over a shared grid, by rows.
 
     Points above threshold by either method, or with a singular matching
     matrix, are skipped and counted.
@@ -173,16 +173,21 @@ FLUX_DEFINITION = (
 )
 
 
-def flux_estimate(spectrum: SqueezingSpectrum, g0: float) -> float:
-    """Output atom flux (atoms/s) from a below-threshold spectrum.
+def flux_estimate(detunings: Sequence[float], r: Sequence[float], g0: float) -> float:
+    """Output atom flux (atoms/s) from a below-threshold spectrum: r at
+    each of the strictly increasing detuning ratios ``detunings``.
 
-    Raises AboveThresholdError if any point of the spectrum diverges. See
-    FLUX_DEFINITION for the adopted formula and its caveat.
+    Raises ParameterDomainError if the detunings do not strictly increase
+    and AboveThresholdError if any r is infinite (a point above threshold).
+    See FLUX_DEFINITION for the adopted formula and its caveat.
     """
-    if spectrum.any_above_threshold():
+    ds = np.asarray(detunings, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if np.any(np.diff(ds) <= 0):
+        raise ParameterDomainError("detuning grid must be strictly increasing")
+    if np.any(np.isinf(r)):
         raise AboveThresholdError("spectrum contains above-threshold points")
-    ds = spectrum.detunings
-    integrand = 2.0 * np.sinh(spectrum.value.r) ** 2
+    integrand = 2.0 * np.sinh(r) ** 2
     if len(ds) == 1:
         # single-bin convention: one channel-pair bin of width g0 (in d units: 1)
         return float(g0 * integrand[0] / (2.0 * math.pi))

@@ -18,9 +18,8 @@ from atomsqueeze import (
     bell_metrics,
     pair_amplitude,
     quadrant_decompose,
-    r_analytic,
-    r_scattering,
-    r_large_mu_limit,
+    r_closed_form,
+    r_from_coefficients,
     solve_scattering,
     steady_state_beta_squared,
     symplectic_norm,
@@ -28,7 +27,6 @@ from atomsqueeze import (
 )
 from atomsqueeze.dynamics import CouplingRamp, GridSpec, evolve, gaussian_packet
 from atomsqueeze.spectrum import find_threshold, flux_estimate
-from atomsqueeze.analytic import spectrum_large_mu
 
 mp.mp.dps = 40
 
@@ -44,7 +42,7 @@ class TestCriterion1ZeroDetuningIdentity:
         kappas = rng.uniform(0.0, math.pi / 2 - 1e-3, size=10_000)
         worst = 0.0
         for k in kappas:
-            mine = r_large_mu_limit(0.0, float(k)).r
+            mine = r_closed_form(0.0, math.inf, float(k)).r
             true = float(abs(mp.atanh(mp.sin(mp.mpf(float(k))))))
             worst = max(worst, abs(mine - true))
         assert worst < 1e-12
@@ -69,7 +67,7 @@ class TestCriterion3WorkedExample:
         p = PhysicalParams(g0=2e4, mu=mu, a=3e-6, m=m)
         dp = to_dimensionless(p)
         assert dp.kappa == pytest.approx(1.33, abs=0.01)
-        r0 = r_large_mu_limit(0.0, dp.kappa).r
+        r0 = r_closed_form(0.0, math.inf, dp.kappa).r
         assert r0 == pytest.approx(2.1, abs=0.1)
         report("3 worked example", f"kappa = {dp.kappa:.4f}, r0 = {r0:.4f}")
 
@@ -103,7 +101,8 @@ class TestCriterion5CrossSolverEquivalence:
             for d in d_grid:
                 for kappa in k_grid:
                     p = DimensionlessParams(d=float(d), big_m=M, kappa=float(kappa))
-                    w = max(w, abs(r_scattering(p).r - r_analytic(p).r))
+                    w = max(w, abs(r_from_coefficients(solve_scattering(p)).r
+                                   - r_closed_form(p.d, M, p.kappa).r))
             worst[M] = w
         seq = [worst[M] for M in (10.0, 30.0, 100.0, 300.0)]
         assert all(b < a for a, b in zip(seq, seq[1:]))
@@ -188,8 +187,8 @@ class TestCriterion8DiagnosticsInLieuOfFlux:
         # the published ~680 atoms/ms has no closed-form counterpart; the
         # adopted-definition diagnostic must land within a broad factor
         ds = np.linspace(-3.0, 3.0, 241)
-        spec = spectrum_large_mu(ds, kappa=4.0 / 3.0)
-        flux_ms = flux_estimate(spec, g0=2e4) / 1e3
+        r = r_closed_form(ds, math.inf, 4.0 / 3.0).r
+        flux_ms = flux_estimate(ds, r, g0=2e4) / 1e3
         assert 680.0 / 30.0 < flux_ms < 680.0 * 30.0
         report("8a flux diagnostic",
                f"{flux_ms:.1f} atoms/ms (reference scale 680 atoms/ms, "
@@ -200,10 +199,7 @@ class TestCriterion8DiagnosticsInLieuOfFlux:
         kappas = np.linspace(0.05, 1.45, 57)
         dk = kappas[1] - kappas[0]
         for d in (0.5, 1.0, 2.0, 3.0):
-            rs = [
-                r_analytic(DimensionlessParams(d=d, big_m=100.0, kappa=float(k))).r
-                for k in kappas
-            ]
+            rs = [r_closed_form(d, 100.0, float(k)).r for k in kappas]
             k_peak = kappas[int(np.argmax(rs))]
             assert abs(k_peak - find_threshold(0.0, 2.0, d).kappa) <= dk
         report("8b spectrum ridge", "peak kappa follows (pi/2)/sqrt(1+d^2) "

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomsqueeze import (
-    DimensionlessParams,
-    r_analytic,
-    r_large_mu_limit,
-    spectrum_large_mu,
-    wavenumber_phase,
-)
-from atomsqueeze.analytic import _value_from_phase, r_closed_form
+from atomsqueeze import DimensionlessParams, r_closed_form, wavenumber_phase
+from atomsqueeze.analytic import _value_from_phase
 from atomsqueeze.errors import ClosedChannelError, ParameterDomainError
 
 
@@ -80,37 +74,37 @@ class TestRAnalytic:
     def test_quarter_pi_point(self):
         # oracle: arctanh(sin(pi/4)) = 0.881373587019543 evaluated directly;
         # the finite-M phase correction at M=100 is O(1e-3)
-        val = r_analytic(DimensionlessParams(d=0.0, big_m=100.0, kappa=math.pi / 4))
+        val = r_closed_form(0.0, 100.0, math.pi / 4)
         assert val.r == pytest.approx(0.881373587019543, abs=1e-2)
         assert not val.above_threshold
 
     def test_zero_kappa(self):
-        val = r_analytic(DimensionlessParams(d=0.0, big_m=100.0, kappa=0.0))
+        val = r_closed_form(0.0, 100.0, 0.0)
         assert val.r == 0.0
 
     def test_near_threshold_kappa(self):
-        val = r_analytic(DimensionlessParams(d=0.0, big_m=100.0, kappa=math.pi / 2))
+        val = r_closed_form(0.0, 100.0, math.pi / 2)
         assert val.above_threshold or val.r > 10.0
 
     def test_closed_channel_propagates(self):
         with pytest.raises(ClosedChannelError):
-            r_analytic(DimensionlessParams(d=0.0, big_m=0.5, kappa=1.0))
+            r_closed_form(0.0, 0.5, 1.0)
 
 
 class TestRLargeMuLimit:
     def test_worked_example(self):
         # oracle: arctanh(sin(1.333)) = 2.124760058450118 (direct evaluation)
-        assert r_large_mu_limit(0.0, 1.333).r == pytest.approx(
+        assert r_closed_form(0.0, math.inf, 1.333).r == pytest.approx(
             2.124760058450118, abs=1e-12
         )
 
     def test_threshold_flag(self):
-        assert r_large_mu_limit(0.0, math.pi / 2).above_threshold
+        assert r_closed_form(0.0, math.inf, math.pi / 2).above_threshold
 
     def test_detuned_value(self):
         # oracle: |arctanh(sin(sqrt(10))/sqrt(10))| evaluated directly
         expected = abs(math.atanh(math.sin(math.sqrt(10.0)) / math.sqrt(10.0)))
-        assert r_large_mu_limit(3.0, 1.0).r == pytest.approx(expected, rel=1e-14)
+        assert r_closed_form(3.0, math.inf, 1.0).r == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.006540800243662336, rel=1e-12)
 
     def test_even_symmetry(self):
@@ -118,11 +112,12 @@ class TestRLargeMuLimit:
         for _ in range(200):
             d = rng.uniform(0.0, 6.0)
             kappa = rng.uniform(0.0, 1.5)
-            assert r_large_mu_limit(d, kappa).r == r_large_mu_limit(-d, kappa).r
+            plus = r_closed_form(d, math.inf, kappa).r
+            assert r_closed_form(-d, math.inf, kappa).r == plus
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ParameterDomainError):
-            r_large_mu_limit(0.0, -0.1)
+            r_closed_form(0.0, math.inf, -0.1)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
@@ -161,17 +156,14 @@ class TestRLargeMuLimit:
     def test_limit_of_r_analytic(self):
         # the M -> inf limit is checked against the exact form at M = 1e4
         for d, kappa in [(0.0, 1.2), (1.0, 0.9), (2.5, 1.4)]:
-            exact = r_analytic(DimensionlessParams(d=d, big_m=1e4, kappa=kappa)).r
-            assert r_large_mu_limit(d, kappa).r == pytest.approx(exact, abs=1e-6)
+            exact = r_closed_form(d, 1e4, kappa).r
+            assert r_closed_form(d, math.inf, kappa).r == pytest.approx(exact, abs=1e-6)
 
     def test_channel_consistency_error_decreases_with_m(self):
         d, kappa = 0.7, 1.1
-        limit = r_large_mu_limit(d, kappa).r
-        errs = []
-        for M in [10.0, 100.0, 1000.0, 10000.0]:
-            errs.append(
-                abs(r_analytic(DimensionlessParams(d=d, big_m=M, kappa=kappa)).r - limit)
-            )
+        limit = r_closed_form(d, math.inf, kappa).r
+        errs = [abs(r_closed_form(d, M, kappa).r - limit)
+                for M in [10.0, 100.0, 1000.0, 10000.0]]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
@@ -179,25 +171,25 @@ class TestRZeroDetuning:
     """r0 = |arctanh(sin kappa)|: the mu >> g0 limit at zero detuning."""
 
     def test_zero(self):
-        assert r_large_mu_limit(0.0, 0.0).r == 0.0
+        assert r_closed_form(0.0, math.inf, 0.0).r == 0.0
 
     def test_pi_returns_to_zero(self):
         # sin(pi) = 0: r vanishes again past the divergence at pi/2
-        assert r_large_mu_limit(0.0, math.pi).r == pytest.approx(0.0, abs=1e-12)
+        assert r_closed_form(0.0, math.inf, math.pi).r == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_squeezing(self):
-        assert r_large_mu_limit(0.0, 1.333).r == pytest.approx(
+        assert r_closed_form(0.0, math.inf, 1.333).r == pytest.approx(
             2.124760058450118, abs=1e-12)
 
     def test_zero_coupling_continuity(self):
-        val = r_large_mu_limit(0.0, 1e-6)
+        val = r_closed_form(0.0, math.inf, 1e-6)
         assert not val.above_threshold
         assert val.r <= 1e-6 * (1.0 + 1e-9)
 
     def test_threshold_bracketing(self):
         eps = 1e-12
-        below = r_large_mu_limit(0.0, math.pi / 2 - eps)
-        at = r_large_mu_limit(0.0, math.pi / 2)
+        below = r_closed_form(0.0, math.inf, math.pi / 2 - eps)
+        at = r_closed_form(0.0, math.inf, math.pi / 2)
         assert not below.above_threshold and math.isfinite(below.r)
         assert at.above_threshold
         assert at.arctanh_argument == pytest.approx(1.0, abs=1e-12)
@@ -205,27 +197,17 @@ class TestRZeroDetuning:
     def test_argument_in_closed_interval_below_threshold(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            val = r_large_mu_limit(0.0, rng.uniform(0.0, 6.0))
+            val = r_closed_form(0.0, math.inf, rng.uniform(0.0, 6.0))
             if not val.above_threshold:
                 assert -1.0 <= val.arctanh_argument <= 1.0
 
     def test_near_threshold_diagnostic(self):
         # one ulp below pi/2: still below threshold, flagged near, and the
         # (huge) r reported without clipping
-        val = r_large_mu_limit(0.0, math.nextafter(math.pi / 2, 0.0))
+        val = r_closed_form(0.0, math.inf, math.nextafter(math.pi / 2, 0.0))
         assert not val.above_threshold
         assert val.near_threshold
         assert 30.0 < val.r < 50.0
         # an ordinary point is not near-flagged
-        assert not r_large_mu_limit(0.0, 1.3).near_threshold
+        assert not r_closed_form(0.0, math.inf, 1.3).near_threshold
 
-
-class TestSpectrumContainer:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ParameterDomainError):
-            spectrum_large_mu([0.0, 0.0, 1.0], kappa=1.0)
-
-    def test_points_flagged(self):
-        spec = spectrum_large_mu(np.linspace(0, 3, 11), kappa=1.2)
-        assert len(spec.detunings) == len(spec.value.r) == 11
-        assert not spec.any_above_threshold()

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import atomsqueeze
-from atomsqueeze import flux_estimate, spectrum_grid
-from atomsqueeze.analytic import r_large_mu_limit, spectrum_large_mu
+from atomsqueeze import flux_estimate, r_closed_form, spectrum_grid
 from atomsqueeze.cli import main
 from atomsqueeze.config import BLOCKS, RunRecord, parse_config
-from atomsqueeze.errors import AboveThresholdError, ConfigError
+from atomsqueeze.errors import AboveThresholdError, ConfigError, ParameterDomainError
 from atomsqueeze.spectrum import find_threshold
 
 
@@ -263,6 +262,22 @@ def test_tolerance_is_a_compare_flag(mode, tmp_path, capsys):
     assert not out.exists()
 
 
+# --method belongs to spectrum alone; the grid overrides to the modes
+# that read the grid block (spectrum, threshold, compare)
+@pytest.mark.parametrize("mode, args", [
+    *(pytest.param(mode, ["--method", "both"], id=f"{mode}--method")
+      for mode in ("threshold", "compare", "dynamics", "pairs")),
+    *(pytest.param(mode, [f"--{key.replace('_', '-')}", "1"], id=f"{mode}--{key}")
+      for mode in ("dynamics", "pairs") for key in BLOCKS["grid"]),
+])
+def test_flag_outside_its_modes_is_a_usage_error(mode, args, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", SMALL[mode])
+    out = tmp_path / "out"
+    assert main([mode, "--config", cfg, "--out", str(out), *args]) == 1
+    assert args[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, named", [
     (["--bogus", "1"], "--bogus"),
     (["--method", "bogus"], "--method"),
@@ -314,7 +329,7 @@ class TestLargeMuLimitRuns:
         assert "# big_m = inf" in lines
         start = lines.index("delta_over_g0,kappa,r,above_threshold") + 1
         ds, ks = np.linspace(0.0, 3.0, 3), np.linspace(0.0, math.pi / 2, 4)
-        want = [(d, k, r_large_mu_limit(d, k)) for d in ds for k in ks]
+        want = [(d, k, r_closed_form(d, math.inf, k)) for d in ds for k in ks]
         assert lines[start:] == [f"{d:.12g},{k:.12g},{v.r:.12g},{v.above_threshold:d}"
                                  for d, k, v in want]
         assert lines[start + 3].endswith(",inf,1")  # d = 0 at kappa = pi/2
@@ -620,31 +635,30 @@ class TestCompareCommand:
 
 class TestFluxEstimate:
     def test_zero_spectrum(self):
-        spec = spectrum_large_mu(np.linspace(-2, 2, 21), kappa=0.0)
-        assert flux_estimate(spec, g0=2e4) == 0.0
+        ds = np.linspace(-2, 2, 21)
+        assert flux_estimate(ds, r_closed_form(ds, math.inf, 0.0).r, g0=2e4) == 0.0
 
     def test_single_bin_definitional(self):
         # one bin with sinh^2(r) = 1 over unit dimensionless width: g0/pi
-        from atomsqueeze.analytic import SqueezingSpectrum, SqueezingValue
-
-        r = math.asinh(1.0)
-        val = SqueezingValue(r=np.array([r]), above_threshold=np.array([False]),
-                             arctanh_argument=np.array([math.tanh(r)]))
-        spec = SqueezingSpectrum(detunings=np.array([0.0]), value=val,
-                                 big_m=math.inf, kappa=0.5)
-        assert flux_estimate(spec, g0=2e4) == pytest.approx(2e4 / math.pi)
+        assert flux_estimate([0.0], [math.asinh(1.0)], g0=2e4) == pytest.approx(
+            2e4 / math.pi)
 
     def test_above_threshold_rejected(self):
-        spec = spectrum_large_mu([0.0], kappa=math.pi / 2)
+        r = r_closed_form([0.0], math.inf, math.pi / 2).r
         with pytest.raises(AboveThresholdError):
-            flux_estimate(spec, g0=2e4)
+            flux_estimate([0.0], r, g0=2e4)
+
+    def test_strictly_increasing_required(self):
+        ds = [0.0, 0.0, 1.0]
+        with pytest.raises(ParameterDomainError, match="strictly increasing"):
+            flux_estimate(ds, r_closed_form(ds, math.inf, 1.0).r, g0=2e4)
 
     def test_worked_example_order_of_magnitude(self):
         # adopted-definition diagnostic lands within a broad factor of the
         # reference figure 680 atoms/ms (not an equality target)
         ds = np.linspace(-3.0, 3.0, 241)
-        spec = spectrum_large_mu(ds, kappa=4.0 / 3.0)
-        flux_ms = flux_estimate(spec, g0=2e4) / 1e3
+        r = r_closed_form(ds, math.inf, 4.0 / 3.0).r
+        flux_ms = flux_estimate(ds, r, g0=2e4) / 1e3
         assert 680.0 / 30.0 < flux_ms < 680.0 * 30.0
 
 

@@ -504,6 +504,19 @@ class TestStationaryInterior:
         assert omega_measured == pytest.approx(omega, rel=1e-4)
 
 
+def plane_wave_snapshot(mu=9.0):
+    """(state, window, grid): the incident wave exp(-3i x) in u on 512
+    points of [0, 60], labelled with ``mu``, and the window [10, 14]."""
+    grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
+    state = ModeState(
+        u=np.exp(-1j * 3.0 * grid.x),
+        w=np.zeros_like(grid.x, dtype=complex),
+        t=0.0,
+        label=ModeLabel(mu=mu, k0=3.0),
+    )
+    return state, OutputWindow(x_lo=10.0, x_hi=14.0), grid
+
+
 class TestInstabilityAndWindows:
     def test_extractor_zero_coupling(self):
         res = steady_state_beta_squared(100.0, 1e-30, 0.1, length=160.0,
@@ -513,14 +526,7 @@ class TestInstabilityAndWindows:
         assert res["alpha2"] == pytest.approx(1.0, abs=0.05)
 
     def test_window_too_short(self):
-        grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
-        state = ModeState(
-            u=np.exp(-1j * 3.0 * grid.x),
-            w=np.zeros_like(grid.x, dtype=complex),
-            t=0.0,
-            label=ModeLabel(mu=9.0, k0=3.0),
-        )
-        window = OutputWindow(x_lo=10.0, x_hi=14.0)
+        state, window, grid = plane_wave_snapshot()
         with pytest.raises(WindowTooShortError):
             extract_output_correlators([state], window, grid,
                                        detunings=(0.0, 0.05))
@@ -530,16 +536,24 @@ class TestInstabilityAndWindows:
     def test_closed_channel_named_at_any_detuning_count(self, detunings, mu):
         # the channel check comes before the spacing check, whose
         # resolution needs sqrt(mu)
-        grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
-        state = ModeState(
-            u=np.exp(-1j * 3.0 * grid.x),
-            w=np.zeros_like(grid.x, dtype=complex),
-            t=0.0,
-            label=ModeLabel(mu=mu, k0=3.0),
-        )
-        window = OutputWindow(x_lo=10.0, x_hi=14.0)
+        state, window, grid = plane_wave_snapshot(mu)
         with pytest.raises(ParameterDomainError, match="^exterior channel closed"):
             extract_output_correlators([state], window, grid, detunings=detunings)
+
+    @pytest.mark.parametrize("mu, detunings, named", [
+        (math.nan, (0.0,), "label.mu"),
+        (math.inf, (0.0,), "label.mu"),
+        (9.0, (), "number of detunings"),
+        (9.0, (math.nan,), "detunings"),
+        (9.0, (0.0, math.inf), "detunings"),
+    ])
+    def test_undefined_channel_named(self, mu, detunings, named):
+        # NaN compares False against the closed-channel bound and would
+        # give NaN estimates; no detuning would give empty ones
+        state, window, grid = plane_wave_snapshot(mu)
+        with pytest.raises(ParameterDomainError, match=f"^{named} must be") as err:
+            extract_output_correlators([state], window, grid, detunings=detunings)
+        assert err.value.name == named
 
     @pytest.mark.parametrize("check_every", [0, -3, math.nan])
     def test_guard_interval_below_one_rejected(self, check_every):

@@ -188,5 +188,9 @@ class TestThresholdDistance:
             assert threshold_distance(math.pi / 2.0 + n * math.pi) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            threshold_distance(-0.1)
+        # NaN and inf are named too, not left to round() inside
+        # nearest_threshold (ValueError, OverflowError)
+        for kappa in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterDomainError, match="^kappa must be") as err:
+                threshold_distance(kappa)
+            assert err.value.name == "kappa"

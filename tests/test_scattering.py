@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from atomsqueeze import (
     DimensionlessParams,
     interior_modes,
-    r_analytic,
+    r_closed_form,
     r_from_coefficients,
-    r_scattering,
     solve_scattering,
 )
 from atomsqueeze.errors import (
@@ -84,8 +83,9 @@ class TestSolveScattering:
     def test_cross_solver_reference_point(self):
         # analytic oracle at the same point: r = 1.2262 (Eq.-8 value at M=100
         # is within 1e-2 of the numerical scattering result)
-        val = r_scattering(DimensionlessParams(d=0.0, big_m=100.0, kappa=1.0))
-        ana = r_analytic(DimensionlessParams(d=0.0, big_m=100.0, kappa=1.0))
+        p = DimensionlessParams(d=0.0, big_m=100.0, kappa=1.0)
+        val = r_from_coefficients(solve_scattering(p))
+        ana = r_closed_form(0.0, 100.0, 1.0)
         assert val.r == pytest.approx(ana.r, abs=1e-2)
         assert val.r == pytest.approx(1.2306, abs=1e-3)  # frozen regression value
 
@@ -148,8 +148,10 @@ class TestSolveScattering:
 
     def test_detuning_symmetry(self):
         for d in [0.4, 1.3, 2.6]:
-            r_pos = r_scattering(DimensionlessParams(d=d, big_m=60.0, kappa=0.9)).r
-            r_neg = r_scattering(DimensionlessParams(d=-d, big_m=60.0, kappa=0.9)).r
+            r_pos, r_neg = (
+                r_from_coefficients(solve_scattering(
+                    DimensionlessParams(d=dd, big_m=60.0, kappa=0.9))).r
+                for dd in (d, -d))
             assert r_pos == pytest.approx(r_neg, rel=1e-10)
 
     def test_evanescent_interior_handled(self):
@@ -309,7 +311,8 @@ class TestConvergenceToClosedForm:
             for d in d_grid:
                 for kappa in k_grid:
                     p = DimensionlessParams(d=float(d), big_m=M, kappa=float(kappa))
-                    w = max(w, abs(r_scattering(p).r - r_analytic(p).r))
+                    w = max(w, abs(r_from_coefficients(solve_scattering(p)).r
+                                   - r_closed_form(p.d, M, p.kappa).r))
             worst.append(w)
         assert all(b < a for a, b in zip(worst, worst[1:]))
         assert worst[2] <= 0.01  # M = 100

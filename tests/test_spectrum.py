@@ -7,9 +7,8 @@ from atomsqueeze import (
     DimensionlessParams,
     compare_methods,
     find_threshold,
-    r_analytic,
-    r_large_mu_limit,
-    r_scattering,
+    r_closed_form,
+    r_from_coefficients,
     solve_scattering,
     spectrum_grid,
     wavenumber_phase,
@@ -87,11 +86,11 @@ class TestSpectrumGrid:
         assert rows.dtype == np.float64 and rows.shape == (len(ds) * len(ks), 4)
         assert [(d, k) for d, k, _, _ in rows] == [(d, k) for d in ds for k in ks]
         for d, k, r, above in rows.tolist():
-            if math.isinf(big_m):
-                want = r_large_mu_limit(d, k)
+            if method == "analytic":
+                want = r_closed_form(d, big_m, k)
             else:
-                p = DimensionlessParams(d=d, big_m=big_m, kappa=k)
-                want = r_analytic(p) if method == "analytic" else r_scattering(p)
+                want = r_from_coefficients(solve_scattering(
+                    DimensionlessParams(d=d, big_m=big_m, kappa=k)))
             assert r == pytest.approx(want.r, rel=1e-13)
             assert above == want.above_threshold and above in (0.0, 1.0)
 
