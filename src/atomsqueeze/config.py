@@ -32,6 +32,9 @@ from .params import PhysicalParams, check_dimensionless, to_dimensionless
 
 MODES = ("spectrum", "threshold", "compare", "dynamics", "pairs")
 METHODS = ("analytic", "scattering", "both")
+#: Top-level keys that the time-domain modes never read: a ``dynamics`` or
+#: ``pairs`` config that sets one is a ConfigError, not a key ignored.
+SPECTRAL_KEYS = ("method", "grid")
 
 #: Every config block with its keys: the authoritative key list. A key maps
 #: to its default, whose type is the key's type; a bare type marks a
@@ -140,7 +143,8 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config mapping into a RunConfig.
 
     Raises ConfigError with the offending field named for: unknown keys,
-    missing mode, both or neither parameter block, and malformed values.
+    ``method`` or ``grid`` in a ``dynamics`` or ``pairs`` config, missing
+    mode, both or neither parameter block, and malformed values.
     ``raw`` itself is never modified.
     """
     if not isinstance(raw, dict):
@@ -149,6 +153,10 @@ def parse_config(raw: dict) -> RunConfig:
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode in ("dynamics", "pairs"):
+        for key in SPECTRAL_KEYS:
+            if key in raw:
+                raise ConfigError(f"{key!r} is not read in mode {mode!r}; remove it")
     method = raw.get("method", "analytic")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")

@@ -16,11 +16,15 @@ The amplitude is that of Strang steps of the 2-D field, computed without
 stepping the field: H_+(x) + H_-(y) is separable and the source sits on
 the diagonal inside the coupling slab, so f is a sum over steps of
 products of 1-D source columns, each stepped on its own axis to the
-final time (see ``pair_amplitude``). The sum is kept in the sine basis: a
-step costs one forward and one inverse 1-D transform of the slab's source
-columns, the spectra of a block of steps are added by one matrix product
-of inner dimension at most ``BLOCK_WIDTH``, and one 2-D inverse transform
-per run returns the sum to (x, y).
+final time (see ``pair_amplitude``). The sum is kept in the sine basis,
+and one 2-D inverse transform per run returns it to (x, y). A side with
+no potential and no absorber is free: its columns only turn by the
+kinetic phase, so with both sides free the sum over time is closed, the
+pulse's discrete spectrum at the pair energy E_p + E_q - 2 mu, and no step
+makes a transform. Otherwise a step costs one forward and one inverse 1-D
+transform of the slab's source columns on each side that is not free, and
+the spectra of a block of steps are added by one matrix product of inner
+dimension at most ``BLOCK_WIDTH``.
 
 Once the pair has escaped the coupling region the amplitude is decomposed
 by exit side into quadrants LL/LR/RL/RR (left: coordinate < -a; right:
@@ -61,9 +65,11 @@ from .params import _require
 PERTURBATION_NORM_LIMIT = 0.1
 
 #: Largest inner dimension of a product that adds a block of steps to the
-#: pair amplitude. Up to this inner dimension OpenBLAS gave the same bits
-#: at 1 and 2 threads for every row count tried; from 129 on most
-#: inner dimensions gave other bits (see ``pair_amplitude``).
+#: pair amplitude of a stepped side. Up to this inner dimension OpenBLAS's
+#: SkylakeX kernels gave the same bits at 1 and 2 threads for every row
+#: count tried, and from 129 on most inner dimensions gave other bits; its
+#: Haswell kernels give other bits at most inner dimensions below 128 too
+#: (see ``pair_amplitude``).
 BLOCK_WIDTH = 128
 
 
@@ -148,27 +154,51 @@ def pair_amplitude(
     Q the inverse sine transform, G^(k) = K_h C^(k) = Q diag(h) C^(k)^,
     where ^ is the forward transform and h the half-kick phase, so
 
-        f = Q diag(h) F^ diag(h) Q^T,   F^ = sum_n c_n C_+^ diag(m_S) (C_-^)^T.
+        f = Q diag(h) F^ diag(h) Q^T,   F^ = sum_n c_n C_+^ diag(m_S) (C_-^)^T,
 
-    Each step makes one forward transform of the columns along axis 0,
-    keeps the spectrum C^ for F^, multiplies it by the full-kick phase and
-    makes one inverse transform to continue the columns: two transform
-    calls of the shared spectral propagator (see ``dynamics``) per step.
-    The minus columns are the plus columns when both potentials are the
-    same array. The spectra of max(1, BLOCK_WIDTH // |S|) active steps
-    are laid side by side and added to F^ by one product, blocks in step
-    order; the last block may be partial, and a slab wider than
-    BLOCK_WIDTH points gives one step per block, added in column chunks
-    of at most BLOCK_WIDTH. f is then one 2-D inverse transform of
-    diag(h) F^ diag(h) (Q is symmetric).
+    and f is one 2-D inverse transform of diag(h) F^ diag(h) (Q is
+    symmetric). A side is free when its factor A V is exactly 1 at every
+    point: its potential samples are zero and the grid has no absorber. Then
+    K_f is its whole step, which the sine basis diagonalizes with the
+    full-kick phase l = h^2, so C^(k) = l^k C0^ with C0^ the spectrum of
+    the unit columns e_S, and F^ is assembled without stepping that side:
 
-    No product has an inner dimension above BLOCK_WIDTH, so the result
-    does not depend on the BLAS thread count: OpenBLAS 0.3.31 (Haswell
-    kernels) gave the same bits at 1 and 2 threads for every inner
-    dimension 1-128 on 63 to 1023 rows, and other bits for most above
-    (all except multiples of 8 and one less, from 129 to 5000 on 255
-    rows). ``tests/test_pairs.py`` compares f bit for bit at 1 and 2
-    threads.
+    - Both sides free: the sum over n closes,
+
+          F^ = (C0^ diag(m_S) C0^T) o C,  C(p, q) = sum_n c_n (l_p l_q)^(N-1-n),
+
+      C being the pulse's discrete spectrum at the pair energy
+      E_p + E_q - 2 mu (energy conservation of pair creation). C is
+      summed by Horner's rule over the steps from the first active one,
+      on the upper triangle of the symmetric (p, q) grid, and the one
+      product of inner dimension |S| is summed as |S| rank-1 updates in a
+      fixed order: no step makes a transform and no BLAS call runs.
+    - Otherwise the sides that are not free are stepped: each step makes
+      one forward transform of their columns along axis 0, keeps the
+      spectrum C^ for F^, multiplies it by the full-kick phase and makes
+      one inverse transform to continue the columns (two transform calls
+      of the shared spectral propagator, see ``dynamics``). The minus
+      columns are the plus columns when both potentials are the same
+      array. A free minus side is filled from its running phase l^k
+      instead; a free plus side with a stepped minus side takes the
+      other's role, and the result is transposed. The spectra of
+      max(1, BLOCK_WIDTH // |S|) active steps are laid side by side and
+      added to F^ by one product, blocks in step order; the last block
+      may be partial, and a slab wider than BLOCK_WIDTH points gives one
+      step per block, added in column chunks of at most BLOCK_WIDTH.
+
+    Thread count: the closed sum makes no BLAS product, so its bits do
+    not depend on the BLAS thread count. The block products of the
+    stepped path have no inner dimension above BLOCK_WIDTH: numpy's
+    OpenBLAS 0.3.31 (a DYNAMIC_ARCH build, measured on an AVX-512 Xeon,
+    where it picks its SkylakeX kernels) gave the same bits at 1 and 2
+    threads for every inner dimension 1-128 on 63 to 1023 rows, and other
+    bits for most above (all except multiples of 8 and one less, from 129
+    to 5000 on 255 rows). That holds for the SkylakeX kernels only: with
+    ``OPENBLAS_CORETYPE=Haswell`` (the kernels of AVX2 hosts without
+    AVX-512) nearly every inner dimension gives other bits at 2 threads,
+    and ``tests/test_pairs.py``, which compares f bit for bit at 1 and 2
+    threads, fails on its stepped cases.
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
@@ -205,49 +235,29 @@ def pair_amplitude(
     kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axis=0)
     decay = np.exp(-grid.absorber_profile() * dt)
     # local factor A V per point and side, broadcast over the source columns
-    v = np.stack(sides, axis=1)
-    local = (decay[:, None] * np.exp(-1j * dt * v))[:, :, None]
+    local = decay[:, None] * np.exp(-1j * dt * np.stack(sides, axis=1))
     gmask = ramp.spatial_mask(grid)
     support = np.flatnonzero(gmask)
-    # cols[:, side, j] = A e_{S_j}, to be stepped by A V K_f
-    cols = np.zeros((n, len(sides), support.size), dtype=complex)
-    cols[support, :, np.arange(support.size)] = decay[support, None]
     m = gmask[support]
     env = np.array([ramp.envelope((k + 0.5) * dt) for k in range(steps)])
-    coeff = (-1j * dt / grid.dx) * env
-    on = env > 1e-14 * ramp.g0_peak
-    first = int(np.argmax(on)) if on.any() else steps
-
-    # the spectra of one block of active steps (BLOCK_WIDTH // |S| of them,
-    # at least one), side by side: plus columns, and minus columns scaled
-    # by c_n m
-    width = max(1, BLOCK_WIDTH // max(support.size, 1)) * support.size
-    plus = np.empty((n, width), dtype=complex)
-    minus = np.empty((n, width), dtype=complex)
-    filled = 0
-    fhat = np.zeros((n, n), dtype=complex)
-    # after k steps the columns' spectrum, times half, is that of G^(k),
-    # which carries the source of step steps-1-k to t0; sources before the
-    # first active step add nothing
-    for k in range(steps - first):
-        spec = kinetic.forward(cols)
-        src = steps - 1 - k
-        if on[src]:
-            block = slice(filled, filled + support.size)
-            plus[:, block] = spec[:, 0]
-            np.multiply(spec[:, -1], coeff[src] * m, out=minus[:, block])
-            filled = block.stop
-            # the last step is the first active one: it adds the partial block
-            if filled == width or k == steps - first - 1:
-                # one product per block; a slab wider than BLOCK_WIDTH
-                # points is split so no inner dimension exceeds it
-                for j in range(0, filled, BLOCK_WIDTH):
-                    cut = slice(j, min(j + BLOCK_WIDTH, filled))
-                    fhat += plus[:, cut] @ minus[:, cut].T
-                filled = 0
-        spec *= kinetic.full
-        cols = kinetic.inverse(spec)
-        cols *= local
+    # c_n of each step from the first active one on (sources before it add
+    # nothing); 0 where g is below the source skip
+    coeff = np.trim_zeros(
+        np.where(env > 1e-14 * ramp.g0_peak, (-1j * dt / grid.dx) * env, 0.0), "f"
+    )
+    # a free side (no potential, no absorber: A V = 1) needs no stepping
+    free = (local == 1.0).all(axis=0)
+    if free.all():
+        fhat = _closed_sum(kinetic, support, m, coeff)
+    else:
+        # step only a side that is not free; a free plus side with a
+        # stepped minus side swaps roles, which transposes F^
+        swap = free[0]
+        if swap or free[-1]:
+            local = local[:, [-1 if swap else 0]]
+        fhat = _stepped_sum(kinetic, local, decay, support, m, coeff, free.any())
+        if swap:
+            fhat = fhat.T
     fhat *= half[:, None]
     fhat *= half
     f = kinetic.inverse(kinetic.inverse(fhat), axis=1)
@@ -262,6 +272,91 @@ def pair_amplitude(
     return PairAmplitude(
         f=f, x=x, dx=grid.dx, a=a, t0=t0, created_norm2=norm2, leakage=leak
     )
+
+
+def _closed_sum(kinetic, support, m, coeff) -> np.ndarray:
+    """F^ = (C0^ diag(m) C0^T) o C of two free sides (see ``pair_amplitude``).
+
+    C0^, the spectrum of the real unit columns e_S, is real; C is summed
+    by Horner's rule on the upper triangle and mirrored.
+    """
+    n = kinetic.full.shape[0]
+    lam = kinetic.full[:, 0, 0]
+    rows, cols = np.triu_indices(n)
+    z = lam[rows] * lam[cols]
+    acc = np.zeros_like(z)
+    for c in coeff:
+        acc *= z
+        if c:
+            acc += c
+    # the Horner buffers go before the (n, n) arrays are made, which keeps
+    # the peak memory below that of the stepped path
+    del z
+    fhat = np.empty((n, n), dtype=complex)
+    fhat[rows, cols] = acc
+    fhat[cols, rows] = acc
+    del rows, cols, acc
+    spec0 = np.zeros((n, support.size))
+    spec0[support, np.arange(support.size)] = 1.0
+    spec0 = kinetic.forward(spec0)
+    # C0^ diag(m) C0^T as |S| rank-1 updates in slab order, not a BLAS call
+    prod = np.zeros((n, n))
+    for j in range(support.size):
+        prod += np.multiply.outer(spec0[:, j], m[j] * spec0[:, j])
+    fhat *= prod
+    return fhat
+
+
+def _stepped_sum(kinetic, local, decay, support, m, coeff, minus_free):
+    """F^ = sum_n c_n C_+^ diag(m) C_-^T by stepping (see ``pair_amplitude``).
+
+    ``local`` holds the factor A V of each stepped side, one column or
+    two; with ``minus_free`` the minus spectra are l^k C0^, from a running
+    phase.
+    """
+    n = kinetic.full.shape[0]
+    cols = np.zeros((n, local.shape[1], support.size), dtype=complex)
+    cols[support, :, np.arange(support.size)] = decay[support, None]
+    local = local[:, :, None]
+    if minus_free:
+        spec0m = kinetic.forward(cols[:, 0] * m)
+        phase = np.ones((n, 1), dtype=complex)
+    steps = coeff.size
+    # the spectra of one block of active steps (BLOCK_WIDTH // |S| of them,
+    # at least one), side by side: plus columns, and minus columns scaled
+    # by c_n m
+    width = max(1, BLOCK_WIDTH // max(support.size, 1)) * support.size
+    plus = np.empty((n, width), dtype=complex)
+    minus = np.empty((n, width), dtype=complex)
+    filled = 0
+    fhat = np.zeros((n, n), dtype=complex)
+    # after k steps the columns' spectrum, times half, is that of G^(k),
+    # which carries the source of step steps-1-k to t0
+    for k in range(steps):
+        spec = kinetic.forward(cols)
+        src = steps - 1 - k
+        if coeff[src]:
+            block = slice(filled, filled + support.size)
+            plus[:, block] = spec[:, 0]
+            if minus_free:
+                np.multiply(spec0m, coeff[src] * phase, out=minus[:, block])
+            else:
+                np.multiply(spec[:, -1], coeff[src] * m, out=minus[:, block])
+            filled = block.stop
+            # the last step is the first active one: it adds the partial block
+            if filled == width or k == steps - 1:
+                # one product per block; a slab wider than BLOCK_WIDTH
+                # points is split so no inner dimension exceeds it
+                for j in range(0, filled, BLOCK_WIDTH):
+                    cut = slice(j, min(j + BLOCK_WIDTH, filled))
+                    fhat += plus[:, cut] @ minus[:, cut].T
+                filled = 0
+        spec *= kinetic.full
+        cols = kinetic.inverse(spec)
+        cols *= local
+        if minus_free:
+            phase *= kinetic.full[:, 0]
+    return fhat
 
 
 def quadrant_decompose(fa: PairAmplitude) -> QuadrantDecomposition:

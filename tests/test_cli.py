@@ -237,6 +237,10 @@ MALFORMED = {
     "pairs-asymmetry-nan": (
         {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
          "pairs": {"asymmetry": math.nan}}, [], "pairs.asymmetry"),
+    # keys that only the spectral modes read
+    **{f"{mode}-{key}": ({**SMALL[mode], key: value}, [], repr(key))
+       for mode in ("dynamics", "pairs")
+       for key, value in (("method", "analytic"), ("grid", {}))},
 }
 
 

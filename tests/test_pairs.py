@@ -221,9 +221,17 @@ class TestPairAmplitude:
             # a 145-point slab: one step per block, added as 128 + 17 columns
             (1.5, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
              0.35, 2.0, 5.4, 320, (145, 1, 0)),
+            # no absorber: both sides free, so f is the closed time sum
+            (0.0, 0.0, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
+            (0.0, 0.0, AbsorberSpec(), 0.02, 3.0, A_REGION, 64, (9, 14, 13)),
+            # no absorber, one barrier: the free side is filled from its
+            # phase, and a free plus side swaps roles with the minus side
+            (1.5, 0.0, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
+            (0.0, 0.7, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
         ],
         ids=["minus_only", "one_sided_absorber", "fast_edges", "partial_block",
-             "wide_slab"],
+             "wide_slab", "both_free", "both_free_fast_edges", "minus_free",
+             "plus_free"],
     )
     def test_matches_unfused_strang_steps(self, h_plus, h_minus, absorber, tau,
                                           t0, a, n, blocks):
@@ -255,21 +263,25 @@ class TestPairAmplitude:
 
     def test_same_bits_at_one_and_two_blas_threads(self):
         # fresh interpreters, since OpenBLAS reads its thread count at load.
-        # A 9-point slab (14 steps per block; 75 active steps, so five whole
-        # blocks and a partial one) and a 145-point slab (one step per
-        # block, added as 128 + 17 columns); a single product of inner
-        # dimension 145 gave other bits at 2 threads than at 1.
+        # A barrier on the plus side of a 9-point slab (14 steps per block;
+        # 75 active steps, so five whole blocks and a partial one) and of a
+        # 145-point slab (one step per block, added as 128 + 17 columns); a
+        # single product of inner dimension 145 gave other bits at 2
+        # threads than at 1. Then the 9-point slab with barriers on both
+        # sides (both stepped) and with none (the closed time sum).
         code = (
             "import hashlib, numpy as np, atomsqueeze as a\n"
-            "for n, w in ((64, 1.5), (320, 5.4)):\n"
+            "for n, w, hp, hm in ((64, 1.5, 1.5, 0.0), (320, 5.4, 1.5, 0.0),\n"
+            "                     (64, 1.5, 1.5, 0.7), (64, 1.5, 0.0, 0.0)):\n"
             "    grid = a.GridSpec(x_min=-12.0, x_max=12.0, n_points=n,\n"
             "                      dt=0.04, boundary='dirichlet')\n"
             "    ramp = a.CouplingRamp(g0_peak=0.05, gamma=1 / 0.35,\n"
             "                          shape='pulse', t_on=0.6, t_off=1.6,\n"
             "                          x_lo=-w, x_hi=w)\n"
-            "    v = 1.5 * np.exp(-(grid.x - 3.0) ** 2 / 1.28)\n"
+            "    v = np.exp(-(grid.x - 3.0) ** 2 / 1.28)\n"
             "    fa = a.pair_amplitude(ramp, grid, t0=3.0, mu=4.0,\n"
-            "                          potential_plus=v)\n"
+            "                          potential_plus=hp * v if hp else None,\n"
+            "                          potential_minus=hm * v[::-1] if hm else None)\n"
             "    print(hashlib.sha256(fa.f.tobytes()).hexdigest())\n"
         )
         src = str(Path(atomsqueeze.__file__).resolve().parents[1])
@@ -282,7 +294,7 @@ class TestPairAmplitude:
                          OPENBLAS_NUM_THREADS=threads), timeout=600)
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.split())
-        assert len(digests[0]) == 2
+        assert len(digests[0]) == 4
         assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf])
