@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .analytic import r_closed_form
-from .config import (BLOCKS, METHODS, MODES, RunConfig, RunRecord,
-                     parse_config, parse_value, read_config)
-from .dynamics import steady_state_beta_squared
-from .errors import AtomsqueezeError, ConfigError, ParameterDomainError
-from .pairs import bell_metrics, quadrant_decompose
+from .config import (BLOCKS, METHODS, MODES, OPTIONS, RunConfig, RunRecord,
+                     parse_config, parse_options, parse_value, read_config)
+from .dynamics import (CouplingRamp, GridSpec, export_state_columns,
+                       steady_state_beta_squared)
+from .errors import AtomsqueezeError, ConfigError
+from .pairs import bell_metrics, pair_amplitude, quadrant_decompose
 from .spectrum import (
     FLUX_DEFINITION,
     compare_methods,
@@ -86,8 +87,6 @@ def cmd_threshold(config: RunConfig, record: RunRecord) -> int:
 
 
 def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
-    if not (tolerance >= 0 and math.isfinite(tolerance)):
-        raise ConfigError(f"--tolerance must be finite and >= 0, got {tolerance!r}")
     g = config.grid
     d_grid = np.linspace(g["d_min"], g["d_max"], g["d_points"])
     k_lo, k_hi = max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3)
@@ -115,22 +114,14 @@ def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
 
 
 def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
-    from .dynamics import export_state_columns
-
-    # the keys left after these three are steady_state_beta_squared options
+    # the keys left after gamma_ratios are steady_state_beta_squared options
     dyn = dict(config.dynamics)
-    gamma_ratios, kappa, big_m = (dyn.pop(k) for k in ("gamma_ratios", "kappa", "big_m"))
-    if not (big_m > 0 and math.isfinite(big_m)):
-        raise ConfigError(f"dynamics.big_m must be finite and > 0, got {big_m!r}")
-    try:
-        target = math.sinh(r_closed_form(0.0, math.inf, kappa).r) ** 2
-    except ParameterDomainError:  # kappa negative or not finite
-        target = math.nan
+    gamma_ratios, kappa, big_m = dyn.pop("gamma_ratios"), config.kappa, config.big_m
+    target = math.sinh(r_closed_form(0.0, math.inf, kappa).r) ** 2
     if not 0.0 < target < math.inf:
-        raise ConfigError(
-            f"dynamics.kappa must give a finite target sinh^2(r0) > 0, "
-            f"got kappa = {kappa!r} (target {target!r})"
-        )
+        where = "dimensionless.kappa" if config.g0 is None else "physical block: kappa"
+        raise ConfigError(f"{where} must give a finite target sinh^2(r0) > 0, got "
+                          f"kappa = {kappa!r} (target {target!r})")
     rows = []
     for gr in gamma_ratios:
         res = steady_state_beta_squared(big_m, kappa, gr, **dyn)
@@ -155,16 +146,9 @@ def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
 
 
 def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
-    from .dynamics import CouplingRamp, GridSpec
-    from .pairs import pair_amplitude
-
     pc = config.pairs
     half_width = pc["half_width"]
     asym = pc["asymmetry"]
-    if not math.isfinite(asym):
-        raise ConfigError(f"pairs.asymmetry must be finite, got {asym!r}")
-    if not pc["ramp_time"] > 0:
-        raise ConfigError(f"pairs.ramp_time must be > 0, got {pc['ramp_time']!r}")
     grid = GridSpec(
         x_min=-half_width, x_max=half_width, n_points=pc["n_points"],
         dt=pc["dt"], boundary="dirichlet",
@@ -181,9 +165,6 @@ def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
     vplus = None
     if asym != 0.0:
         xc, sig = pc["barrier_center"], pc["barrier_sigma"]
-        if not sig > 0:
-            raise ConfigError(f"pairs.barrier_sigma must be > 0 when "
-                              f"pairs.asymmetry is nonzero, got {sig!r}")
         vplus = asym * np.exp(-((grid.x - xc) ** 2) / (2.0 * sig**2))
     fa = pair_amplitude(ramp, grid, pc["t0"], pc["mu"], potential_plus=vplus)
     quads = quadrant_decompose(fa)
@@ -213,15 +194,6 @@ def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "threshold": cmd_threshold,
-    "compare": cmd_compare,
-    "dynamics": cmd_dynamics,
-    "pairs": cmd_pairs,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomsqueeze",
@@ -231,23 +203,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in MODES:
+    for name, reads in MODES.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        if name == "spectrum":
+        if "method" in reads:
             p.add_argument("--method", default=None, choices=METHODS)
-        if name == "compare":
-            p.add_argument("--tolerance", type=float, default=0.01,
-                           help="pass/fail tolerance on max |dr|")
-        if name in ("spectrum", "threshold", "compare"):  # read the grid block
-            for key in BLOCKS["grid"]:
-                p.add_argument(f"--{key.replace('_', '-')}", default=None,
-                               help=f"override grid.{key}")
+        for key in BLOCKS["grid"] if "grid" in reads else ():
+            p.add_argument(f"--{key.replace('_', '-')}", default=None,
+                           help=f"override grid.{key}")
+        for flag in [flag for flag in reads if flag in OPTIONS]:
+            p.add_argument(flag, type=float, default=OPTIONS[flag][0],
+                           help=OPTIONS[flag][2])
     return parser
 
 
 def _apply_overrides(raw: dict, args) -> dict:
+    """``raw`` with the command's mode and the config keys its flags set."""
     overrides = {key: parse_value("grid", key, getattr(args, key))
                  for key in BLOCKS["grid"] if getattr(args, key, None) is not None}
     grid = raw.get("grid", {})
@@ -255,8 +227,7 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw["grid"] = {**grid, **overrides}
     if getattr(args, "method", None) is not None:
         raw["method"] = args.method
-    if args.command:
-        raw["mode"] = args.command
+    raw["mode"] = args.command
     return raw
 
 
@@ -267,6 +238,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         config = parse_config(_apply_overrides(read_config(args.config), args))
+        options = parse_options(args.command, vars(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -279,9 +251,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     record = RunRecord(config, out_dir)
-    options = {"tolerance": args.tolerance} if args.command == "compare" else {}
     try:
-        code = COMMANDS[args.command](config, record, **options)
+        # each mode of config.MODES runs as the function cmd_<mode>
+        code = globals()[f"cmd_{args.command}"](config, record, **options)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,13 +1,13 @@
 """Run configuration and run records for the command-line pipeline.
 
-Configs are JSON objects with a documented key set (see BLOCKS below and the
-README). Exactly one of the "dimensionless" / "physical" parameter blocks
-must be present; a physical block is reduced through the unit-conversion
-boundary before any solver runs. The run record writes every data file of
-a run, in one number format, and captures the config hash, tool version,
-timestamps, and a checksummed manifest of the files; re-running an
-identical config reproduces identical data checksums (the pipeline is
-deterministic; wall-clock only ever appears in the record).
+Configs are JSON objects: MODES says what each mode reads, BLOCKS lists
+every block's keys with their defaults and domains (see the README), and
+the command-line parser and parse_config follow from both. A physical
+block is reduced through the unit-conversion boundary before any solver
+runs. The run record writes every data file of a run, in one number
+format, with the config hash, tool version, timestamps, validity report
+and a checksummed manifest; re-running an identical config reproduces
+identical data checksums (wall-clock only ever appears in the record).
 """
 
 from __future__ import annotations
@@ -20,60 +20,79 @@ import numbers
 import time
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
+from .dynamics import MIN_GRID_POINTS
 from .errors import ConfigError, ParameterDomainError
-from .params import PhysicalParams, check_dimensionless, to_dimensionless
+from .params import (PhysicalParams, check_dimensionless, threshold_distance,
+                     to_dimensionless, validity as validity_report)
 
-MODES = ("spectrum", "threshold", "compare", "dynamics", "pairs")
 METHODS = ("analytic", "scattering", "both")
-#: Top-level keys that the time-domain modes never read: a ``dynamics`` or
-#: ``pairs`` config that sets one is a ConfigError, not a key ignored.
-SPECTRAL_KEYS = ("method", "grid")
+PARAMETER_BLOCKS = ("dimensionless", "physical")
+
 
 #: Every config block with its keys: the authoritative key list. A key maps
 #: to its default, whose type is the key's type; a bare type marks a
-#: required key, and ``type | None`` a key whose default lives with its
-#: consumer (``PhysicalParams``, ``steady_state_beta_squared``, or the
-#: run's parameters for the dynamics ``kappa`` and ``big_m``). A tuple
-#: default is a non-empty list of numbers.
+#: required key, ``type | None`` a key whose default lives with its consumer,
+#: and a tuple default a non-empty list of numbers. A (default, domain) pair
+#: adds a domain: "finite", or finite and "> x" or ">= x", x a number or an
+#: earlier key. The library checks (and names) the parameter blocks and the
+#: times; the dynamics ``kappa`` and ``big_m`` only repeat the parameters.
 BLOCKS = {
     "dimensionless": {"big_m": float, "kappa": float, "delta_over_g0": 0.0},
     "physical": {"g0": float, "mu": float, "a": float, "m": float,
                  "gamma": float | None, "n0": float | None, "delta": 0.0},
-    "grid": {"d_min": 0.0, "d_max": 3.0, "d_points": 41, "kappa_min": 0.0,
-             "kappa_max": 1.45, "kappa_points": 30},
-    "dynamics": {"gamma_ratios": (0.1,), "kappa": float | None,
-                 "big_m": float | None, "length": float | None,
-                 "n_points": int | None, "dt": float | None,
-                 "measure_c": float | None},
-    "pairs": {"mu": 4.0, "a": 1.5, "g_peak": 0.05, "t0": 6.0,
-              "half_width": 24.0, "n_points": 256, "dt": 0.02, "t_on": 0.8,
-              "t_off": 2.2, "ramp_time": 0.35, "asymmetry": 0.0,
-              "barrier_center": 3.0, "barrier_sigma": 0.8},
+    "grid": {"d_min": (0.0, "finite"), "d_max": (3.0, ">= d_min"),
+             "d_points": (41, ">= 1"), "kappa_min": (0.0, "finite"),
+             "kappa_max": (1.45, ">= kappa_min"), "kappa_points": (30, ">= 1")},
+    "dynamics": {"gamma_ratios": ((0.1,), "> 0"), "kappa": float | None,
+                 "big_m": float | None, "length": (float | None, "> 0"),
+                 "n_points": (int | None, f">= {MIN_GRID_POINTS}"),
+                 "dt": (float | None, "> 0"), "measure_c": float | None},
+    "pairs": {"mu": (4.0, "> 0"), "a": (1.5, "> 0"), "g_peak": (0.05, ">= 0"),
+              "t0": 6.0, "half_width": (24.0, "> a"),
+              "n_points": (256, f">= {MIN_GRID_POINTS}"), "dt": (0.02, "> 0"),
+              "t_on": 0.8, "t_off": 2.2, "ramp_time": (0.35, "> 0"),
+              "asymmetry": (0.0, "finite"), "barrier_center": (3.0, "finite"),
+              "barrier_sigma": (0.8, "> 0")},
 }
+
+#: What each mode reads: "parameters" (one parameter block; other modes may
+#: give one, which is checked), "method", its blocks and options. Reading
+#: the method adds ``--method``, the grid a flag per key (``--d-points``).
+MODES = {
+    "spectrum": ("parameters", "method", "grid"),
+    "threshold": ("parameters", "grid"),
+    "compare": ("parameters", "grid", "--tolerance"),
+    "dynamics": ("parameters", "dynamics"),
+    "pairs": ("pairs",),
+}
+#: The options, flags that set no config key: (default, domain, help).
+OPTIONS = {"--tolerance": (0.01, ">= 0", "pass/fail tolerance on max |dr|")}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration: the run's parameters (converted from
-    the physical block when that form is given; ``g0`` is None otherwise),
-    and the grid, dynamics and pairs blocks as typed mappings of every key
-    that has a value. ``raw`` is the config as given, which the hash covers.
-    """
+    the physical block when that form is given; ``g0`` is None otherwise)
+    and their validity report, all None without a parameter block; the
+    method and the grid, dynamics and pairs blocks as typed mappings of
+    every key with a value, None or empty where the mode does not read
+    them. ``raw`` is the config as given, which the hash covers."""
 
     mode: str
-    method: str
+    method: Optional[str]
     out_dir: str
-    big_m: float
-    kappa: float
-    delta_over_g0: float
+    big_m: Optional[float]
+    kappa: Optional[float]
+    delta_over_g0: Optional[float]
     g0: Optional[float]
+    validity: Optional[dict]
     grid: dict
     dynamics: dict
     pairs: dict
@@ -86,12 +105,19 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+def _spec(block: str, key: str) -> tuple:
+    """(default or bare type, domain or None) of ``block.key``."""
+    spec = BLOCKS[block][key]
+    has_domain = isinstance(spec, tuple) and isinstance(spec[-1], str)
+    return spec if has_domain else (spec, None)
+
+
 def parse_value(block: str, key: str, value):
     """``value`` as the type of ``block.key`` in BLOCKS (numbers may come
     as text, as on the command line); ConfigError naming ``block.key`` for
     a bool, a non-number, a non-integral count or an empty or scalar list.
     """
-    spec = BLOCKS[block][key]
+    spec = _spec(block, key)[0]
     kind = typing.get_args(spec)[0] if isinstance(spec, types.UnionType) else spec
     kind = kind if isinstance(kind, type) else type(kind)
     where = f"{block}.{key}"
@@ -114,20 +140,36 @@ def _number(where: str, value, kind):
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
+def _in_domain(where: str, value, domain: str, block: dict):
+    """``value`` if it (every entry of a list) is in ``domain``, bound keys
+    read from ``block``; ConfigError naming ``where`` otherwise."""
+    op, _, bound = domain.partition(" ")
+    limit = block[bound] if bound in block else float(bound or 0)
+    for v in value if isinstance(value, tuple) else (value,):
+        if not (abs(v) < math.inf and (op == "finite" or v > limit
+                                       or (op == ">=" and v == limit))):
+            what = "" if op == "finite" else f" and {domain}"
+            raise ConfigError(f"{where} must be finite{what}, got {v!r}")
+    return value
+
+
 def _read_block(name: str, block) -> dict:
-    """The keys of ``block`` with a value, coerced, defaults filled in."""
+    """The keys of ``block`` with a value, coerced and in their domains,
+    defaults filled in."""
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a JSON object, got {block!r}")
-    table = BLOCKS[name]
-    _check_keys(block, table, f"{name} block")
+    _check_keys(block, BLOCKS[name], f"{name} block")
     out = {}
-    for key, spec in table.items():
+    for key in BLOCKS[name]:
+        spec, domain = _spec(name, key)
         if key in block:
             out[key] = parse_value(name, key, block[key])
         elif isinstance(spec, type):
             raise ConfigError(f"{name}.{key} is required")
         elif not isinstance(spec, types.UnionType):
             out[key] = spec
+        if domain and key in out:
+            _in_domain(f"{name}.{key}", out[key], domain, out)
     return out
 
 
@@ -135,85 +177,74 @@ def _check_keys(block: dict, allowed, where: str):
     for key in block:
         if key not in allowed:
             raise ConfigError(
-                f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}"
-            )
+                f"{key!r} is not read in {where}; allowed: {sorted(allowed)}")
+
+
+def parse_options(mode: str, given: dict) -> dict:
+    """The options of ``mode`` from ``given``, ConfigError if out of domain."""
+    return {flag[2:]: _in_domain(flag, given[flag[2:]], OPTIONS[flag][1], {})
+            for flag in MODES[mode] if flag in OPTIONS}
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config mapping into a RunConfig.
 
-    Raises ConfigError with the offending field named for: unknown keys,
-    ``method`` or ``grid`` in a ``dynamics`` or ``pairs`` config, missing
-    mode, both or neither parameter block, and malformed values.
-    ``raw`` itself is never modified.
+    Raises ConfigError with the offending field named for: a key or block
+    the mode does not read, missing mode, a missing or second parameter
+    block, malformed or out-of-domain values, and a dynamics ``kappa`` or
+    ``big_m`` other than the parameter block's. ``raw`` is never modified.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, ("mode", "method", "out_dir", *BLOCKS), "config")
     mode = raw.get("mode")
     if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode in ("dynamics", "pairs"):
-        for key in SPECTRAL_KEYS:
-            if key in raw:
-                raise ConfigError(f"{key!r} is not read in mode {mode!r}; remove it")
-    method = raw.get("method", "analytic")
-    if method not in METHODS:
+        raise ConfigError(f"mode must be one of {tuple(MODES)}, got {mode!r}")
+    reads = MODES[mode]
+    _check_keys(raw, ["mode", "out_dir", *PARAMETER_BLOCKS,
+                      *(key for key in reads if key in ("method", *BLOCKS))],
+                f"mode {mode!r}")
+    method = raw.get("method", "analytic") if "method" in reads else None
+    if "method" in reads and method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
 
-    dim, phys = raw.get("dimensionless"), raw.get("physical")
-    if (dim is None) == (phys is None):
-        raise ConfigError(
-            "exactly one of 'dimensionless' or 'physical' parameter blocks "
-            "must be present"
-        )
-    g0 = None
-    if dim is not None:
-        dim = _read_block("dimensionless", dim)
-        big_m, kappa, delta = dim["big_m"], dim["kappa"], dim["delta_over_g0"]
-        try:
+    given = [name for name in PARAMETER_BLOCKS if raw.get(name) is not None]
+    if len(given) > 1 or ("parameters" in reads and not given):
+        raise ConfigError(f"{'exactly' if 'parameters' in reads else 'at most'} one "
+                          "parameter block ('dimensionless' or 'physical') must be given")
+    big_m = kappa = delta = g0 = validity = None
+    try:
+        if given == ["physical"]:
+            phys = _read_block("physical", raw["physical"])
+            delta, physical = phys.pop("delta"), PhysicalParams(**phys)
+            dp, g0 = to_dimensionless(physical, delta), physical.g0
+            big_m, kappa, delta = dp.big_m, dp.kappa, dp.d
+            validity = asdict(validity_report(physical))
+        elif given:
+            dim = _read_block("dimensionless", raw["dimensionless"])
+            big_m, kappa, delta = dim["big_m"], dim["kappa"], dim["delta_over_g0"]
             check_dimensionless(delta, big_m, kappa)
-        except ParameterDomainError as exc:
-            key = "delta_over_g0" if exc.name == "d" else exc.name
-            raise ConfigError(f"dimensionless.{key}: {exc}") from exc
-        # the mu >> g0 limit has no scattering solve and no dynamics run
-        if math.isinf(big_m) and not (
-                mode == "threshold" or (mode == "spectrum" and method == "analytic")):
-            raise ConfigError(
-                "dimensionless.big_m: inf (the mu >> g0 limit) is only for "
-                "threshold and spectrum with method analytic")
-    else:
-        phys = _read_block("physical", phys)
-        delta = phys.pop("delta")
-        try:
-            dp = to_dimensionless(PhysicalParams(**phys), delta)
-        except ParameterDomainError as exc:
-            raise ConfigError(f"physical block: {exc}") from exc
-        big_m, kappa, delta = dp.big_m, dp.kappa, dp.d
-        g0 = phys["g0"]
+            validity = {"threshold_distance": threshold_distance(kappa)}
+    except ParameterDomainError as exc:
+        key = "delta_over_g0" if exc.name == "d" else exc.name
+        raise ConfigError(f"{given[0]}.{key}: {exc}") from exc
+    # the mu >> g0 limit is for the closed form alone (method is None where
+    # the mode does not read it)
+    if big_m == math.inf and mode != "threshold" and method != "analytic":
+        raise ConfigError("dimensionless.big_m: inf (the mu >> g0 limit) is only for "
+                          "threshold and spectrum with method analytic")
 
     out_dir = raw.get("out_dir", "runs")
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    grid = _read_block("grid", raw.get("grid", {}))
-    if grid["d_points"] < 1 or grid["kappa_points"] < 1:
-        raise ConfigError("grid point counts must be >= 1")
-    if grid["d_max"] < grid["d_min"] or grid["kappa_max"] < grid["kappa_min"]:
-        raise ConfigError("grid ranges must be nondecreasing")
-    return RunConfig(
-        mode=mode,
-        method=method,
-        out_dir=out_dir,
-        big_m=big_m,
-        kappa=kappa,
-        delta_over_g0=delta,
-        g0=g0,
-        grid=grid,
-        dynamics={"kappa": kappa, "big_m": big_m,
-                  **_read_block("dynamics", raw.get("dynamics", {}))},
-        pairs=_read_block("pairs", raw.get("pairs", {})),
-        raw=raw,
-    )
+    blocks = {name: _read_block(name, raw.get(name, {})) if name in reads else {}
+              for name in ("grid", "dynamics", "pairs")}
+    for key, value in (("kappa", kappa), ("big_m", big_m)):
+        if (repeated := blocks["dynamics"].pop(key, value)) != value:
+            raise ConfigError(f"dynamics.{key} = {repeated!r} differs from the "
+                              f"parameter block's {value!r}; give it there alone")
+    return RunConfig(mode=mode, method=method, out_dir=out_dir, big_m=big_m,
+                     kappa=kappa, delta_over_g0=delta, g0=g0,
+                     validity=validity, raw=raw, **blocks)
 
 
 def read_config(path) -> dict:
@@ -303,14 +334,14 @@ class RunRecord:
             fh.write(json.dumps(significant(payload), indent=2, sort_keys=True))
 
     def finish(self):
-        """Write run_record.json (no validity report is made yet)."""
+        """Write run_record.json."""
         record = {
             "config_hash": self.config.config_hash(),
             "tool_version": __version__,
             "started_at": self.started_at,
             "finished_at": time.time(),
             "manifest": dict(sorted(self.manifest.items())),
-            "validity": None,
+            "validity": self.config.validity,
         }
         (self.out_dir / "run_record.json").write_text(
             json.dumps(record, indent=2, sort_keys=True))

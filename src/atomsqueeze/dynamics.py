@@ -74,6 +74,9 @@ from .params import _require
 #: Minimum sampling of the shortest expected wavelength, points per 2*pi/k.
 MIN_POINTS_PER_WAVELENGTH = 8
 
+#: Fewest points of a GridSpec.
+MIN_GRID_POINTS = 16
+
 #: Norm growth beyond exp(2*g0_peak*t) by this factor trips the instability guard.
 INSTABILITY_MARGIN = 1.5
 
@@ -114,8 +117,8 @@ class GridSpec:
     def __post_init__(self):
         # NaN and +-inf fail the whole-number test too (their remainder is NaN)
         _require("n_points", self.n_points,
-                 self.n_points % 1 == 0 and self.n_points >= 16,
-                 "a whole number >= 16")
+                 self.n_points % 1 == 0 and self.n_points >= MIN_GRID_POINTS,
+                 f"a whole number >= {MIN_GRID_POINTS}")
         _require("dt", self.dt, self.dt > 0, "finite and > 0")
         _require("x_min", self.x_min)
         _require("x_max", self.x_max)

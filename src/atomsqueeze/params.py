@@ -165,24 +165,12 @@ def threshold_distance(kappa: float) -> float:
     return abs(kappa - nearest_threshold(kappa))
 
 
-def validity(p: PhysicalParams, d_grid=None) -> ValidityReport:
-    """Check the operating point of ``p`` against the model's regime.
-
-    ``d_grid`` is an optional iterable of detuning ratios; the threshold
-    flag also fails if any grid point evaluates above threshold (which, in
-    the closed-form spectrum, can only occur on the d = 0 axis exactly at
-    kappa = pi/2 + n*pi). Steady output requires gamma/g0 <= DEFAULT_MARGIN
-    and the large-mu regime g0/mu <= DEFAULT_MARGIN.
-    """
-    from .analytic import r_closed_form  # local import, avoids cycle
-
-    dp = to_dimensionless(p)
-    dist = threshold_distance(dp.kappa)
-    below = dist > 1e-12
-    if d_grid is not None and np.any(
-        r_closed_form(list(d_grid), math.inf, dp.kappa).above_threshold
-    ):
-        below = False
+def validity(p: PhysicalParams) -> ValidityReport:
+    """Check the operating point of ``p`` against the model's regime:
+    steady output needs gamma/g0 <= DEFAULT_MARGIN, the large-mu regime
+    g0/mu <= DEFAULT_MARGIN, below threshold a kappa more than 1e-12 from
+    every pi/2 + n*pi."""
+    dist = threshold_distance(to_dimensionless(p).kappa)
     g_ratio = p.gamma / p.g0
     mu_ratio = p.g0 / p.mu
     return ValidityReport(
@@ -190,6 +178,6 @@ def validity(p: PhysicalParams, d_grid=None) -> ValidityReport:
         steady_output_margin=g_ratio,
         large_mu_ok=mu_ratio <= DEFAULT_MARGIN,
         large_mu_margin=mu_ratio,
-        below_threshold=below,
+        below_threshold=dist > 1e-12,
         threshold_distance=dist,
     )

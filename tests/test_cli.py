@@ -14,7 +14,7 @@ import pytest
 import atomsqueeze
 from atomsqueeze import flux_estimate, r_closed_form, spectrum_grid
 from atomsqueeze.cli import main
-from atomsqueeze.config import BLOCKS, RunRecord, parse_config
+from atomsqueeze.config import BLOCKS, MODES, RunRecord, parse_config
 from atomsqueeze.errors import AboveThresholdError, ConfigError, ParameterDomainError
 from atomsqueeze.spectrum import find_threshold
 
@@ -103,7 +103,7 @@ SMALL = {
     "threshold": {"mode": "threshold",
                   "dimensionless": {"big_m": 1e12, "kappa": 1.0},
                   "grid": {"kappa_min": 1.0, "kappa_max": 2.0}},
-    "compare": {"mode": "compare", "method": "both",
+    "compare": {"mode": "compare",
                 "dimensionless": {"big_m": 100.0, "kappa": 1.2},
                 "grid": {"d_points": 5, "kappa_points": 5, "kappa_min": 0.05,
                          "kappa_max": 1.3}},
@@ -115,6 +115,9 @@ SMALL = {
               "pairs": {"n_points": 128, "half_width": 12.0, "dt": 0.04,
                         "t0": 3.0, "mu": 4.0, "a": 1.5}},
 }
+
+#: BASE in compare mode, which reads no method
+COMPARE = {"mode": "compare", "dimensionless": {"big_m": 100.0, "kappa": 1.2}}
 
 #: (config, extra command-line arguments, the block.key the error names)
 MALFORMED = {
@@ -137,6 +140,28 @@ MALFORMED = {
     "pairs-zero-ramp-time": (
         {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
          "pairs": {"ramp_time": 0}}, [], "pairs.ramp_time"),
+    # values outside the domain of the grid, ramp and source they build
+    "pairs-dt-negative": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"dt": -0.02}}, [], "pairs.dt"),
+    "pairs-mu-nan": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"mu": math.nan}}, [], "pairs.mu"),
+    "pairs-n-points-negative": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"n_points": -5}}, [], "pairs.n_points"),
+    "pairs-g-peak-negative": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"g_peak": -1}}, [], "pairs.g_peak"),
+    "dynamics-gamma-ratio-negative": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"gamma_ratios": [-0.1]}}, [], "dynamics.gamma_ratios"),
+    "dynamics-n-points-negative": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"n_points": -3}}, [], "dynamics.n_points"),
+    "dynamics-dt-zero": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "dynamics": {"dt": 0}}, [], "dynamics.dt"),
     "grid-fractional-count": (
         {**BASE, "grid": {"d_points": 2.7}}, [], "grid.d_points"),
     "grid-bool": (
@@ -163,40 +188,43 @@ MALFORMED = {
     "out-dir-number": ({**BASE, "out_dir": 5}, [], "out_dir"),
     # compare clips kappa to [0.05, 1.3]: nothing of this grid is left
     "compare-clipped-kappa-empty": (
-        {**BASE, "mode": "compare",
+        {**COMPARE,
          "grid": {"kappa_min": 1.4, "kappa_max": 1.45, "kappa_points": 3}},
         [], "grid.kappa_min/grid.kappa_max"),
     # sinh^2(r0) is inf at threshold and 0 at kappa = 0: no relative
     # discrepancy exists, so the run must stop before stepping
     "dynamics-kappa-at-threshold": (
-        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-         "dynamics": {"kappa": math.pi / 2}}, [], "dynamics.kappa"),
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": math.pi / 2}},
+        [], "dimensionless.kappa"),
     "dynamics-kappa-zero": (
-        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-         "dynamics": {"kappa": 0.0}}, [], "dynamics.kappa"),
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 0.0}},
+        [], "dimensionless.kappa"),
     "dynamics-kappa-negative": (
-        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-         "dynamics": {"kappa": -1.0}}, [], "dynamics.kappa"),
-    # the carrier is sqrt(big_m): no run exists for big_m <= 0 or infinite
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": -1.0}},
+        [], "dimensionless.kappa"),
+    # the carrier is sqrt(big_m): no run exists for big_m <= 0 or infinite,
+    # not even when the dynamics block repeats the value
     "dynamics-big-m-negative": (
-        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-         "dynamics": {"big_m": -4.0}}, [], "dynamics.big_m"),
+        {"mode": "dynamics", "dimensionless": {"big_m": -4.0, "kappa": 1.2}},
+        [], "dimensionless.big_m"),
     "dynamics-big-m-zero": (
-        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-         "dynamics": {"big_m": 0.0}}, [], "dynamics.big_m"),
+        {"mode": "dynamics", "dimensionless": {"big_m": 0.0, "kappa": 1.2}},
+        [], "dimensionless.big_m"),
     "dynamics-big-m-infinite": (
+        {"mode": "dynamics", "dimensionless": {"big_m": math.inf, "kappa": 1.2},
+         "dynamics": {"big_m": math.inf}}, [], "dimensionless.big_m"),
+    # kappa and M have one source, the parameter block
+    "dynamics-kappa-mismatch": (
         {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
-         "dynamics": {"big_m": math.inf}}, [], "dynamics.big_m"),
+         "dynamics": {"kappa": 1.0}}, [], "dynamics.kappa"),
     # a barrier of zero width has no finite samples
     "pairs-barrier-sigma-zero": (
         {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
          "pairs": {"asymmetry": 1.0, "barrier_sigma": 0.0}}, [],
         "pairs.barrier_sigma"),
     # a NaN tolerance would also be written as NaN, which is not JSON
-    "compare-tolerance-nan": (
-        {**BASE, "mode": "compare"}, ["--tolerance", "nan"], "--tolerance"),
-    "compare-tolerance-negative": (
-        {**BASE, "mode": "compare"}, ["--tolerance", "-1"], "--tolerance"),
+    "compare-tolerance-nan": (COMPARE, ["--tolerance", "nan"], "--tolerance"),
+    "compare-tolerance-negative": (COMPARE, ["--tolerance", "-1"], "--tolerance"),
     # the dimensionless block is held to the domain of DimensionlessParams
     "dimensionless-big-m-negative": (
         {**BASE, "dimensionless": {"big_m": -5.0, "kappa": 1.2}}, [],
@@ -212,7 +240,7 @@ MALFORMED = {
                                    "delta_over_g0": math.nan}}, [],
         "dimensionless.delta_over_g0"),
     "compare-dimensionless-kappa-negative": (
-        {**BASE, "mode": "compare",
+        {**COMPARE,
          "dimensionless": {"big_m": 100.0, "kappa": -1.0}}, [],
         "dimensionless.kappa"),
     # big_m = inf (the mu >> g0 limit) only where the closed form alone runs
@@ -224,7 +252,7 @@ MALFORMED = {
         {**BASE, "dimensionless": {"big_m": math.inf, "kappa": 1.2}},
         ["--method", "scattering"], "dimensionless.big_m"),
     "compare-big-m-infinite": (
-        {**BASE, "mode": "compare",
+        {**COMPARE,
          "dimensionless": {"big_m": math.inf, "kappa": 1.2}}, [],
         "dimensionless.big_m"),
     "dynamics-run-big-m-infinite": (
@@ -254,6 +282,47 @@ def test_malformed_value_is_named_config_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and where in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+#: (mode, a key or block the mode does not read, its value)
+UNREAD = [
+    ("threshold", "method", "scattering"),
+    ("threshold", "method", "analytic"),
+    ("compare", "method", "both"),
+    ("compare", "method", "analytic"),
+    ("spectrum", "pairs", {"mu": -3}),
+    ("spectrum", "pairs", {}),
+    ("spectrum", "dynamics", {}),
+    ("threshold", "pairs", {}),
+    ("threshold", "dynamics", {"gamma_ratios": [0.1]}),
+    ("compare", "pairs", {}),
+    ("compare", "dynamics", {}),
+    ("dynamics", "pairs", {}),
+    ("dynamics", "pairs", {"mu": 4.0}),
+    ("pairs", "dynamics", {}),
+    ("pairs", "dynamics", {"kappa": 1.2}),
+]
+
+
+@pytest.mark.parametrize("mode, key, value", UNREAD,
+                         ids=[f"{m}-{k}-{i}" for i, (m, k, _) in enumerate(UNREAD)])
+def test_unread_key_is_named_config_error(mode, key, value, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {**SMALL[mode], key: value})
+    out = tmp_path / "out"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def test_pairs_runs_without_parameter_block(tmp_path):
+    payload = {k: v for k, v in SMALL["pairs"].items() if k != "dimensionless"}
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["pairs", "--config", cfg, "--out", str(out)]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["validity"] is None
+    assert set(record["manifest"]) == {"pairs_metrics.json", "pair_density.csv"}
 
 
 @pytest.mark.parametrize("mode", ["spectrum", "threshold", "dynamics", "pairs"])
@@ -392,6 +461,49 @@ class TestConfigHash:
         assert json.dumps(parsed.raw, sort_keys=True) == before
 
 
+class TestValidityRecord:
+    """run_record.json reports the validity of the run's parameters; the
+    report lives in the record only, so the data files keep the checksums
+    they had before it was written."""
+
+    def run(self, tmp_path, payload):
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([payload["mode"], "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        manifest = record["manifest"]
+        assert manifest == {name: sha(out / name) for name in manifest}
+        return record
+
+    def test_physical_block(self, tmp_path):
+        record = self.run(tmp_path, {"mode": "spectrum", "physical": PHYSICAL,
+                                     "grid": {"d_points": 4, "kappa_points": 3}})
+        report = record["validity"]
+        assert set(report) == {"steady_output_ok", "steady_output_margin",
+                               "large_mu_ok", "large_mu_margin", "below_threshold",
+                               "threshold_distance"}
+        assert report["steady_output_margin"] == PHYSICAL["gamma"] / PHYSICAL["g0"]
+        assert report["large_mu_margin"] == PHYSICAL["g0"] / PHYSICAL["mu"]
+        assert report["below_threshold"] and report["large_mu_ok"]
+        # kappa = 1.333 at the README operating point
+        assert report["threshold_distance"] == pytest.approx(math.pi / 2 - 4 / 3,
+                                                             abs=2e-3)
+        assert record["manifest"] == {
+            "flux.json":
+                "703b4beb54385b0c754233a49f1fbeb529e5b4516cf29c87dedfd0907c5bf697",
+            "spectrum_analytic.csv":
+                "0c184aca748deeaeea5dd14a242020ee10612ff7b134a79b8701fb52634c2fa4",
+        }
+
+    def test_dimensionless_block(self, tmp_path):
+        record = self.run(tmp_path, SMALL["threshold"])
+        assert record["validity"] == {"threshold_distance": math.pi / 2 - 1.0}
+        assert record["manifest"] == {
+            "threshold.json":
+                "65312d2c09f9c29e8d81aacbd0fe1ff0ff453c16f3774b109df14540054cf888",
+        }
+
+
 def test_readme_block_keys_match_config_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme.split("Block keys:")[1].split("\n\n")[0]
@@ -400,6 +512,24 @@ def test_readme_block_keys_match_config_table():
         block, *keys = re.findall(r"`([a-z_0-9]+)`", segment)
         listed[block] = keys
     assert listed == {block: list(keys) for block, keys in BLOCKS.items()}
+
+
+def test_readme_mode_table_matches_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| mode | blocks read | flags |")[1].split("\n\n")[0]
+    listed = {}
+    for row in rows.splitlines()[2:]:
+        mode, blocks, flags = (re.findall(r"`([-a-z_]+)`", cell)
+                               for cell in row.strip("|").split("|"))
+        listed[mode[0]] = (blocks, flags)
+    grid_flags = [f"--{key.replace('_', '-')}" for key in BLOCKS["grid"]]
+    assert listed == {
+        mode: (["dimensionless", "physical"] * ("parameters" in reads)
+               + [block for block in reads if block in BLOCKS]
+               + ["method"] * ("method" in reads),
+               ["--method"] * ("method" in reads) + grid_flags * ("grid" in reads)
+               + [flag for flag in reads if flag.startswith("--")])
+        for mode, reads in MODES.items()}
 
 
 class TestSpectrumCommand:

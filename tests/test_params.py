@@ -147,7 +147,7 @@ class TestValidity:
         assert rep.threshold_distance == pytest.approx(0.0, abs=1e-12)
 
     def test_margins_nonnegative(self):
-        rep = validity(REF, d_grid=[0.0, 0.5, 2.0])
+        rep = validity(REF)
         assert rep.steady_output_margin >= 0
         assert rep.large_mu_margin >= 0
         assert rep.threshold_distance >= 0
