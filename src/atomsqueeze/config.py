@@ -132,7 +132,8 @@ def _number(where: str, value, kind):
     try:
         number = float(value) if isinstance(value, str) else value
         if isinstance(number, numbers.Real) and not isinstance(number, bool):
-            if kind is float or isinstance(number, int) or number.is_integer():
+            # float() raises OverflowError for an int too large for a float
+            if kind is float or float(number).is_integer():
                 return kind(number)
             raise ConfigError(f"{where} must be an integer, got {value!r}")
     except (ValueError, OverflowError):

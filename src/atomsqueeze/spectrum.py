@@ -3,12 +3,13 @@
 These are the computations behind the CLI subcommands; they are kept
 importable so the analysis pipeline can be driven programmatically and so
 the tests can exercise them without file I/O.
-Grids are evaluated in one array call per d-row into one numeric table
-(one call for the whole grid was faster but raised the peak RSS of a
-161 x 120 CLI spectrum from 67 to 79 MiB); thresholds come from the
-closed form, whose phase is linear in kappa. big_m = inf is the
-mu >> g0 limit, which only the closed form takes: the scattering solve
-needs a finite M.
+Grids are evaluated over the flattened, row-major (d, kappa) grid in
+blocks of at most BLOCK_POINTS points, one array call per block, which
+amortizes the fixed cost of a call; the bound exists because one call
+for the whole grid raised the peak RSS of a 161 x 120 CLI spectrum from
+67 to 79 MiB. Thresholds come from the closed form, whose phase is
+linear in kappa. big_m = inf is the mu >> g0 limit, which only the
+closed form takes: the scattering solve needs a finite M.
 """
 
 from __future__ import annotations
@@ -21,8 +22,29 @@ import numpy as np
 
 from .analytic import r_closed_form, wavenumber_phase
 from .errors import AboveThresholdError, ParameterDomainError, SolverError
-from .params import DimensionlessParams, check_dimensionless, nearest_threshold
+from .params import (
+    DimensionlessParams,
+    _first,
+    check_dimensionless,
+    nearest_threshold,
+)
 from .scattering import r_from_coefficients, solve_matching
+
+#: Most (d, kappa) points per array call of a grid sweep. A few hundred
+#: points amortize the fixed cost of a call and keep the peak RSS flat:
+#: blocks of 2048 and 4096 points raised the peak of the benchmark's
+#: full-size spectra and compares by about 2 and 5 MiB.
+BLOCK_POINTS = 512
+
+
+def _blocks(ds: np.ndarray, kappas: np.ndarray):
+    """Yield ``(lo, hi, d, kappa)`` for the points ``lo:hi`` of the
+    flattened, row-major (d, kappa) grid, at most BLOCK_POINTS at a time."""
+    n = ds.size * kappas.size
+    for lo in range(0, n, BLOCK_POINTS):
+        hi = min(lo + BLOCK_POINTS, n)
+        row, col = np.divmod(np.arange(lo, hi), kappas.size)
+        yield lo, hi, ds[row], kappas[col]
 
 
 def spectrum_grid(
@@ -34,28 +56,34 @@ def spectrum_grid(
     """Rectangular sweep as one row-ordered (N, 4) float table with the
     columns d, kappa, r and above_threshold (0 or 1).
 
-    Each d-row is one array call: the closed form (``big_m = inf`` gives
-    the mu >> g0 limit) or one scattering solve, which raises
-    SolverError if a matching matrix of the row is singular.
+    Each block of at most BLOCK_POINTS grid points is one array call: the
+    closed form (``big_m = inf`` gives the mu >> g0 limit) or one
+    scattering solve, which raises SolverError naming the first singular
+    point in row-major order and emits at most one IllConditionedWarning
+    per block.
     """
     if method not in ("analytic", "scattering"):
         raise ParameterDomainError(f"unknown method {method!r}")
     ds = np.asarray(d_grid, dtype=float)
     kappas = np.asarray(kappa_grid, dtype=float)
-    table = np.empty((ds.size, kappas.size, 4))
-    table[:, :, 0] = ds[:, None]
-    table[:, :, 1] = kappas
-    for d, row in zip(ds.tolist(), table):
+    table = np.empty((ds.size * kappas.size, 4))
+    for lo, hi, d, kappa in _blocks(ds, kappas):
         if method == "analytic":
-            value = r_closed_form(d, big_m, kappas)
+            value = r_closed_form(d, big_m, kappa)
         else:
-            coeffs = solve_matching(d, big_m, kappas)
-            if not np.isfinite(coeffs.condition_number).all():
-                raise SolverError(f"singular matching system in the row d={d}")
+            coeffs = solve_matching(d, big_m, kappa)
+            singular = ~np.isfinite(coeffs.condition_number)
+            if singular.any():
+                raise SolverError(
+                    f"singular matching system at d={_first(d, singular)}, "
+                    f"kappa={_first(kappa, singular)}"
+                )
             value = r_from_coefficients(coeffs)
-        row[:, 2] = value.r
-        row[:, 3] = value.above_threshold
-    return table.reshape(-1, 4)
+        table[lo:hi, 0] = d
+        table[lo:hi, 1] = kappa
+        table[lo:hi, 2] = value.r
+        table[lo:hi, 3] = value.above_threshold
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,23 +164,25 @@ def compare_methods(
     kappa_grid: Sequence[float],
     big_m: float,
 ) -> CompareResult:
-    """Max/mean |r scattering - r closed form| over a shared grid, by rows.
+    """Max/mean |r scattering - r closed form| over a shared grid, in
+    blocks of at most BLOCK_POINTS points in row-major order.
 
     Points above threshold by either method, or with a singular matching
-    matrix, are skipped and counted.
+    matrix, are skipped and counted. Each block emits at most one
+    IllConditionedWarning.
     """
-    kappas = np.asarray(kappa_grid, dtype=float)
-    rows = []
+    kept = []
     skipped = 0
-    for d in np.asarray(d_grid, dtype=float).tolist():
-        ana = r_closed_form(d, big_m, kappas)
-        coeffs = solve_matching(d, big_m, kappas)
+    for _, _, d, kappa in _blocks(np.asarray(d_grid, dtype=float),
+                                  np.asarray(kappa_grid, dtype=float)):
+        ana = r_closed_form(d, big_m, kappa)
+        coeffs = solve_matching(d, big_m, kappa)
         sca = r_from_coefficients(coeffs)
         keep = (np.isfinite(coeffs.condition_number)
                 & ~ana.above_threshold & ~sca.above_threshold)
         skipped += int(keep.size - np.count_nonzero(keep))
-        rows.append(np.abs(sca.r[keep] - ana.r[keep]))
-    diffs = np.concatenate(rows) if rows else np.empty(0)
+        kept.append(np.abs(sca.r[keep] - ana.r[keep]))
+    diffs = np.concatenate(kept) if kept else np.empty(0)
     if not diffs.size:
         raise ParameterDomainError("comparison grid is empty or all above threshold")
     return CompareResult(

@@ -150,6 +150,9 @@ MALFORMED = {
     "pairs-n-points-negative": (
         {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
          "pairs": {"n_points": -5}}, [], "pairs.n_points"),
+    "pairs-n-points-too-large-for-float": (
+        {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
+         "pairs": {"n_points": 10**400}}, [], "pairs.n_points"),
     "pairs-g-peak-negative": (
         {"mode": "pairs", "dimensionless": {"big_m": 100.0, "kappa": 1.2},
          "pairs": {"g_peak": -1}}, [], "pairs.g_peak"),
@@ -176,6 +179,9 @@ MALFORMED = {
         {**BASE, "dimensionless": {"big_m": 100.0, "kappa": 1.2,
                                    "delta_over_g0": "abc"}}, [],
         "dimensionless.delta_over_g0"),
+    "dimensionless-big-m-too-large-for-float": (
+        {**BASE, "dimensionless": {"big_m": 10**400, "kappa": 1.2}}, [],
+        "dimensionless.big_m"),
     "dimensionless-missing": (
         {**BASE, "dimensionless": {"big_m": 100.0}}, [], "dimensionless.kappa"),
     "physical-detuning": (

@@ -13,7 +13,7 @@ from atomsqueeze import (
     spectrum_grid,
     wavenumber_phase,
 )
-from atomsqueeze import scattering
+from atomsqueeze import scattering, spectrum
 from atomsqueeze.errors import (
     ClosedExteriorChannelError,
     IllConditionedWarning,
@@ -26,6 +26,16 @@ from atomsqueeze.errors import (
 #: its sin(kx) column vanishes and every matching matrix of the row d = 0.75
 #: at M = 1.25 is singular, whatever kappa
 SINGULAR_D, SINGULAR_M = 0.75, 1.25
+
+#: Block sizes of the grid sweeps: one point per block, blocks that cut
+#: across d-rows, and one block for the whole grid
+BLOCK_SIZES = [1, 5, 10**6]
+
+
+def in_blocks(monkeypatch, block, sweep, *args, **kwargs):
+    """``sweep(*args, **kwargs)`` with blocks of at most ``block`` points."""
+    monkeypatch.setattr(spectrum, "BLOCK_POINTS", block)
+    return sweep(*args, **kwargs)
 
 
 class TestFindThreshold:
@@ -80,9 +90,12 @@ class TestSpectrumGrid:
     @pytest.mark.parametrize("method, big_m", [
         ("analytic", 40.0), ("scattering", 40.0), ("analytic", math.inf),
     ])
-    def test_rows_match_the_scalar_api(self, method, big_m):
+    def test_rows_match_the_scalar_api(self, method, big_m, monkeypatch):
         ds, ks = [0.0, 0.7, 2.0], np.linspace(0.0, 1.4, 8)
-        rows = spectrum_grid(ds, ks, big_m=big_m, method=method)
+        *blocked, rows = [in_blocks(monkeypatch, block, spectrum_grid, ds, ks,
+                                    big_m=big_m, method=method)
+                          for block in BLOCK_SIZES]
+        assert all(np.array_equal(table, rows) for table in blocked)
         assert rows.dtype == np.float64 and rows.shape == (len(ds) * len(ks), 4)
         assert [(d, k) for d, k, _, _ in rows] == [(d, k) for d in ds for k in ks]
         for d, k, r, above in rows.tolist():
@@ -105,10 +118,13 @@ class TestSpectrumGrid:
                 call()
             assert exc.value.name == "big_m"
 
-    def test_closed_exterior_channel_in_a_row(self):
-        with pytest.raises(ClosedExteriorChannelError):
-            spectrum_grid([0.0, 1.0, 2.5], [0.5, 1.0], big_m=2.0,
-                          method="scattering")
+    def test_closed_exterior_channel_in_a_row(self, monkeypatch):
+        # the first closed point in row-major order is named
+        for block in BLOCK_SIZES:
+            with pytest.raises(ClosedExteriorChannelError,
+                               match=r"big_m=2\.0, \|d\|=2\.5$"):
+                in_blocks(monkeypatch, block, spectrum_grid, [0.0, 1.0, 2.5, 3.0],
+                          [0.5, 1.0], big_m=2.0, method="scattering")
 
     def test_ill_conditioned_row_warns(self, monkeypatch):
         monkeypatch.setattr(scattering, "CONDITION_LIMIT", 1.0)
@@ -117,7 +133,7 @@ class TestSpectrumGrid:
 
     @pytest.mark.filterwarnings("ignore::atomsqueeze.errors.IllConditionedWarning")
     def test_singular_point_raises(self):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match=r"at d=0\.75, kappa=0\.5$"):
             spectrum_grid([SINGULAR_D], [0.5, 1.0], big_m=SINGULAR_M,
                           method="scattering")
         with pytest.raises(SolverError):
@@ -126,12 +142,18 @@ class TestSpectrumGrid:
 
 
 class TestCompareMethods:
-    def test_singular_row_skipped_alone(self):
+    def test_singular_row_skipped_alone(self, monkeypatch):
+        # blocks of 5 put the singular row into two blocks
         ds, ks = [0.0, 0.25, 0.5, SINGULAR_D], np.linspace(0.05, 1.3, 7)
-        rest = compare_methods(ds[:3], ks, SINGULAR_M)
-        with pytest.warns(IllConditionedWarning):
-            res = compare_methods(ds, ks, SINGULAR_M)
-        assert res.n_skipped == rest.n_skipped + len(ks)
-        assert res.n_points == rest.n_points
-        assert res.max_abs == rest.max_abs
-        assert res.mean_abs == rest.mean_abs
+        results = []
+        for block in BLOCK_SIZES:
+            rest = in_blocks(monkeypatch, block, compare_methods, ds[:3], ks,
+                             SINGULAR_M)
+            with pytest.warns(IllConditionedWarning):
+                res = compare_methods(ds, ks, SINGULAR_M)
+            assert res.n_skipped == rest.n_skipped + len(ks)
+            assert res.n_points == rest.n_points
+            assert res.max_abs == rest.max_abs
+            assert res.mean_abs == rest.mean_abs
+            results.append(res)
+        assert all(res == results[-1] for res in results)
