@@ -5,18 +5,21 @@ every block's keys with their defaults and domains (see the README), and
 the command-line parser and parse_config follow from both. A physical
 block is reduced through the unit-conversion boundary before any solver
 runs. The run record writes every data file of a run, in one number
-format, with the config hash, tool version, timestamps, validity report
-and a checksummed manifest; re-running an identical config reproduces
-identical data checksums (wall-clock only ever appears in the record).
+format, with the config hash, tool version, timestamps, validity report,
+library versions, write time and a checksummed manifest; re-running an
+identical config reproduces identical data checksums (wall-clock only
+ever appears in the record).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import numbers
+import platform
 import time
 import types
 import typing
@@ -287,6 +290,23 @@ def significant(value):
     return value
 
 
+#: Cells per chunk of a RunRecord table, each chunk one ``%`` of a repeated
+#: line template. Measured on the CLI pairs run (255 x 255 density): chunks
+#: of 16384 cells raised its peak RSS by 1.1-1.3 MiB, 2048 by 0.1-0.2 MiB.
+_CHUNK_CELLS = 2048
+
+
+@functools.cache
+def _versions() -> tuple:
+    """(name, version) of python, numpy and scipy. scipy's comes from its
+    installed metadata, so recording it does not import scipy; the
+    metadata module loads here, on the first record, as its import takes
+    about 20 ms."""
+    from importlib.metadata import version
+    return (("python", platform.python_version()), ("numpy", np.__version__),
+            ("scipy", version("scipy")))
+
+
 class RunRecord:
     """Provenance of one pipeline run, and the writer of its files.
 
@@ -294,7 +314,9 @@ class RunRecord:
     ``manifest``; the text files start with a '#'-prefixed metadata
     header (tool version, config hash, mode, then ``meta``). ``finish``
     writes run_record.json next to them, so identical configs reproduce
-    identical data checksums while wall-clock lives only in the record.
+    identical data checksums while wall-clock (the run's timestamps and
+    ``write_s``, the seconds spent in the writers) and the python, numpy
+    and scipy versions live only in the record.
     """
 
     def __init__(self, config: RunConfig, out_dir):
@@ -302,9 +324,11 @@ class RunRecord:
         self.out_dir = Path(out_dir)
         self.started_at = time.time()
         self.manifest = {}  # file name -> sha256
+        self.write_s = 0.0  # time spent in the data-file writers
 
     @contextlib.contextmanager
     def _open(self, name: str, meta: Optional[dict]):
+        start = time.perf_counter()
         path = self.out_dir / name
         with open(path, "w") as fh:
             if meta is not None:
@@ -315,19 +339,45 @@ class RunRecord:
                               for key, value in meta.items())
             yield fh
         self.manifest[name] = sha256_file(path)
+        self.write_s += time.perf_counter() - start
 
     def table(self, name: str, meta: dict, formats, rows, columns=None):
         """A table of numbers, under the column line if ``columns`` are
-        given. The per-column ``%`` formats (``"%.12g"`` for data, ``"%d"``
-        for 0/1 flags) joined by commas are one template, applied to each
-        row as the rows stream in; ``rows`` is a 2-D array or a list of
-        equal-length tuples of numbers."""
-        template = ",".join(formats) + "\n"
+        given. Each cell is printed with its column's ``%`` format
+        (``"%.12g"`` for data, ``"%d"`` for 0/1 flags), cells joined by
+        commas, one line per row; ``rows`` is a 2-D array or a list of
+        equal-length tuples of numbers. The bytes are those of the per-row
+        ``",".join(formats) % tuple(row)``. In a table with more rows than
+        columns, a column with at most half as many distinct values as
+        rows (grid coordinates, flags) has each value formatted once;
+        rows are written in chunks of about ``_CHUNK_CELLS`` cells."""
+        data = np.asarray(rows, dtype=float)
+        if data.size == 0:
+            data = data.reshape(0, len(formats))
+        n, width = data.shape
+        bits = data.view(np.int64)  # keys: 0.0 and -0.0 print differently
+        formats, distinct = list(formats), {}  # column -> (keys, strings)
+        step = max(1, _CHUNK_CELLS // width)
         with self._open(name, meta) as fh:
             if columns is not None:
                 fh.write(",".join(columns) + "\n")
-            fh.writelines(template % tuple(row.tolist())
-                          for row in np.asarray(rows, dtype=float))
+            # only a tall table's columns (grid coordinates, flags) repeat;
+            # a wide one's, such as the pair density's, are data
+            for j, fmt in enumerate(formats if n > width else ()):
+                keys = np.unique(bits[:, j])
+                if 2 * keys.size <= n:
+                    strings = [fmt % v for v in keys.view(float).tolist()]
+                    distinct[j] = (keys, np.array(strings, dtype=object))
+                    formats[j] = "%s"
+            line = ",".join(formats) + "\n"
+            for lo in range(0, n, step):
+                cells = data[lo:lo + step]
+                if distinct:
+                    cells = cells.astype(object)
+                    for j, (keys, strings) in distinct.items():
+                        at = np.searchsorted(keys, bits[lo:lo + step, j])
+                        cells[:, j] = strings[at]
+                fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
 
     def json(self, name: str, payload: dict):
         """A JSON object, keys sorted, floats at 12 significant digits."""
@@ -343,6 +393,8 @@ class RunRecord:
             "finished_at": time.time(),
             "manifest": dict(sorted(self.manifest.items())),
             "validity": self.config.validity,
+            "versions": dict(_versions()),
+            "write_s": self.write_s,
         }
         (self.out_dir / "run_record.json").write_text(
             json.dumps(record, indent=2, sort_keys=True))

@@ -66,6 +66,30 @@ class TestInteriorModes:
         assert k_lo.imag > 0
 
 
+#: Lists of (d, M - |d|, kappa): every (d, M, kappa) the spectrum, compare
+#: and acceptance runs solve. M up to 1e3, kappa up to the spectrum grid's
+#: default top (below the first threshold pi/2), evanescent interiors
+#: included.
+DOMAIN = st.lists(
+    st.tuples(
+        st.floats(-5.0, 5.0),
+        st.floats(1e-6, 995.0),  # M - |d| > 0: both exterior channels open
+        st.floats(0.0, 1.45),
+    ),
+    min_size=1, max_size=16,
+)
+
+
+def solve_domain_points(points):
+    """The solve of DOMAIN ``points`` and the mask of its points whose
+    condition number is below the limit."""
+    d, gap, kappa = (np.array(v) for v in zip(*points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        c = solve_matching(d, np.abs(d) + gap, kappa)
+    return c, c.condition_number < CONDITION_LIMIT
+
+
 class TestSolveScattering:
     def test_zero_kappa_elastic(self):
         c = solve_scattering(DimensionlessParams(d=0.3, big_m=50.0, kappa=0.0))
@@ -105,25 +129,11 @@ class TestSolveScattering:
         assert worst_cross < 1e-10
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    @given(st.lists(
-        st.tuples(
-            st.floats(-5.0, 5.0),
-            st.floats(1e-6, 995.0),  # M - |d| > 0: both exterior channels open
-            st.floats(0.0, 1.45),
-        ),
-        min_size=1, max_size=16,
-    ))
+    @given(DOMAIN)
     # M = sqrt(1 + d^2): an exactly singular matrix once failed its row
     @example([(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.3, 2.0, 1.2)])
     def test_symplectic_constraints_over_domain(self, points):
-        # every (d, M, kappa) the spectrum, compare and acceptance runs
-        # solve: M up to 1e3, kappa up to the spectrum grid's default top
-        # (below the first threshold pi/2), evanescent interiors included
-        d, gap, kappa = (np.array(v) for v in zip(*points))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            c = solve_matching(d, np.abs(d) + gap, kappa)
-        ok = c.condition_number < CONDITION_LIMIT
+        c, ok = solve_domain_points(points)
         n1, n2 = c.norm_defects()
         assert np.all(n1[ok] < 1e-10) and np.all(n2[ok] < 1e-10)
         assert np.all(c.cross_defect()[ok] < 1e-10)
@@ -138,6 +148,14 @@ class TestSolveScattering:
         assert np.isnan(c.alpha_p[[0, 2]]).all()
         assert np.isfinite(c.condition_number[1])
         assert max(n[1] for n in c.norm_defects()) < 1e-10
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(DOMAIN)
+    def test_channel_ratios_equal_over_domain(self, points):
+        c, ok = solve_domain_points(points)
+        t_p = np.abs(c.beta_p[ok] / c.alpha_p[ok])
+        t_m = np.abs(c.beta_m[ok] / c.alpha_m[ok])
+        assert np.all(np.abs(t_p - t_m) <= 1e-12 * np.maximum(1.0, t_p))
 
     def test_channel_ratios_equal(self):
         for d in [0.0, 0.8, 2.1]:
