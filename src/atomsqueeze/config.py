@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import platform
+import sys
 import time
 import types
 import typing
@@ -291,20 +292,28 @@ def significant(value):
 
 
 #: Cells per chunk of a RunRecord table, each chunk one ``%`` of a repeated
-#: line template. Measured on the CLI pairs run (255 x 255 density): chunks
-#: of 16384 cells raised its peak RSS by 1.1-1.3 MiB, 2048 by 0.1-0.2 MiB.
-_CHUNK_CELLS = 2048
+#: line template. Small, for the peak RSS of the CLI pairs run (255 x 255
+#: density): chunks of 16384 cells raised it by 1.1-1.3 MiB and 2048 by
+#: about 0.13 MiB; at 256 a density row is a chunk of its own, and a
+#: 19 320 x 4 spectrum table is written as fast as at 2048.
+_CHUNK_CELLS = 256
 
 
 @functools.cache
 def _versions() -> tuple:
-    """(name, version) of python, numpy and scipy. scipy's comes from its
-    installed metadata, so recording it does not import scipy; the
-    metadata module loads here, on the first record, as its import takes
-    about 20 ms."""
-    from importlib.metadata import version
+    """(name, version) of python, numpy and scipy. A run that has not
+    loaded scipy (the frequency-domain modes) reads scipy's version from
+    its installed metadata, so recording it does not import scipy;
+    importlib.metadata loads here, on the first such record, as its import
+    takes about 20 ms and 0.7 MiB."""
+    scipy = sys.modules.get("scipy")
+    if scipy is None:
+        from importlib.metadata import version
+        scipy_version = version("scipy")
+    else:
+        scipy_version = scipy.__version__
     return (("python", platform.python_version()), ("numpy", np.__version__),
-            ("scipy", version("scipy")))
+            ("scipy", scipy_version))
 
 
 class RunRecord:
@@ -346,38 +355,19 @@ class RunRecord:
         given. Each cell is printed with its column's ``%`` format
         (``"%.12g"`` for data, ``"%d"`` for 0/1 flags), cells joined by
         commas, one line per row; ``rows`` is a 2-D array or a list of
-        equal-length tuples of numbers. The bytes are those of the per-row
-        ``",".join(formats) % tuple(row)``. In a table with more rows than
-        columns, a column with at most half as many distinct values as
-        rows (grid coordinates, flags) has each value formatted once;
-        rows are written in chunks of about ``_CHUNK_CELLS`` cells."""
+        equal-length tuples of numbers. Rows are written in chunks of about
+        ``_CHUNK_CELLS`` cells, each chunk one ``%`` of the line template
+        repeated, so the bytes are those of ``",".join(formats) % tuple(row)``
+        row by row."""
         data = np.asarray(rows, dtype=float)
-        if data.size == 0:
-            data = data.reshape(0, len(formats))
-        n, width = data.shape
-        bits = data.view(np.int64)  # keys: 0.0 and -0.0 print differently
-        formats, distinct = list(formats), {}  # column -> (keys, strings)
-        step = max(1, _CHUNK_CELLS // width)
+        line = ",".join(formats) + "\n"
+        step = max(1, _CHUNK_CELLS // len(formats))
         with self._open(name, meta) as fh:
             if columns is not None:
                 fh.write(",".join(columns) + "\n")
-            # only a tall table's columns (grid coordinates, flags) repeat;
-            # a wide one's, such as the pair density's, are data
-            for j, fmt in enumerate(formats if n > width else ()):
-                keys = np.unique(bits[:, j])
-                if 2 * keys.size <= n:
-                    strings = [fmt % v for v in keys.view(float).tolist()]
-                    distinct[j] = (keys, np.array(strings, dtype=object))
-                    formats[j] = "%s"
-            line = ",".join(formats) + "\n"
-            for lo in range(0, n, step):
-                cells = data[lo:lo + step]
-                if distinct:
-                    cells = cells.astype(object)
-                    for j, (keys, strings) in distinct.items():
-                        at = np.searchsorted(keys, bits[lo:lo + step, j])
-                        cells[:, j] = strings[at]
-                fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
+            for lo in range(0, len(data), step):
+                chunk = data[lo:lo + step]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
     def json(self, name: str, payload: dict):
         """A JSON object, keys sorted, floats at 12 significant digits."""
