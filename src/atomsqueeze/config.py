@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import platform
+import re
 import sys
 import time
 import types
@@ -291,12 +292,105 @@ def significant(value):
     return value
 
 
-#: Cells per chunk of a RunRecord table, each chunk one ``%`` of a repeated
-#: line template. Small, for the peak RSS of the CLI pairs run (255 x 255
-#: density): chunks of 16384 cells raised it by 1.1-1.3 MiB and 2048 by
-#: about 0.13 MiB; at 256 a density row is a chunk of its own, and a
-#: 19 320 x 4 spectrum table is written as fast as at 2048.
+#: Cells per chunk of a RunRecord table: each chunk is one call of
+#: ``_exponent_cells`` or one ``%`` of the repeated line template. Small,
+#: for the peak RSS: ``%`` chunks of 16384 cells raised the CLI pairs run's
+#: peak by 1.1-1.3 MiB and of 2048 by about 0.13 MiB, and 1024-cell chunks
+#: raised the resident peak of three in-process spectrum-sweep passes by
+#: 0.45-0.52 MiB over 256 (the spectrum tables take the ``%`` path). At 256
+#: a pair-density row is a chunk of its own; the numpy cells write that
+#: table about 2.3x faster at 1024 cells than at 256, but at 256, 512 and
+#: 1024 cells and with ``%`` alone one in-process pair-bell pass peaked at
+#: the same 61.8-62.0 MiB (three runs each).
 _CHUNK_CELLS = 256
+
+#: 10**0 ... 10**22, the powers of ten a double holds exactly.
+_POW10 = np.array([float(10**k) for k in range(23)])
+#: The three digit bytes of 0 ... 999, and the exponent bytes "e-99" ... "e+99".
+_DIGITS3 = np.frombuffer(
+    "".join(f"{i:03d}" for i in range(1000)).encode(), np.uint8).reshape(1000, 3)
+_EXPONENT = np.frombuffer(
+    "".join(f"e{i:+03d}" for i in range(-99, 100)).encode(), np.uint8).reshape(199, 4)
+
+
+def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
+    """The lines of ``chunk`` (rows of floats) with every cell printed as
+    ``"%.{p}e"`` (1 <= p <= 13), cells joined by commas, each row ended by a
+    newline, built with numpy; None where the bytes of Python's ``%`` are
+    not proven for every cell of the chunk.
+
+    Each cell |x| = X is written as N·10^(e-p): e = floor(log10 X), the
+    mantissa m = X·10^(p-e), and N = rint(m), p+1 digits. ``%`` prints X
+    with its exact decimal exponent E and N* = X·10^(p-E) rounded
+    half-even to an integer, N* = 10^(p+1) printed as 1.0…0e(E+1).
+
+    Rounding bound: m is X times 10^k, k = p - e, |k| <= 44, formed by at
+    most two correctly rounded multiplications or divisions by the exact
+    powers 10^0 … 10^22, so |m - M| <= (2u + u²)·M with u = 2^-53 and M
+    the exact X·10^(p-e). An accepted cell has M < 10^(p+1), hence
+    |m - M| < δ = 2.3e-16·10^(p+1) <= 0.023 for p <= 13, where also
+    m < 2^53, so rint(m) and m - rint(m) are exact.
+
+    Tie margin: a cell is accepted only if |m - N| < 1/2 - δ, that is, the
+    fractional part of m is more than δ away from 1/2. Then m and M lie
+    strictly inside (N - 1/2, N + 1/2), so M rounds to N under any
+    rounding rule: no tie is ever resolved here.
+
+    Exponent: a cell is accepted only if m >= 10^p and N < 10^(p+1). If
+    e = E, N* = M rounds to N: the same bytes. e < E would make
+    M >= 10^(p+1), so N >= 10^(p+1): declined. e = E + 1 (log10 rounded up
+    to a power of ten) leaves 10^p - δ < M < 10^p, so N = 10^p and
+    N* = 10·M > 10^(p+1) - 10δ rounds to 10^(p+1) (10δ < 1/2), which ``%``
+    prints as 1.0…0e(E+1), the bytes written here. Any other e > E gives
+    m < 10^p: declined; only a log10 rounded up can reach that test.
+
+    Declined, so the chunk goes back to ``%``: zero and -0.0, non-finite
+    and subnormal cells, |e| >= 100 (three exponent digits), |p - e| > 44,
+    and cells failing the margin or the digit-count test. Negative cells
+    are written with a leading sign byte.
+    """
+    x = chunk.ravel()
+    a = np.abs(x)
+    # NaN fails both comparisons
+    if not (a.min() >= 2.2250738585072014e-308 and a.max() <= 1.7976931348623157e308):
+        return None
+    e = np.floor(np.log10(a)).astype(np.intp)
+    lo, hi = e.min(), e.max()
+    if lo < max(-99, p - 44) or hi > min(99, p + 44):
+        return None
+    k = p - e
+    if lo < p - 22 or hi > p + 22:
+        # one rounding per pass: the unused factor of a pair is 10^0 = 1
+        far = np.clip(k, -22, 22)
+        a = a * _POW10.take(np.maximum(far, 0)) / _POW10.take(np.maximum(-far, 0))
+        k -= far
+    m = a * _POW10.take(np.maximum(k, 0)) / _POW10.take(np.maximum(-k, 0))
+    n = np.rint(m)
+    if not (m.min() >= 10.0**p and n.max() < 10.0**(p + 1)
+            and np.abs(m - n).max() < 0.5 - 2.3e-16 * 10.0**(p + 1)):
+        return None
+    # N in groups of three digits, the leading group first (floor(N / 1000^j)
+    # is exact for N < 2^53), their bytes from the lookup table
+    groups = (p + 3) // 3
+    q = np.floor(n / _POW10[3 * np.arange(groups - 1, -1, -1), None])
+    q[1:] -= 1000.0 * q[:-1]
+    digits = _DIGITS3.take(q.T.astype(np.intp), axis=0).reshape(x.size, 3 * groups)
+    digits = digits[:, 3 * groups - p - 1:]
+    # one cell: sign, first digit, ".", p digits, exponent, separator
+    cells = np.empty((x.size, p + 8), np.uint8)
+    cells[:, 0] = ord("-")
+    cells[:, 1] = digits[:, 0]
+    cells[:, 2] = ord(".")
+    cells[:, 3:p + 3] = digits[:, 1:]
+    cells[:, p + 3:p + 7] = _EXPONENT.take(e + 99, axis=0)
+    cells[:, p + 7] = ord(",")
+    cells.reshape(chunk.shape[0], -1)[:, -1] = ord("\n")
+    negative = x < 0
+    if negative.any():
+        keep = np.ones(cells.shape, bool)
+        keep[:, 0] = negative
+        return cells[keep].tobytes().decode("ascii")
+    return cells[:, 1:].tobytes().decode("ascii")
 
 
 @functools.cache
@@ -353,21 +447,29 @@ class RunRecord:
     def table(self, name: str, meta: dict, formats, rows, columns=None):
         """A table of numbers, under the column line if ``columns`` are
         given. Each cell is printed with its column's ``%`` format
-        (``"%.12g"`` for data, ``"%d"`` for 0/1 flags), cells joined by
+        (``"%.12g"`` for data, ``"%d"`` for 0/1 flags, ``"%.8e"`` and
+        ``"%.10e"`` for the density and snapshot dumps), cells joined by
         commas, one line per row; ``rows`` is a 2-D array or a list of
-        equal-length tuples of numbers. Rows are written in chunks of about
-        ``_CHUNK_CELLS`` cells, each chunk one ``%`` of the line template
-        repeated, so the bytes are those of ``",".join(formats) % tuple(row)``
-        row by row."""
+        equal-length tuples of numbers. The bytes are always those of
+        ``",".join(formats) % tuple(row)`` row by row. Rows are written in
+        chunks of about ``_CHUNK_CELLS`` cells. Where every column has the
+        same ``"%.{p}e"`` format, a chunk is built with numpy by
+        ``_exponent_cells``; a chunk it declines, and every chunk of any
+        other table, is one ``%`` of the line template repeated."""
         data = np.asarray(rows, dtype=float)
         line = ",".join(formats) + "\n"
         step = max(1, _CHUNK_CELLS // len(formats))
+        same = re.fullmatch(r"%\.(\d+)e", formats[0]) if len(set(formats)) == 1 else None
+        p = int(same[1]) if same and 1 <= int(same[1]) <= 13 else None
         with self._open(name, meta) as fh:
             if columns is not None:
                 fh.write(",".join(columns) + "\n")
             for lo in range(0, len(data), step):
                 chunk = data[lo:lo + step]
-                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+                text = None if p is None else _exponent_cells(chunk, p)
+                if text is None:
+                    text = line * len(chunk) % tuple(chunk.ravel().tolist())
+                fh.write(text)
 
     def json(self, name: str, payload: dict):
         """A JSON object, keys sorted, floats at 12 significant digits."""

@@ -41,7 +41,12 @@ grid axis.
 The 2x2 local exponential runs only on the span where g or V is nonzero,
 evaluated once per distinct (V, coupling-mask) pair of that span and
 gathered to its points; the absorber decay runs only on the absorbing
-layer.
+layer. ``evolve`` precomputes its schedule per block of steps: the step
+midpoints, the source kicks and, for the steps whose coupling envelope
+moved, the 2x2 factors of the distinct pairs, each as one array
+expression with the bits of the step-by-step scalar expression (the tanh
+edges stay ``math.tanh`` per step); a block whose envelope does not move
+reuses the gathered matrix.
 
 The propagator is the package's only user of scipy: ``scipy.fft`` is
 imported when the first propagator is built (the first ``evolve`` or
@@ -79,6 +84,14 @@ MIN_GRID_POINTS = 16
 
 #: Norm growth beyond exp(2*g0_peak*t) by this factor trips the instability guard.
 INSTABILITY_MARGIN = 1.5
+
+#: Steps per block of ``evolve``'s precomputed schedule (midpoints, source
+#: kicks, 2x2 factors): the schedule's memory is this many steps, never the
+#: run's length. Each temporary of the factors holds this many rows of the
+#: distinct (V, g-mask) pairs: 2 on a slab with no potential, at most one
+#: per grid point (3.3 MB of complex on 3200 points) for a potential that
+#: differs everywhere.
+_SCHEDULE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -281,8 +294,16 @@ class PlaneWaveSource:
         _require("tau_on", self.tau_on, self.tau_on > 0, "finite and > 0")
 
     def value(self, t: float) -> complex:
-        env = 0.5 * (1.0 + math.tanh((t - self.t_on) / self.tau_on))
-        return self.amplitude * env * np.exp(-1j * self.delta * t)
+        return self.values(np.array([t]))[0]
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """The source at each time of ``ts``. The tanh edge is math.tanh,
+        entry by entry (numpy's tanh rounds differently); the rest is one
+        array expression with the bits of the same expression on one time.
+        """
+        edge = [math.tanh(x) for x in ((ts - self.t_on) / self.tau_on).tolist()]
+        env = 0.5 * (1.0 + np.array(edge))
+        return self.amplitude * env * np.exp(-1j * self.delta * ts)
 
 
 def symplectic_norm(state: ModeState, grid: GridSpec) -> float:
@@ -403,40 +424,60 @@ class _Stepper:
             )
             self.v = pairs.real
             self.gmask = pairs.imag
-            self._env = None
+            self._env = math.nan  # the envelope of the last scheduled step
         profile = grid.absorber_profile()
         self.absorber = [(s, np.exp(-profile[s] * grid.dt)) for s in _runs(profile)]
 
-    def local_step(self, f, t_mid):
-        """Exact exponential of -i*dt*[[V, g], [-g, -V]] at each point, then
-        the absorber decay; in place on the stacked field.
+    def local_factors(self, t_mids: np.ndarray) -> list:
+        """The 2x2 factors of a block of steps at midpoints ``t_mids``, one
+        entry per step for ``local_step``, in step order.
 
-        With Omega = sqrt(V^2 - g^2) (possibly imaginary) the exponential
-        is cos(Omega dt) I - i sinc-like(Omega dt) [[V, g], [-g, -V]];
-        evaluated with the complex cos/sin so both signs of V^2 - g^2 are
-        covered by one formula. It is evaluated once per distinct
-        (V, g-mask) pair of the coupled span (two on a slab with no
-        potential) and gathered to the points, whenever the envelope
-        moves; a constant or saturated ramp reuses the gathered matrix.
+        With Omega = sqrt(V^2 - g^2) (possibly imaginary) the exponential of
+        -i*dt*[[V, g], [-g, -V]] is cos(Omega dt) I - i sinc-like(Omega dt)
+        [[V, g], [-g, -V]]; evaluated with the complex cos/sin so both signs
+        of V^2 - g^2 are covered by one formula. An entry is (uu, uw, ww) on
+        the distinct (V, g-mask) pairs of the coupled span (two on a slab
+        with no potential) where the envelope moved from the step before,
+        all such steps of the block evaluated as one array; it is None where
+        the envelope did not move (a constant or saturated ramp), and for
+        every step when nothing couples: ``local_step`` then keeps the
+        matrix it gathered last.
+        """
+        factors = [None] * len(t_mids)
+        if self.coupled is None:
+            return factors
+        env = np.array([self.ramp.envelope(t) for t in t_mids.tolist()])
+        moved = np.flatnonzero(env != np.concatenate(([self._env], env[:-1])))
+        self._env = env[-1]
+        if moved.size:
+            g = env[moved, None] * self.gmask
+            v = self.v
+            dt = self.grid.dt
+            om = np.sqrt((v * v - g * g).astype(complex))
+            phi = om * dt
+            c = np.cos(phi)
+            # sin(phi)/om -> dt as om -> 0
+            small = np.abs(phi) < 1e-8
+            snc = np.where(small, dt, np.sin(np.where(small, 1.0, phi)) /
+                           np.where(small, 1.0 / dt, om))
+            rows = zip(c - 1j * snc * v, 1j * snc * g, c + 1j * snc * v)
+            for step, row in zip(moved.tolist(), rows):
+                factors[step] = row
+        return factors
+
+    def local_step(self, f, factors):
+        """One step's 2x2 exponential at each point of the coupled span,
+        then the absorber decay; in place on the stacked field.
+
+        ``factors`` is the step's entry of ``local_factors``: new factors
+        are gathered from the distinct pairs to the points, None keeps the
+        gathered matrix of the step before.
         """
         s = self.coupled
         if s is not None:
-            env = self.ramp.envelope(t_mid)
-            if env != self._env:
-                g = env * self.gmask
-                v = self.v
-                dt = self.grid.dt
-                om = np.sqrt((v * v - g * g).astype(complex))
-                phi = om * dt
-                c = np.cos(phi)
-                # sin(phi)/om -> dt as om -> 0
-                small = np.abs(phi) < 1e-8
-                snc = np.where(small, dt, np.sin(np.where(small, 1.0, phi)) /
-                               np.where(small, 1.0 / dt, om))
+            if factors is not None:
                 i = self._index
-                self._env = env
-                self._matrix = ((c - 1j * snc * v)[i], (1j * snc * g)[i],
-                                (c + 1j * snc * v)[i])
+                self._matrix = tuple(entry[i] for entry in factors)
             uu, uw, ww = self._matrix
             u, w = f[0, s], f[1, s]
             un = uu * u - uw * w
@@ -473,7 +514,8 @@ def evolve(
 
     Raises ParameterDomainError at setup, naming the field, if
     ``t_final``, ``state.t`` or a snapshot time is not finite,
-    ``t_final`` precedes ``state.t``, ``check_every`` is not >= 1, the
+    ``t_final`` precedes ``state.t``, ``check_every`` is not a whole
+    number >= 1 (so not infinite either), the
     source sits outside [grid.x_min, grid.x_max], or the potential
     samples are not finite or not of the grid's shape; ResolutionError
     if the grid cannot resolve the mode's nominal carrier (label.k0), and
@@ -486,8 +528,10 @@ def evolve(
         raise ParameterDomainError("t_final precedes the state's current time")
     if snapshot_times is not None:
         _require("snapshot_times", np.asarray(snapshot_times, dtype=float))
-    if not check_every >= 1:  # a NaN interval would never check
-        raise ParameterDomainError(f"check_every must be >= 1, got {check_every}")
+    # NaN, +inf and 1.5 fail the whole-number test (an interval the step
+    # count never reaches would turn the guard off)
+    _require("check_every", check_every,
+             check_every % 1 == 0 and check_every >= 1, "a whole number >= 1")
     if source is not None:
         _require("x_pos", source.x_pos, grid.x_min <= source.x_pos <= grid.x_max,
                  f"in [grid.x_min, grid.x_max] = [{grid.x_min!r}, {grid.x_max!r}]")
@@ -509,41 +553,48 @@ def evolve(
     guarded = norm0 > 0 and source is None
     t = state.t
     t0 = state.t
+    injection = -1j * grid.dt / grid.dx  # a source value's kick at its grid point
     # the kick a step opens with: "half", "full", or "done" by split_kick
     lead = "half"
-    for step in range(n_steps):
-        t_mid = t + grid.dt / 2.0
-        if lead != "done":
-            f = stepper.kinetic.kick(f, full=lead == "full")
+    for lo in range(0, n_steps, _SCHEDULE_STEPS):
+        steps = np.arange(lo, min(lo + _SCHEDULE_STEPS, n_steps))
+        # the scalar loop's midpoints t + dt/2, t = t0 + k*dt (t0 at k = 0)
+        t_mids = (t0 + steps * grid.dt) + grid.dt / 2.0
+        factors = stepper.local_factors(t_mids)
         if isrc is not None:
-            f[0, isrc] += (-1j * grid.dt / grid.dx) * source.value(t_mid)
-        stepper.local_step(f, t_mid)
-        t = t0 + (step + 1) * grid.dt
+            kicks = injection * source.values(t_mids)
+        for j, step in enumerate(steps.tolist()):
+            if lead != "done":
+                f = stepper.kinetic.kick(f, full=lead == "full")
+            if isrc is not None:
+                f[0, isrc] += kicks[j]
+            stepper.local_step(f, factors[j])
+            t = t0 + (step + 1) * grid.dt
 
-        snap = bool(pending) and t >= pending[0] - 1e-12
-        check = guarded and (step + 1) % check_every == 0
-        if step == n_steps - 1:
-            f = stepper.kinetic.kick(f, full=False)
-            at = f.copy() if snap else f  # the last snapshot must not alias f
-        elif snap or check:
-            # the boundary state (fresh arrays), and f kicked on through the
-            # next step's leading half-kick, from one forward transform
-            at, f = stepper.kinetic.split_kick(f)
-            lead = "done"
-        else:
-            lead = "full"
-            continue
-        if snap:
-            while pending and t >= pending[0] - 1e-12:
-                pending.pop(0)
-            snapshots.append(state.copy_with(at[0], at[1], t))
-        if check:
-            bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
-            norm = plus_norm(state.copy_with(at[0], at[1], t), grid)
-            if not norm <= INSTABILITY_MARGIN * bound:
-                raise InstabilityDetectedError(
-                    f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
-                )
+            snap = bool(pending) and t >= pending[0] - 1e-12
+            check = guarded and (step + 1) % check_every == 0
+            if step == n_steps - 1:
+                f = stepper.kinetic.kick(f, full=False)
+                at = f.copy() if snap else f  # the last snapshot must not alias f
+            elif snap or check:
+                # the boundary state (fresh arrays), and f kicked on through
+                # the next step's leading half-kick, from one forward transform
+                at, f = stepper.kinetic.split_kick(f)
+                lead = "done"
+            else:
+                lead = "full"
+                continue
+            if snap:
+                while pending and t >= pending[0] - 1e-12:
+                    pending.pop(0)
+                snapshots.append(state.copy_with(at[0], at[1], t))
+            if check:
+                bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
+                norm = plus_norm(state.copy_with(at[0], at[1], t), grid)
+                if not norm <= INSTABILITY_MARGIN * bound:
+                    raise InstabilityDetectedError(
+                        f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
+                    )
     final = state.copy_with(f[0], f[1], t)
     return final, snapshots
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import atomsqueeze
 from atomsqueeze import config, flux_estimate, r_closed_form, spectrum_grid
@@ -694,6 +696,107 @@ class TestWriteCsv:
                 line = ",".join(formats) + "\n"
                 want = "".join(line % tuple(row) for row in data.tolist())
                 assert (tmp_path / "t.csv").read_text() == want, (cells, len(formats))
+
+
+def _next(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+#: Rows of cells for the exponent formats, each list from one kind or a
+#: mix: any float (NaN, infinities, subnormals and both zeros included),
+#: ordinary magnitudes of both signs, values a few ulps from a power of ten
+#: or from the rounding boundary next to it (9.9999999995e-05 at p = 8), and
+#: exact binary ties at the 8th digit ((2N + 1)·10^s / 2, N of nine digits).
+_CELL_KINDS = [
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(lambda x, sign: sign * x, st.floats(1e-30, 1e30),
+              st.sampled_from([1.0, -1.0])),
+    st.builds(lambda k, f, ulps, sign: sign * _next(10.0**k * f, ulps),
+              st.integers(-101, 101),
+              st.sampled_from([1.0, 0.99999999995, 0.9999999999995, 1.00000000005]),
+              st.integers(-2, 2), st.sampled_from([1.0, -1.0])),
+    st.builds(lambda n, s: (2 * n + 1) * 10**s / 2,
+              st.integers(10**8, 10**9 - 1), st.integers(0, 4)),
+]
+EXPONENT_ROWS = st.one_of(*(st.lists(kind, min_size=1, max_size=60)
+                            for kind in [*_CELL_KINDS, st.one_of(*_CELL_KINDS)]))
+
+
+class TestExponentCells:
+    """The vectorized ``%.Ne`` cells of the table writer: the bytes of
+    Python's ``%`` for every cell, or a decline to it."""
+
+    @staticmethod
+    def written(tmp, formats, data):
+        record = RunRecord(parse_config(dict(BASE)), tmp)
+        record.table("t.csv", None, formats, data)
+        return (tmp / "t.csv").read_text()
+
+    @staticmethod
+    def percent(formats, data):
+        line = ",".join(formats) + "\n"
+        return "".join(line % tuple(row) for row in np.asarray(data, float).tolist())
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(cells=EXPONENT_ROWS, cols=st.integers(1, 7), p=st.sampled_from([8, 10]))
+    @example(cells=[9.9999999995e-05, 123456789.5, 1e-300, -0.0], cols=2, p=8)
+    def test_cells_match_percent(self, tmp_path_factory, cells, cols, p):
+        data = np.resize(np.array(cells), (max(1, len(cells) // cols), cols))
+        formats = [f"%.{p}e"] * cols
+        tmp = tmp_path_factory.mktemp("cells")
+        assert self.written(tmp, formats, data) == self.percent(formats, data)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+           cols=st.integers(1, 300), p=st.sampled_from([8, 10]),
+           decades=st.sampled_from([600.0, 60.0, 6.0]),
+           centre=st.sampled_from([-270.0, -30.0, 0.0, 30.0, 270.0]))
+    def test_random_tables_match_percent(self, tmp_path_factory, seed, rows, cols, p,
+                                         decades, centre):
+        # both signs, magnitudes across `decades` decades inside 1e-300 ... 1e300
+        rng = np.random.default_rng(seed)
+        low = min(max(centre - decades / 2.0, -300.0), 300.0 - decades)
+        data = (rng.choice([-1.0, 1.0], (rows, cols))
+                * 10.0 ** rng.uniform(low, low + decades, (rows, cols)))
+        formats = [f"%.{p}e"] * cols
+        tmp = tmp_path_factory.mktemp("random")
+        assert self.written(tmp, formats, data) == self.percent(formats, data)
+
+    @pytest.mark.parametrize("p", [8, 10])
+    def test_density_rows_take_the_vectorized_path(self, p):
+        # the pair density's shape and range, every other row negated: all
+        # but a few rows (a cell within the tie margin) are built with numpy
+        rng = np.random.default_rng(20)
+        data = rng.standard_normal((255, 255)) ** 2 * 1e-3
+        data[::2] *= -1.0
+        built = [config._exponent_cells(row[None, :], p) for row in data]
+        assert sum(text is not None for text in built) >= 250
+        for row, text in zip(data, built):
+            if text is not None:
+                assert text == self.percent([f"%.{p}e"] * 255, row[None, :])
+
+    @pytest.mark.parametrize("cell", [
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308,  # not normal
+        1e100, 1e-100,  # a three-digit exponent
+        1e-40, 1e60,  # more than two exact powers of ten away from p digits
+        123456789.5, 1234567895.0,  # exact ties at the 8th digit
+        9.9999999995e-05,  # rounds up to ten digits, 1.00000000e-04
+    ])
+    def test_declines(self, cell):
+        chunk = np.array([[1.5, cell]])
+        assert config._exponent_cells(chunk, 8) is None
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_exponent_off_by_one_declines(self, monkeypatch, off):
+        # a log10 that misses the decimal exponent either way gives a
+        # mantissa of p or p+2 digits, which the digit-count test declines
+        chunk = np.random.default_rng(3).uniform(1.0, 9.9, (4, 64))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        assert config._exponent_cells(chunk, 8) is None
 
 
 def _floats(value):

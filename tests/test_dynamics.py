@@ -21,6 +21,7 @@ from atomsqueeze import (
     steady_state_beta_squared,
     symplectic_norm,
 )
+from atomsqueeze import dynamics
 from atomsqueeze.dynamics import _SpectralPropagator, _Stepper, plus_norm
 from atomsqueeze.errors import (
     InstabilityDetectedError,
@@ -345,6 +346,53 @@ class TestKickFusion:
         assert_same_final_state(snaps[49], mid)
 
 
+class TestSchedule:
+    """evolve's per-block schedule (midpoints, source kicks, 2x2 factors)
+    gives the bits of the step-by-step expressions at every block size."""
+
+    GRID = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
+                    absorber=AbsorberSpec(width=10.0))
+    # the envelope moves every step up to t = 0.34, then saturates at 1.2
+    # exactly: the later steps keep the gathered matrix
+    RAMP = CouplingRamp(g0_peak=1.2, gamma=100.0, shape="tanh", t_on=0.15,
+                        x_lo=2.0, x_hi=8.0)
+
+    def run(self, source):
+        grid = self.GRID
+        if source is None:  # guarded: a packet, no source
+            state = gaussian_packet(grid, x0=15.0, sigma=3.0, k=3.0, mu=9.0)
+        else:
+            zeros = np.zeros(grid.x.size, dtype=complex)
+            state = ModeState(u=zeros, w=zeros, t=0.03, label=ModeLabel(mu=9.0, k0=3.0))
+        # snapshots and guard checks on the boundaries of 7- and 3-step blocks
+        times = [state.t + k * grid.dt for k in (7, 21, 22, 40)]
+        final, snaps = evolve(state, self.RAMP, lambda x: 0.3 * (x > 5.0), grid,
+                              state.t + 45 * grid.dt, source=source,
+                              snapshot_times=times, check_every=7)
+        return [(s.t, s.u.tobytes(), s.w.tobytes()) for s in [final, *snaps]]
+
+    @pytest.mark.parametrize("source", [
+        PlaneWaveSource(x_pos=20.0, delta=0.3, t_on=0.1, tau_on=0.05), None])
+    def test_same_bits_at_every_block_size(self, monkeypatch, source):
+        runs = []
+        for steps in (1, 3, 7, 64, 10**6):
+            monkeypatch.setattr(dynamics, "_SCHEDULE_STEPS", steps)
+            runs.append(self.run(source))
+        assert len(runs[0]) == 5
+        assert all(r == runs[0] for r in runs[1:])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, -1.7])
+    def test_source_values_have_the_scalar_bits(self, delta):
+        # the scalar expression the stepper used per step, against the block
+        source = PlaneWaveSource(x_pos=0.0, delta=delta, t_on=3.0, tau_on=0.7)
+        ts = (0.03 + np.arange(2000) * 0.01) + 0.01 / 2.0
+        kick = -1j * 0.01 / 0.05
+        want = [kick * (source.amplitude * (0.5 * (1.0 + math.tanh((t - 3.0) / 0.7)))
+                        * np.exp(-1j * delta * t)) for t in ts.tolist()]
+        got = kick * source.values(ts)
+        assert np.array(want).tobytes() == got.tobytes()
+
+
 def expm_local_step(f, v, g, dt):
     """f after exp(-i dt [[V, g], [-g, -V]]) at each point, by scipy's expm
     (oracle for the stepper's closed form)."""
@@ -378,7 +426,7 @@ class TestLocalStepExponential:
         for t_mid in self.T_MIDS:
             g = ramp.envelope(t_mid) * gmask
             want = expm_local_step(f, v, g, grid.dt)
-            stepper.local_step(f, t_mid)
+            stepper.local_step(f, stepper.local_factors(np.array([t_mid]))[0])
             assert np.abs(f - want).max() < 1e-13 * np.abs(want).max()
             signs.update(np.sign(v * v - g * g))
         return signs
@@ -555,7 +603,7 @@ class TestInstabilityAndWindows:
             extract_output_correlators([state], window, grid, detunings=detunings)
         assert err.value.name == named
 
-    @pytest.mark.parametrize("check_every", [0, -3, math.nan])
+    @pytest.mark.parametrize("check_every", [0, -3, math.nan, 1.5, math.inf])
     def test_guard_interval_below_one_rejected(self, check_every):
         # a periodic packet with no source runs guarded
         grid = periodic_grid(n=256, dt=0.01)
