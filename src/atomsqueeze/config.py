@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .dynamics import MIN_GRID_POINTS
 from .errors import ConfigError, ParameterDomainError
 from .params import (PhysicalParams, check_dimensionless, threshold_distance,
@@ -395,11 +395,14 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
 
 @functools.cache
 def _versions() -> tuple:
-    """(name, version) of python, numpy and scipy. A run that has not
-    loaded scipy (the frequency-domain modes) reads scipy's version from
-    its installed metadata, so recording it does not import scipy;
-    importlib.metadata loads here, on the first such record, as its import
-    takes about 20 ms and 0.7 MiB."""
+    """(name, version) of python, numpy and scipy, and ("blas", its
+    description): the kernel set of numpy's OpenBLAS and whether the
+    one-thread pin of ``pairs.pair_amplitude`` is available, both from
+    ``_blas``'s one handle. A run that has not loaded scipy (the
+    frequency-domain modes) reads scipy's version from its installed
+    metadata, so recording it does not import scipy; importlib.metadata
+    loads here, on the first such record, as its import takes about 20 ms
+    and 0.7 MiB."""
     scipy = sys.modules.get("scipy")
     if scipy is None:
         from importlib.metadata import version
@@ -407,7 +410,7 @@ def _versions() -> tuple:
     else:
         scipy_version = scipy.__version__
     return (("python", platform.python_version()), ("numpy", np.__version__),
-            ("scipy", scipy_version))
+            ("scipy", scipy_version), ("blas", _blas.describe()))
 
 
 class RunRecord:
@@ -418,8 +421,8 @@ class RunRecord:
     header (tool version, config hash, mode, then ``meta``). ``finish``
     writes run_record.json next to them, so identical configs reproduce
     identical data checksums while wall-clock (the run's timestamps and
-    ``write_s``, the seconds spent in the writers) and the python, numpy
-    and scipy versions live only in the record.
+    ``write_s``, the seconds spent in the writers) and the python, numpy,
+    scipy and BLAS versions live only in the record.
     """
 
     def __init__(self, config: RunConfig, out_dir):

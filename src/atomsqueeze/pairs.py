@@ -15,16 +15,17 @@ delta source is discretized as 1/dx on the grid diagonal.
 The amplitude is that of Strang steps of the 2-D field, computed without
 stepping the field: H_+(x) + H_-(y) is separable and the source sits on
 the diagonal inside the coupling slab, so f is a sum over steps of
-products of 1-D source columns, each stepped on its own axis to the
-final time (see ``pair_amplitude``). The sum is kept in the sine basis,
-and one 2-D inverse transform per run returns it to (x, y). A side with
-no potential and no absorber is free: its columns only turn by the
-kinetic phase, so with both sides free the sum over time is closed, the
-pulse's discrete spectrum at the pair energy E_p + E_q - 2 mu, and no step
-makes a transform. Otherwise a step costs one forward and one inverse 1-D
-transform of the slab's source columns on each side that is not free, and
-the spectra of a block of steps are added by one matrix product of inner
-dimension at most ``BLOCK_WIDTH``.
+products of 1-D source columns, each carried to the final time by powers
+of its own side's one-step map (see ``pair_amplitude``). Without an
+absorber that map is unitary and complex symmetric, so it is diagonal in
+a real orthogonal basis (the sine basis itself on a side with no
+potential), and in those bases the sum over time closes: each pair of
+modes is weighted by the pulse's discrete spectrum at the pair energy,
+and no step is taken. A grid with an absorber steps the slab's source
+columns instead, one forward and one inverse 1-D transform per step, and
+adds the spectra of a block of steps by one matrix product. The dense
+algebra runs at one BLAS thread, so f does not depend on the BLAS thread
+count.
 
 Once the pair has escaped the coupling region the amplitude is decomposed
 by exit side into quadrants LL/LR/RL/RR (left: coordinate < -a; right:
@@ -48,6 +49,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _blas
 from .dynamics import (
     CouplingRamp,
     GridSpec,
@@ -64,13 +66,23 @@ from .params import _require
 #: First-order treatment is rejected above this created norm^2.
 PERTURBATION_NORM_LIMIT = 0.1
 
-#: Largest inner dimension of a product that adds a block of steps to the
-#: pair amplitude of a stepped side. Up to this inner dimension OpenBLAS's
-#: SkylakeX kernels gave the same bits at 1 and 2 threads for every row
-#: count tried, and from 129 on most inner dimensions gave other bits; its
-#: Haswell kernels give other bits at most inner dimensions below 128 too
-#: (see ``pair_amplitude``).
+#: Source columns per product on an absorbing grid: the spectra of
+#: max(1, BLOCK_WIDTH // |S|) steps are added to the pair amplitude at once.
 BLOCK_WIDTH = 128
+
+#: Powers per product in the pulse spectrum of a grid without absorber;
+#: it bounds the power tables, which set the peak memory of a pair run.
+POWER_BLOCK = 32
+
+#: Weight of Im S in the real combination Re S + MIX Im S whose
+#: eigenvectors diagonalize a side's step S (see ``pair_amplitude``).
+MIX = math.pi / 6
+#: Eigenvalues of that combination closer than this form one cluster.
+#: ``eigh`` mixes eigenvectors by about eps / gap, so outside clusters the
+#: eigen residual stays below about 2 eps / CLUSTER_GAP = 4e-13.
+CLUSTER_GAP = 1e-3
+#: Largest |S O - O D| accepted; a grid with a side above it is stepped.
+EIGEN_RESIDUAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,49 +168,51 @@ def pair_amplitude(
 
         f = Q diag(h) F^ diag(h) Q^T,   F^ = sum_n c_n C_+^ diag(m_S) (C_-^)^T,
 
-    and f is one 2-D inverse transform of diag(h) F^ diag(h) (Q is
-    symmetric). A side is free when its factor A V is exactly 1 at every
-    point: its potential samples are zero and the grid has no absorber. Then
-    K_f is its whole step, which the sine basis diagonalizes with the
-    full-kick phase l = h^2, so C^(k) = l^k C0^ with C0^ the spectrum of
-    the unit columns e_S, and F^ is assembled without stepping that side:
+    and f is one 2-D inverse transform of H F^ H, H = diag(h) (Q is
+    symmetric).
 
-    - Both sides free: the sum over n closes,
+    - A grid without absorber (A = 1) takes no step. In the half-kicked
+      sine frame H C^(k) = S^k H C0^, with C0^ the spectrum of the unit
+      columns e_S and S = H Q L Q H the step of one side, L = diag(e^{-iV dt})
+      its potential phase. S is unitary and complex symmetric, so Re S and
+      Im S are commuting real symmetric matrices and S = O diag(D) O^T
+      with O real orthogonal and |D| = 1 (R. A. Horn and C. R. Johnson,
+      *Matrix Analysis*, 2nd ed., Cambridge 2013, on the Takagi
+      factorization). So the sum over n closes:
 
-          F^ = (C0^ diag(m_S) C0^T) o C,  C(p, q) = sum_n c_n (l_p l_q)^(N-1-n),
+          H F^ H = O_+ (X o C') O_-^T,   X = O_+^T H C0^ diag(m_S) C0^T H O_-,
+          C'(r, q) = sum_n c_n (D_+,r D_-,q)^(N-1-n),
 
-      C being the pulse's discrete spectrum at the pair energy
-      E_p + E_q - 2 mu (energy conservation of pair creation). C is
-      summed by Horner's rule over the steps from the first active one,
-      on the upper triangle of the symmetric (p, q) grid, and the one
-      product of inner dimension |S| is summed as |S| rank-1 updates in a
-      fixed order: no step makes a transform and no BLAS call runs.
-    - Otherwise the sides that are not free are stepped: each step makes
-      one forward transform of their columns along axis 0, keeps the
+      C' being the pulse's discrete spectrum at the pair energy
+      (energy conservation of pair creation). It is the product
+      (P_+ diag(c)) P_-^T of the power tables P_rk = D_r^k, built by
+      running products and multiplied POWER_BLOCK powers at a time. A
+      side with no potential is the case O = I, D = l = h^2, and no
+      eigendecomposition runs for it. Otherwise S is applied to columns
+      by one transform pair, O comes from ``eigh`` of Re S + MIX Im S,
+      and within each run of its eigenvalues closer than CLUSTER_GAP,
+      where two phases may map to nearly one value, the eigenvectors are
+      turned by ``eigh`` of the complementary Im S - MIX Re S. D is the
+      diagonal of O^T S O, and if |S O - O diag(D)| exceeds
+      EIGEN_RESIDUAL on a side the grid is stepped as below.
+    - A grid with an absorber steps each side: each step makes one
+      forward transform of the slab's columns along axis 0, keeps the
       spectrum C^ for F^, multiplies it by the full-kick phase and makes
       one inverse transform to continue the columns (two transform calls
       of the shared spectral propagator, see ``dynamics``). The minus
       columns are the plus columns when both potentials are the same
-      array. A free minus side is filled from its running phase l^k
-      instead; a free plus side with a stepped minus side takes the
-      other's role, and the result is transposed. The spectra of
-      max(1, BLOCK_WIDTH // |S|) active steps are laid side by side and
-      added to F^ by one product, blocks in step order; the last block
-      may be partial, and a slab wider than BLOCK_WIDTH points gives one
-      step per block, added in column chunks of at most BLOCK_WIDTH.
+      array. The spectra of max(1, BLOCK_WIDTH // |S|) active steps are
+      laid side by side and added to F^ by one product, blocks in step
+      order; the last block may be partial.
 
-    Thread count: the closed sum makes no BLAS product, so its bits do
-    not depend on the BLAS thread count. The block products of the
-    stepped path have no inner dimension above BLOCK_WIDTH: numpy's
-    OpenBLAS 0.3.31 (a DYNAMIC_ARCH build, measured on an AVX-512 Xeon,
-    where it picks its SkylakeX kernels) gave the same bits at 1 and 2
-    threads for every inner dimension 1-128 on 63 to 1023 rows, and other
-    bits for most above (all except multiples of 8 and one less, from 129
-    to 5000 on 255 rows). That holds for the SkylakeX kernels only: with
-    ``OPENBLAS_CORETYPE=Haswell`` (the kernels of AVX2 hosts without
-    AVX-512) nearly every inner dimension gives other bits at 2 threads,
-    and ``tests/test_pairs.py``, which compares f bit for bit at 1 and 2
-    threads, fails on its stepped cases.
+    Thread count: the eigendecompositions and products run inside
+    ``_blas.one_thread``, which pins numpy's bundled OpenBLAS to one
+    thread and restores the caller's count afterwards, so f has the same
+    bits at any OpenBLAS thread count (without the pin, f of a barrier
+    run had other bits at 2 threads than at 1 under both the SkylakeX and
+    the Haswell kernels). Where numpy carries no such OpenBLAS the pin does
+    nothing, and the bits may depend on that BLAS's thread count. The
+    sine transforms run on one thread.
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
@@ -228,14 +242,11 @@ def pair_amplitude(
     if potential_minus is not potential_plus:
         sides.append(_potential_samples(potential_minus, "potential_minus", x))
 
-    n = x.size
     dt = grid.dt
     # frame: each particle rotated by mu
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
     kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axis=0)
     decay = np.exp(-grid.absorber_profile() * dt)
-    # local factor A V per point and side, broadcast over the source columns
-    local = decay[:, None] * np.exp(-1j * dt * np.stack(sides, axis=1))
     gmask = ramp.spatial_mask(grid)
     support = np.flatnonzero(gmask)
     m = gmask[support]
@@ -245,21 +256,17 @@ def pair_amplitude(
     coeff = np.trim_zeros(
         np.where(env > 1e-14 * ramp.g0_peak, (-1j * dt / grid.dx) * env, 0.0), "f"
     )
-    # a free side (no potential, no absorber: A V = 1) needs no stepping
-    free = (local == 1.0).all(axis=0)
-    if free.all():
-        fhat = _closed_sum(kinetic, support, m, coeff)
-    else:
-        # step only a side that is not free; a free plus side with a
-        # stepped minus side swaps roles, which transposes F^
-        swap = free[0]
-        if swap or free[-1]:
-            local = local[:, [-1 if swap else 0]]
-        fhat = _stepped_sum(kinetic, local, decay, support, m, coeff, free.any())
-        if swap:
-            fhat = fhat.T
-    fhat *= half[:, None]
-    fhat *= half
+    with _blas.one_thread():
+        closed = (decay == 1.0).all()
+        bases = [_step_basis(kinetic, v, dt) for v in sides] if closed else []
+        if closed and all(basis is not None for basis in bases):
+            fhat = _closed_sum(kinetic, bases, support, m, coeff)
+        else:
+            # local factor A V per point and side, broadcast over the columns
+            local = decay[:, None] * np.exp(-1j * dt * np.stack(sides, axis=1))
+            fhat = _stepped_sum(kinetic, local, decay, support, m, coeff)
+            fhat *= half[:, None]
+            fhat *= half
     f = kinetic.inverse(kinetic.inverse(fhat), axis=1)
 
     norm2 = float(np.sum(np.abs(f) ** 2) * grid.dx**2)
@@ -274,53 +281,106 @@ def pair_amplitude(
     )
 
 
-def _closed_sum(kinetic, support, m, coeff) -> np.ndarray:
-    """F^ = (C0^ diag(m) C0^T) o C of two free sides (see ``pair_amplitude``).
+def _real_left(o, z) -> np.ndarray:
+    """o @ z for a real o and a complex z, as one real product."""
+    z = np.ascontiguousarray(z)
+    return (o @ z.view(np.float64)).view(complex)
 
-    C0^, the spectrum of the real unit columns e_S, is real; C is summed
-    by Horner's rule on the upper triangle and mirrored.
-    """
+
+def _apply_step(kinetic, phase, x) -> np.ndarray:
+    """S x = H Q L Q H x for the columns of x, L = diag(phase), by one
+    transform pair (their unnormalized scales cancel)."""
+    half = kinetic.half[:, :, 0]
+    y = kinetic.forward(x * half)
+    y *= phase[:, None]
+    y = kinetic.inverse(y)
+    y *= half
+    return y
+
+
+def _step_basis(kinetic, v, dt):
+    """(O, D) with S = O diag(D) O^T the step of one side in the half-kicked
+    sine frame, or None if |S O - O D| exceeds ``EIGEN_RESIDUAL`` (see
+    ``pair_amplitude``). A side with no potential is (None, l)."""
+    if not v.any():
+        return None, kinetic.full[:, 0, 0]
+    phase = np.exp(-1j * dt * v)
+    s = _apply_step(kinetic, phase, np.eye(v.size))
+    combo = s.real + MIX * s.imag
+    # S goes before the eigendecomposition, which keeps the peak memory
+    # down; S times columns is two transforms
+    del s
+    w, o = np.linalg.eigh(combo)
+    del combo
+    # in a run of eigenvalues closer than CLUSTER_GAP the combination may
+    # mix two phases e^{it} it maps to nearly one value: with tan p = MIX
+    # it is sqrt(1 + MIX^2) cos(t - p), and sin(t - p) tells them apart
+    edges = np.flatnonzero(np.diff(np.r_[0, np.diff(w) < CLUSTER_GAP, 0]))
+    for lo, hi in zip(edges[::2], edges[1::2] + 1):
+        block = o[:, lo:hi]
+        sb = _apply_step(kinetic, phase, block)
+        _, turn = np.linalg.eigh(block.T @ (sb.imag - MIX * sb.real))
+        o[:, lo:hi] = block @ turn
+    so = _apply_step(kinetic, phase, o)
+    d = np.einsum("ij,ij->j", o, so)
+    so.real -= o * d.real
+    so.imag -= o * d.imag
+    if not np.abs(so).max() <= EIGEN_RESIDUAL:
+        return None
+    return o, d
+
+
+def _pulse_spectrum(bases, coeff) -> np.ndarray:
+    """C'(r, q) = sum_n c_n (D_+,r D_-,q)^(N-1-n) (see ``pair_amplitude``),
+    as one product (P_+ diag(c)) P_-^T per POWER_BLOCK powers, the power
+    tables P_rk = D_r^k continued by running products."""
+    ds = [d for _, d in bases]
+    rev = coeff[::-1]
+    spectrum = np.zeros((ds[0].size, ds[-1].size), dtype=complex)
+    start = [np.ones(d.size, dtype=complex) for d in ds]
+    for lo in range(0, rev.size, POWER_BLOCK):
+        c = rev[lo:lo + POWER_BLOCK]
+        tables = []
+        for i, d in enumerate(ds):
+            table = np.repeat(d[:, None], c.size, axis=1)
+            table[:, 0] = start[i]
+            np.cumprod(table, axis=1, out=table)
+            start[i] = table[:, -1] * d
+            tables.append(table)
+        spectrum += (tables[0] * c) @ tables[-1].T
+    return spectrum
+
+
+def _closed_sum(kinetic, bases, support, m, coeff) -> np.ndarray:
+    """H F^ H = O_+ (X o C') O_-^T of a grid without absorber (see
+    ``pair_amplitude``); ``bases`` holds (O, D) per side, one entry when
+    both sides share it, and O is None for a free side (O = I)."""
     n = kinetic.full.shape[0]
-    lam = kinetic.full[:, 0, 0]
-    rows, cols = np.triu_indices(n)
-    z = lam[rows] * lam[cols]
-    acc = np.zeros_like(z)
-    for c in coeff:
-        acc *= z
-        if c:
-            acc += c
-    # the Horner buffers go before the (n, n) arrays are made, which keeps
-    # the peak memory below that of the stepped path
-    del z
-    fhat = np.empty((n, n), dtype=complex)
-    fhat[rows, cols] = acc
-    fhat[cols, rows] = acc
-    del rows, cols, acc
     spec0 = np.zeros((n, support.size))
     spec0[support, np.arange(support.size)] = 1.0
-    spec0 = kinetic.forward(spec0)
-    # C0^ diag(m) C0^T as |S| rank-1 updates in slab order, not a BLAS call
-    prod = np.zeros((n, n))
-    for j in range(support.size):
-        prod += np.multiply.outer(spec0[:, j], m[j] * spec0[:, j])
-    fhat *= prod
+    spec0 = kinetic.forward(spec0) * kinetic.half[:, :, 0]
+    ys = [spec0 if o is None else _real_left(o.T, spec0) for o, _ in bases]
+    spectrum = _pulse_spectrum(bases, coeff)
+    fhat = (ys[0] * m) @ ys[-1].T
+    fhat *= spectrum
+    del spectrum
+    o_plus, o_minus = bases[0][0], bases[-1][0]
+    if o_minus is not None:
+        fhat = _real_left(o_minus, fhat.T).T
+    if o_plus is not None:
+        fhat = _real_left(o_plus, fhat)
     return fhat
 
 
-def _stepped_sum(kinetic, local, decay, support, m, coeff, minus_free):
+def _stepped_sum(kinetic, local, decay, support, m, coeff):
     """F^ = sum_n c_n C_+^ diag(m) C_-^T by stepping (see ``pair_amplitude``).
 
-    ``local`` holds the factor A V of each stepped side, one column or
-    two; with ``minus_free`` the minus spectra are l^k C0^, from a running
-    phase.
+    ``local`` holds the factor A V of each side, one column or two.
     """
     n = kinetic.full.shape[0]
     cols = np.zeros((n, local.shape[1], support.size), dtype=complex)
     cols[support, :, np.arange(support.size)] = decay[support, None]
     local = local[:, :, None]
-    if minus_free:
-        spec0m = kinetic.forward(cols[:, 0] * m)
-        phase = np.ones((n, 1), dtype=complex)
     steps = coeff.size
     # the spectra of one block of active steps (BLOCK_WIDTH // |S| of them,
     # at least one), side by side: plus columns, and minus columns scaled
@@ -338,24 +398,15 @@ def _stepped_sum(kinetic, local, decay, support, m, coeff, minus_free):
         if coeff[src]:
             block = slice(filled, filled + support.size)
             plus[:, block] = spec[:, 0]
-            if minus_free:
-                np.multiply(spec0m, coeff[src] * phase, out=minus[:, block])
-            else:
-                np.multiply(spec[:, -1], coeff[src] * m, out=minus[:, block])
+            np.multiply(spec[:, -1], coeff[src] * m, out=minus[:, block])
             filled = block.stop
             # the last step is the first active one: it adds the partial block
             if filled == width or k == steps - 1:
-                # one product per block; a slab wider than BLOCK_WIDTH
-                # points is split so no inner dimension exceeds it
-                for j in range(0, filled, BLOCK_WIDTH):
-                    cut = slice(j, min(j + BLOCK_WIDTH, filled))
-                    fhat += plus[:, cut] @ minus[:, cut].T
+                fhat += plus[:, :filled] @ minus[:, :filled].T
                 filled = 0
         spec *= kinetic.full
         cols = kinetic.inverse(spec)
         cols *= local
-        if minus_free:
-            phase *= kinetic.full[:, 0]
     return fhat
 
 

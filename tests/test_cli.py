@@ -498,9 +498,17 @@ class TestValidityRecord:
         # kappa = 1.333 at the README operating point
         assert report["threshold_distance"] == pytest.approx(math.pi / 2 - 4 / 3,
                                                              abs=2e-3)
+        blas = record["versions"].pop("blas")
         assert record["versions"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": importlib.metadata.version("scipy")}
+        assert set(blas) == {"corename", "one_thread_pin"}
+        # numpy's Linux wheels carry the bundled scipy-openblas, which names
+        # its kernel set and takes a thread count
+        build = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        if sys.platform == "linux" and build == "scipy-openblas":
+            assert blas["one_thread_pin"] is True
+            assert isinstance(blas["corename"], str) and blas["corename"]
         assert 0.0 < record["write_s"] < record["finished_at"] - record["started_at"]
         assert record["manifest"] == {
             "flux.json":

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import dst, idst
 from scipy.integrate import simpson
 
 import atomsqueeze
+from atomsqueeze import _blas, pairs
 from atomsqueeze import (
     AbsorberSpec,
     CouplingRamp,
@@ -19,6 +22,7 @@ from atomsqueeze import (
     pair_amplitude,
     quadrant_decompose,
 )
+from atomsqueeze.dynamics import _SpectralPropagator
 from atomsqueeze.errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
@@ -218,20 +222,25 @@ class TestPairAmplitude:
             # five whole blocks, then a last block of one step
             (1.5, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
              0.35, 2.84, A_REGION, 64, (9, 14, 1)),
-            # a 145-point slab: one step per block, added as 128 + 17 columns
+            # a 145-point slab: one step per block
             (1.5, 0.7, AbsorberSpec(width=3.0, strength=6.0, two_sided=True),
              0.35, 2.0, 5.4, 320, (145, 1, 0)),
-            # no absorber: both sides free, so f is the closed time sum
+            # no absorber: f is the closed time sum. Both sides free (the
+            # sine basis on both)
             (0.0, 0.0, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
             (0.0, 0.0, AbsorberSpec(), 0.02, 3.0, A_REGION, 64, (9, 14, 13)),
-            # no absorber, one barrier: the free side is filled from its
-            # phase, and a free plus side swaps roles with the minus side
+            # one barrier: that side in its step's eigenbasis, the other in
+            # the sine basis
             (1.5, 0.0, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
             (0.0, 0.7, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
+            (0.5, 0.0, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
+            (2.0, 0.0, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
+            # barriers on both sides: two eigenbases
+            (1.5, 0.7, AbsorberSpec(), 0.35, 3.0, A_REGION, 64, (9, 14, 5)),
         ],
         ids=["minus_only", "one_sided_absorber", "fast_edges", "partial_block",
              "wide_slab", "both_free", "both_free_fast_edges", "minus_free",
-             "plus_free"],
+             "plus_free", "plus_half", "plus_two", "both_barriers"],
     )
     def test_matches_unfused_strang_steps(self, h_plus, h_minus, absorber, tau,
                                           t0, a, n, blocks):
@@ -296,6 +305,60 @@ class TestPairAmplitude:
             digests.append(done.stdout.split())
         assert len(digests[0]) == 4
         assert digests[0] == digests[1]
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(height=st.floats(0.1, 30.0), center=st.floats(0.0, 6.0),
+           dt=st.sampled_from([0.02, 0.04, 0.05, 0.1]),
+           n=st.sampled_from([48, 64, 80]),
+           shape=st.sampled_from(["single", "double"]),
+           minus=st.sampled_from(["free", "same", "mirror"]))
+    def test_step_eigenbasis(self, height, center, dt, n, shape, minus):
+        # a barrier, or a symmetric double barrier whose parity doublets
+        # are nearly degenerate, on a grid without absorber: the basis of
+        # the step S (built here from the dense sine matrix) and the closed
+        # sum it gives, against plain Strang steps
+        grid = GridSpec(x_min=-8.0, x_max=8.0, n_points=n, dt=dt,
+                        boundary="dirichlet")
+        vp = barrier(height, grid, center=center)
+        if shape == "double":
+            vp = vp + barrier(height, grid, center=-center)
+        vm = {"free": None, "same": vp, "mirror": 0.5 * vp[::-1]}[minus]
+        half = np.exp(-1j * (grid.wavenumbers() ** 2 - MU) * dt / 2.0)
+        size = half.size
+        idx = np.arange(1, size + 1)
+        q = math.sqrt(2.0 / (size + 1)) * np.sin(math.pi * np.outer(idx, idx)
+                                                 / (size + 1))
+        step = half[:, None] * (q @ (np.exp(-1j * dt * vp)[:, None] * q)) * half
+        kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axis=0)
+        basis = pairs._step_basis(kinetic, vp, dt)
+        assert basis is not None
+        o, d = basis
+        assert np.abs(step @ o - o * d).max() <= 1e-12
+        assert np.abs(o.T @ o - np.eye(size)).max() <= 1e-13
+        ramp = pulse_ramp(t_on=0.6, t_off=1.6)
+        fa = pair_amplitude(ramp, grid, t0=3.0, mu=MU, potential_plus=vp,
+                            potential_minus=vm)
+        ref = unfused_pair_reference(ramp, grid, 3.0, MU, vp,
+                                     np.zeros_like(vp) if vm is None else vm)
+        scale = np.abs(ref).max()
+        assert np.abs(fa.f - ref).max() < 1e-12 * scale
+
+    def test_basis_above_residual_bound_is_stepped(self, monkeypatch):
+        # with no basis accepted the grid without absorber is stepped, to
+        # the same f
+        monkeypatch.setattr(pairs, "EIGEN_RESIDUAL", 0.0)
+        stepped = []
+        step_sum = pairs._stepped_sum
+        monkeypatch.setattr(pairs, "_stepped_sum",
+                            lambda *args: stepped.append(1) or step_sum(*args))
+        grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=64, dt=0.04,
+                        boundary="dirichlet")
+        ramp = pulse_ramp(t_on=0.6, t_off=1.6)
+        vp = barrier(1.5, grid)
+        fa = pair_amplitude(ramp, grid, t0=3.0, mu=MU, potential_plus=vp)
+        assert stepped == [1]
+        ref = unfused_pair_reference(ramp, grid, 3.0, MU, vp, np.zeros_like(vp))
+        assert np.abs(fa.f - ref).max() < 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf])
     def test_t0_not_finite_named(self, t0):
@@ -382,6 +445,38 @@ class TestPairAmplitude:
         )
         in_shell = w[np.abs(r - r_peak) / r_peak < 0.25].sum()
         assert in_shell > 0.8 * w.sum()
+
+
+class TestOneBlasThread:
+    def test_pin_restores_the_callers_count(self):
+        lib = _blas.openblas()
+        if lib is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        get_threads, set_threads, _ = lib
+        before = get_threads()
+        try:
+            set_threads(2)
+            with _blas.one_thread():
+                assert get_threads() == 1
+            assert get_threads() == 2
+            with pytest.raises(ZeroDivisionError):
+                with _blas.one_thread():
+                    assert get_threads() == 1
+                    1 / 0
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_without_openblas_the_pin_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(_blas, "openblas", lambda: None)
+        with _blas.one_thread():
+            pass
+        assert _blas.describe() == {"corename": None, "one_thread_pin": False}
+        # and the pair amplitude is still computed
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
+                            t_off=0.6, x_lo=-1.0, x_hi=1.0)
+        assert pair_amplitude(ramp, grid, t0=1.0, mu=1.0).created_norm2 > 0
 
 
 class TestQuadrants:
