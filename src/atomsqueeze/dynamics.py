@@ -27,8 +27,9 @@ boundaries use the FFT.
 
 One private spectral propagator serves this module and, through its
 bound forward and inverse transforms, the pair amplitude of ``pairs``,
-which steps a block of source columns along axis 0 and sums the pair
-amplitude in the sine basis (see ``pairs.pair_amplitude``). The trailing
+which applies one side's step to columns along axis 0, sums over time in
+each side's step eigenbasis without stepping, and ends with one 2-D
+inverse transform (see ``pairs.pair_amplitude``). The trailing
 half-kick of one step and the leading half-kick of the next are fused
 into one full kick (the phase squared), which leaves the scheme second
 order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); where the state must
@@ -358,8 +359,9 @@ class _SpectralPropagator:
     dispatch that costs about as much as the kernel on small grids. They
     run in place on the caller's field, and are the attributes
     ``forward`` and ``inverse`` for callers that work in the spectral
-    basis themselves (``pairs.pair_amplitude``, which also passes
-    ``axis=1`` for its one 2-D inverse).
+    basis themselves (``pairs.pair_amplitude``, which builds a side's
+    step from them and ``half``, and also passes ``axis=1`` for its one
+    2-D inverse).
     """
 
     def __init__(self, half: np.ndarray, dirichlet: bool, axis: int):

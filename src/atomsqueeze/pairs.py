@@ -16,14 +16,13 @@ The amplitude is that of Strang steps of the 2-D field, computed without
 stepping the field: H_+(x) + H_-(y) is separable and the source sits on
 the diagonal inside the coupling slab, so f is a sum over steps of
 products of 1-D source columns, each carried to the final time by powers
-of its own side's one-step map (see ``pair_amplitude``). Without an
-absorber that map is unitary and complex symmetric, so it is diagonal in
-a real orthogonal basis (the sine basis itself on a side with no
-potential), and in those bases the sum over time closes: each pair of
-modes is weighted by the pulse's discrete spectrum at the pair energy,
-and no step is taken. A grid with an absorber steps the slab's source
-columns instead, one forward and one inverse 1-D transform per step, and
-adds the spectra of a block of steps by one matrix product. The dense
+of its own side's one-step map (see ``pair_amplitude``). The pair grid is
+a closed box: the pair is read after it has escaped freely, and an
+absorber would remove the amplitude the metrics count. So that map is
+unitary and complex symmetric, and diagonal in a real orthogonal basis
+(the sine basis itself on a side with no potential); in those bases the
+sum over time closes: each pair of modes is weighted by the pulse's
+discrete spectrum at the pair energy, and no step is taken. The dense
 algebra runs at one BLAS thread, so f does not depend on the BLAS thread
 count.
 
@@ -60,18 +59,15 @@ from .errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
     PerturbationInvalidError,
+    SolverError,
 )
 from .params import _require
 
 #: First-order treatment is rejected above this created norm^2.
 PERTURBATION_NORM_LIMIT = 0.1
 
-#: Source columns per product on an absorbing grid: the spectra of
-#: max(1, BLOCK_WIDTH // |S|) steps are added to the pair amplitude at once.
-BLOCK_WIDTH = 128
-
-#: Powers per product in the pulse spectrum of a grid without absorber;
-#: it bounds the power tables, which set the peak memory of a pair run.
+#: Powers per product in the pulse spectrum; it bounds the power tables,
+#: which set the peak memory of a pair run.
 POWER_BLOCK = 32
 
 #: Weight of Im S in the real combination Re S + MIX Im S whose
@@ -81,7 +77,7 @@ MIX = math.pi / 6
 #: ``eigh`` mixes eigenvectors by about eps / gap, so outside clusters the
 #: eigen residual stays below about 2 eps / CLUSTER_GAP = 4e-13.
 CLUSTER_GAP = 1e-3
-#: Largest |S O - O D| accepted; a grid with a side above it is stepped.
+#: Largest |S O - O D| accepted; a side above it is a SolverError.
 EIGEN_RESIDUAL = 1e-12
 
 
@@ -138,10 +134,11 @@ def pair_amplitude(
 ) -> PairAmplitude:
     """Evolve the sourced two-atom amplitude to time ``t0``.
 
-    ``grid`` must be a symmetric Dirichlet grid containing the coupling
-    support [-a, a] (a is taken from the ramp support, which must be
-    symmetric). ``mu`` is the chemical potential in coupling units (the
-    escape carrier is k0 = sqrt(mu)); it must be finite and > 0. The
+    ``grid`` must be a symmetric Dirichlet grid without absorber (a closed
+    box; ParameterDomainError naming ``absorber`` otherwise) containing
+    the coupling support [-a, a] (a is taken from the ramp support, which
+    must be symmetric). ``mu`` is the chemical potential in coupling units
+    (the escape carrier is k0 = sqrt(mu)); it must be finite and > 0. The
     potentials are per internal component, finite samples on grid.x; both
     default to zero.
 
@@ -150,60 +147,44 @@ def pair_amplitude(
     left the coupling square. ``t0`` must be finite and a whole number of
     steps ``grid.dt`` (ParameterDomainError naming it otherwise).
 
-    The result is that of N = t0/dt Strang steps T = K_h A V K_h of the
-    2-D field (K_h the kinetic half-kick, V the potential phase, A the
-    absorber decay, the diagonal source added after V), computed without
-    stepping the field: every factor of T is a tensor product of 1-D
-    operators, T = T_+ (x) T_- with each component's potential on its own
-    axis, so the source of step n reaches t0 as
+    The result is that of N = t0/dt Strang steps T = K_h V K_h of the 2-D
+    field (K_h the kinetic half-kick, V the potential phase, the diagonal
+    source added after V), computed without stepping the field: every
+    factor of T is a tensor product of 1-D operators, T = T_+ (x) T_-
+    with each component's potential on its own axis, so the source of
+    step n reaches t0 as
 
-        c_n * G_+ diag(m_S) G_-^T,   G_+/- = (T_+/-)^k K_h A e_S,
+        c_n * G_+ diag(m_S) G_-^T,   G_+/- = (T_+/-)^k K_h e_S,
 
     with k = N-1-n, S the support of the coupling mask, m_S the mask on
     it (half weights included) and c_n = -i dt/dx g(t_n + dt/2); steps
-    with g below 1e-14 g0_peak add nothing. The sum is taken in the sine
-    basis. With C^(k) = (A V K_f)^k A e_S the stepped columns and
-    Q the inverse sine transform, G^(k) = K_h C^(k) = Q diag(h) C^(k)^,
-    where ^ is the forward transform and h the half-kick phase, so
+    with g below 1e-14 g0_peak add nothing. The sum is taken in the
+    half-kicked sine frame: with Q the inverse sine transform (symmetric),
+    H = diag(h) the half-kick phase and L = diag(e^{-iV dt}) the potential
+    phase of one side, Q^T G^(k) = S^k H C0^, where C0^ is the spectrum of
+    the unit columns e_S and S = H Q L Q H is the step of that side. S is
+    unitary and complex symmetric, so Re S and Im S are commuting real
+    symmetric matrices and S = O diag(D) O^T with O real orthogonal and
+    |D| = 1 (R. A. Horn and C. R. Johnson, *Matrix Analysis*, 2nd ed.,
+    Cambridge 2013, on the Takagi factorization). So the sum over n
+    closes, and f is one 2-D inverse transform of
 
-        f = Q diag(h) F^ diag(h) Q^T,   F^ = sum_n c_n C_+^ diag(m_S) (C_-^)^T,
+        O_+ (X o C') O_-^T,   X = O_+^T H C0^ diag(m_S) C0^T H O_-,
+        C'(r, q) = sum_n c_n (D_+,r D_-,q)^(N-1-n),
 
-    and f is one 2-D inverse transform of H F^ H, H = diag(h) (Q is
-    symmetric).
-
-    - A grid without absorber (A = 1) takes no step. In the half-kicked
-      sine frame H C^(k) = S^k H C0^, with C0^ the spectrum of the unit
-      columns e_S and S = H Q L Q H the step of one side, L = diag(e^{-iV dt})
-      its potential phase. S is unitary and complex symmetric, so Re S and
-      Im S are commuting real symmetric matrices and S = O diag(D) O^T
-      with O real orthogonal and |D| = 1 (R. A. Horn and C. R. Johnson,
-      *Matrix Analysis*, 2nd ed., Cambridge 2013, on the Takagi
-      factorization). So the sum over n closes:
-
-          H F^ H = O_+ (X o C') O_-^T,   X = O_+^T H C0^ diag(m_S) C0^T H O_-,
-          C'(r, q) = sum_n c_n (D_+,r D_-,q)^(N-1-n),
-
-      C' being the pulse's discrete spectrum at the pair energy
-      (energy conservation of pair creation). It is the product
-      (P_+ diag(c)) P_-^T of the power tables P_rk = D_r^k, built by
-      running products and multiplied POWER_BLOCK powers at a time. A
-      side with no potential is the case O = I, D = l = h^2, and no
-      eigendecomposition runs for it. Otherwise S is applied to columns
-      by one transform pair, O comes from ``eigh`` of Re S + MIX Im S,
-      and within each run of its eigenvalues closer than CLUSTER_GAP,
-      where two phases may map to nearly one value, the eigenvectors are
-      turned by ``eigh`` of the complementary Im S - MIX Re S. D is the
-      diagonal of O^T S O, and if |S O - O diag(D)| exceeds
-      EIGEN_RESIDUAL on a side the grid is stepped as below.
-    - A grid with an absorber steps each side: each step makes one
-      forward transform of the slab's columns along axis 0, keeps the
-      spectrum C^ for F^, multiplies it by the full-kick phase and makes
-      one inverse transform to continue the columns (two transform calls
-      of the shared spectral propagator, see ``dynamics``). The minus
-      columns are the plus columns when both potentials are the same
-      array. The spectra of max(1, BLOCK_WIDTH // |S|) active steps are
-      laid side by side and added to F^ by one product, blocks in step
-      order; the last block may be partial.
+    C' being the pulse's discrete spectrum at the pair energy (energy
+    conservation of pair creation). It is the product (P_+ diag(c)) P_-^T
+    of the power tables P_rk = D_r^k, built by running products and
+    multiplied POWER_BLOCK powers at a time. A side with no potential is
+    the case O = I, D = h^2, and no eigendecomposition runs for it; both
+    sides share one basis when both potentials are the same array.
+    Otherwise S is applied to columns by one transform pair, O comes from
+    ``eigh`` of Re S + MIX Im S, and within each run of its eigenvalues
+    closer than CLUSTER_GAP, where two phases may map to nearly one value,
+    the eigenvectors are turned by ``eigh`` of the complementary
+    Im S - MIX Re S. D is the diagonal of O^T S O; if |S O - O diag(D)|
+    exceeds EIGEN_RESIDUAL on a side, SolverError names that side and the
+    residual.
 
     Thread count: the eigendecompositions and products run inside
     ``_blas.one_thread``, which pins numpy's bundled OpenBLAS to one
@@ -216,6 +197,11 @@ def pair_amplitude(
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
+    if grid.absorber_profile().any():
+        raise ParameterDomainError(
+            "pair grid takes no absorber: it would remove the escaped pair",
+            name="absorber",
+        )
     x = grid.x
     if abs(grid.x_min + grid.x_max) > 1e-9 * grid.length:
         raise ParameterDomainError("pair grid must be symmetric about 0")
@@ -245,8 +231,7 @@ def pair_amplitude(
     dt = grid.dt
     # frame: each particle rotated by mu
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
-    kinetic = _SpectralPropagator(half[:, None, None], dirichlet=True, axis=0)
-    decay = np.exp(-grid.absorber_profile() * dt)
+    kinetic = _SpectralPropagator(half[:, None], dirichlet=True, axis=0)
     gmask = ramp.spatial_mask(grid)
     support = np.flatnonzero(gmask)
     m = gmask[support]
@@ -257,16 +242,9 @@ def pair_amplitude(
         np.where(env > 1e-14 * ramp.g0_peak, (-1j * dt / grid.dx) * env, 0.0), "f"
     )
     with _blas.one_thread():
-        closed = (decay == 1.0).all()
-        bases = [_step_basis(kinetic, v, dt) for v in sides] if closed else []
-        if closed and all(basis is not None for basis in bases):
-            fhat = _closed_sum(kinetic, bases, support, m, coeff)
-        else:
-            # local factor A V per point and side, broadcast over the columns
-            local = decay[:, None] * np.exp(-1j * dt * np.stack(sides, axis=1))
-            fhat = _stepped_sum(kinetic, local, decay, support, m, coeff)
-            fhat *= half[:, None]
-            fhat *= half
+        bases = [_step_basis(kinetic, v, dt, name) for v, name
+                 in zip(sides, ("potential_plus", "potential_minus"))]
+        fhat = _closed_sum(kinetic, bases, support, m, coeff)
     f = kinetic.inverse(kinetic.inverse(fhat), axis=1)
 
     norm2 = float(np.sum(np.abs(f) ** 2) * grid.dx**2)
@@ -290,20 +268,20 @@ def _real_left(o, z) -> np.ndarray:
 def _apply_step(kinetic, phase, x) -> np.ndarray:
     """S x = H Q L Q H x for the columns of x, L = diag(phase), by one
     transform pair (their unnormalized scales cancel)."""
-    half = kinetic.half[:, :, 0]
-    y = kinetic.forward(x * half)
+    y = kinetic.forward(x * kinetic.half)
     y *= phase[:, None]
     y = kinetic.inverse(y)
-    y *= half
+    y *= kinetic.half
     return y
 
 
-def _step_basis(kinetic, v, dt):
-    """(O, D) with S = O diag(D) O^T the step of one side in the half-kicked
-    sine frame, or None if |S O - O D| exceeds ``EIGEN_RESIDUAL`` (see
-    ``pair_amplitude``). A side with no potential is (None, l)."""
+def _step_basis(kinetic, v, dt, name):
+    """(O, D) with S = O diag(D) O^T the step of side ``name`` in the
+    half-kicked sine frame (see ``pair_amplitude``); SolverError if
+    |S O - O D| exceeds ``EIGEN_RESIDUAL``. A side with no potential is
+    (None, h^2)."""
     if not v.any():
-        return None, kinetic.full[:, 0, 0]
+        return None, kinetic.full[:, 0]
     phase = np.exp(-1j * dt * v)
     s = _apply_step(kinetic, phase, np.eye(v.size))
     combo = s.real + MIX * s.imag
@@ -325,8 +303,12 @@ def _step_basis(kinetic, v, dt):
     d = np.einsum("ij,ij->j", o, so)
     so.real -= o * d.real
     so.imag -= o * d.imag
-    if not np.abs(so).max() <= EIGEN_RESIDUAL:
-        return None
+    residual = np.abs(so).max()
+    if not residual <= EIGEN_RESIDUAL:
+        raise SolverError(
+            f"{name}: step eigen residual {residual:.3g} exceeds "
+            f"EIGEN_RESIDUAL = {EIGEN_RESIDUAL:g}"
+        )
     return o, d
 
 
@@ -352,13 +334,13 @@ def _pulse_spectrum(bases, coeff) -> np.ndarray:
 
 
 def _closed_sum(kinetic, bases, support, m, coeff) -> np.ndarray:
-    """H F^ H = O_+ (X o C') O_-^T of a grid without absorber (see
-    ``pair_amplitude``); ``bases`` holds (O, D) per side, one entry when
-    both sides share it, and O is None for a free side (O = I)."""
+    """O_+ (X o C') O_-^T (see ``pair_amplitude``); ``bases`` holds (O, D)
+    per side, one entry when both sides share it, and O is None for a free
+    side (O = I)."""
     n = kinetic.full.shape[0]
     spec0 = np.zeros((n, support.size))
     spec0[support, np.arange(support.size)] = 1.0
-    spec0 = kinetic.forward(spec0) * kinetic.half[:, :, 0]
+    spec0 = kinetic.forward(spec0) * kinetic.half
     ys = [spec0 if o is None else _real_left(o.T, spec0) for o, _ in bases]
     spectrum = _pulse_spectrum(bases, coeff)
     fhat = (ys[0] * m) @ ys[-1].T
@@ -369,44 +351,6 @@ def _closed_sum(kinetic, bases, support, m, coeff) -> np.ndarray:
         fhat = _real_left(o_minus, fhat.T).T
     if o_plus is not None:
         fhat = _real_left(o_plus, fhat)
-    return fhat
-
-
-def _stepped_sum(kinetic, local, decay, support, m, coeff):
-    """F^ = sum_n c_n C_+^ diag(m) C_-^T by stepping (see ``pair_amplitude``).
-
-    ``local`` holds the factor A V of each side, one column or two.
-    """
-    n = kinetic.full.shape[0]
-    cols = np.zeros((n, local.shape[1], support.size), dtype=complex)
-    cols[support, :, np.arange(support.size)] = decay[support, None]
-    local = local[:, :, None]
-    steps = coeff.size
-    # the spectra of one block of active steps (BLOCK_WIDTH // |S| of them,
-    # at least one), side by side: plus columns, and minus columns scaled
-    # by c_n m
-    width = max(1, BLOCK_WIDTH // max(support.size, 1)) * support.size
-    plus = np.empty((n, width), dtype=complex)
-    minus = np.empty((n, width), dtype=complex)
-    filled = 0
-    fhat = np.zeros((n, n), dtype=complex)
-    # after k steps the columns' spectrum, times half, is that of G^(k),
-    # which carries the source of step steps-1-k to t0
-    for k in range(steps):
-        spec = kinetic.forward(cols)
-        src = steps - 1 - k
-        if coeff[src]:
-            block = slice(filled, filled + support.size)
-            plus[:, block] = spec[:, 0]
-            np.multiply(spec[:, -1], coeff[src] * m, out=minus[:, block])
-            filled = block.stop
-            # the last step is the first active one: it adds the partial block
-            if filled == width or k == steps - 1:
-                fhat += plus[:, :filled] @ minus[:, :filled].T
-                filled = 0
-        spec *= kinetic.full
-        cols = kinetic.inverse(spec)
-        cols *= local
     return fhat
 
 

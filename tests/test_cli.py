@@ -971,8 +971,11 @@ class TestDynamicsAndPairsCommands:
         assert rec1["manifest"] == rec2["manifest"]
 
     def test_pairs_checksums_independent_of_blas_threads(self, tmp_path):
-        # the pair amplitude adds one small matrix product per step; its
-        # bits must not depend on the BLAS thread count
+        # the default pairs run has no barrier, so no eigh: its source and
+        # power-table products run inside _blas.one_thread, and the files
+        # must not depend on the BLAS thread count. They round |f|^2 to 9
+        # digits and the metrics to 12, so the bit check of f, eigh
+        # included, is test_pairs' test_same_bits_at_one_and_two_blas_threads
         cfg = write_config(tmp_path / "c.json", {
             "mode": "pairs",
             "dimensionless": {"big_m": 100.0, "kappa": 1.2},
