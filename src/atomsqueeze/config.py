@@ -292,17 +292,29 @@ def significant(value):
     return value
 
 
-#: Cells per chunk of a RunRecord table: each chunk is one call of
-#: ``_exponent_cells`` or one ``%`` of the repeated line template. Small,
-#: for the peak RSS: ``%`` chunks of 16384 cells raised the CLI pairs run's
-#: peak by 1.1-1.3 MiB and of 2048 by about 0.13 MiB, and 1024-cell chunks
-#: raised the resident peak of three in-process spectrum-sweep passes by
-#: 0.45-0.52 MiB over 256 (the spectrum tables take the ``%`` path). At 256
-#: a pair-density row is a chunk of its own; the numpy cells write that
-#: table about 2.3x faster at 1024 cells than at 256, but at 256, 512 and
-#: 1024 cells and with ``%`` alone one in-process pair-bell pass peaked at
-#: the same 61.8-62.0 MiB (three runs each).
+#: Cells per chunk of a RunRecord table written with ``%``: each chunk is
+#: one ``%`` of the repeated line template. Small, for the peak RSS, as
+#: ``%`` builds a tuple of Python floats and a string per chunk: ``%``
+#: chunks of 16384 cells raised the CLI pairs run's peak by 1.1-1.3 MiB and
+#: of 2048 by about 0.13 MiB, and 1024-cell chunks raised the resident peak
+#: of three in-process spectrum-sweep passes by 0.45-0.52 MiB over 256 (the
+#: spectrum tables take the ``%`` path). A block that ``_exponent_cells``
+#: declines is retried in chunks of this size, so one zero or tie cell
+#: sends at most one chunk to ``%``.
 _CHUNK_CELLS = 256
+
+#: Cells per block of a RunRecord table written with ``_exponent_cells``,
+#: one call per block. Its arrays cost a few bytes a cell, not a Python
+#: object, and each call costs some 20 numpy reductions whatever its size,
+#: so blocks are larger than chunks: a 255 x 255 pair density is 8 calls,
+#: not 255 (one a row at 256 cells). Numpy chunks of 256, 512 and 1024
+#: cells, and ``%`` alone, gave one in-process pair-bell pass the same
+#: 61.8-62.0 MiB peak (three runs each). Calibrated pair-bell wall_s, three
+#: benchmark runs each: 0.066-0.071 s at one row a call; 0.047-0.051 s at
+#: 2048, 4096 and 8192 cells; 0.048-0.050 s at 16384, with the peak RSS up
+#: from 66.8-67.2 to 67.5-67.8 MiB; and 0.055-0.057 s for the whole table
+#: in one block, with the peak at 73.6-73.7 MiB.
+_BLOCK_CELLS = 8192
 
 #: 10**0 ... 10**22, the powers of ten a double holds exactly.
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -344,7 +356,7 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
     prints as 1.0…0e(E+1), the bytes written here. Any other e > E gives
     m < 10^p: declined; only a log10 rounded up can reach that test.
 
-    Declined, so the chunk goes back to ``%``: zero and -0.0, non-finite
+    Declined, so the writer falls back to ``%``: zero and -0.0, non-finite
     and subnormal cells, |e| >= 100 (three exponent digits), |p - e| > 44,
     and cells failing the margin or the digit-count test. Negative cells
     are written with a leading sign byte.
@@ -454,25 +466,34 @@ class RunRecord:
         ``"%.10e"`` for the density and snapshot dumps), cells joined by
         commas, one line per row; ``rows`` is a 2-D array or a list of
         equal-length tuples of numbers. The bytes are always those of
-        ``",".join(formats) % tuple(row)`` row by row. Rows are written in
-        chunks of about ``_CHUNK_CELLS`` cells. Where every column has the
-        same ``"%.{p}e"`` format, a chunk is built with numpy by
-        ``_exponent_cells``; a chunk it declines, and every chunk of any
-        other table, is one ``%`` of the line template repeated."""
+        ``",".join(formats) % tuple(row)`` row by row. Where every column
+        has the same ``"%.{p}e"`` format, rows are written in blocks of
+        about ``_BLOCK_CELLS`` cells, each built with numpy by one call of
+        ``_exponent_cells``; a block it declines is retried in chunks of
+        about ``_CHUNK_CELLS`` cells, each built with numpy or, if declined
+        again, with one ``%`` of the line template repeated. Every other
+        table is written in such ``%`` chunks."""
         data = np.asarray(rows, dtype=float)
         line = ",".join(formats) + "\n"
         step = max(1, _CHUNK_CELLS // len(formats))
         same = re.fullmatch(r"%\.(\d+)e", formats[0]) if len(set(formats)) == 1 else None
         p = int(same[1]) if same and 1 <= int(same[1]) <= 13 else None
+        block = step if p is None else max(1, _BLOCK_CELLS // len(formats))
         with self._open(name, meta) as fh:
             if columns is not None:
                 fh.write(",".join(columns) + "\n")
-            for lo in range(0, len(data), step):
-                chunk = data[lo:lo + step]
-                text = None if p is None else _exponent_cells(chunk, p)
-                if text is None:
-                    text = line * len(chunk) % tuple(chunk.ravel().tolist())
-                fh.write(text)
+            for lo in range(0, len(data), block):
+                text = None if p is None else _exponent_cells(data[lo:lo + block], p)
+                if text is not None:
+                    fh.write(text)
+                    continue
+                end = min(lo + block, len(data))
+                for start in range(lo, end, step):
+                    chunk = data[start:min(start + step, end)]
+                    text = _exponent_cells(chunk, p) if block > step else None
+                    if text is None:
+                        text = line * len(chunk) % tuple(chunk.ravel().tolist())
+                    fh.write(text)
 
     def json(self, name: str, payload: dict):
         """A JSON object, keys sorted, floats at 12 significant digits."""

@@ -689,21 +689,54 @@ class TestWriteCsv:
         assert (tmp_path / "grid.csv").read_text() == self.HEADER + want.getvalue()
 
     def test_every_chunk_size(self, tmp_path, monkeypatch):
-        # one row a chunk (1 and 3 cells), several rows and a shorter last
-        # chunk (14 cells), and more cells than any table; 0.0 and -0.0
-        # share a column, and the pair density is 255 x 255
+        # chunks of one row (1 and 3 cells), of several rows with a shorter
+        # last chunk (14 cells; 600, two density rows), and of more cells
+        # than any table; blocks of one row, of three density rows (1000
+        # cells, so a declined block is a two-row and a one-row chunk), and
+        # of the whole table. 0.0 and -0.0 share a column, and the pair
+        # density is 255 x 255, once with one 0.0 cell: its block is
+        # declined and written as numpy and `%` chunks
         rng = np.random.default_rng(19)
         cycle = np.tile([0.0, -0.0, 1.5, 0.0], 30)
+        density = rng.standard_normal((255, 255)) ** 2
+        zero = density.copy()
+        zero[100, 17] = 0.0
         tables = [(["%.12g", "%.10e", "%d"], np.column_stack([cycle, -cycle, cycle > 0])),
-                  (["%.8e"] * 255, rng.standard_normal((255, 255)) ** 2)]
-        for cells in (1, 3, 14, 10**6):
-            monkeypatch.setattr(config, "_CHUNK_CELLS", cells)
-            for formats, data in tables:
-                record = RunRecord(parse_config(dict(BASE)), tmp_path)
-                record.table("t.csv", None, formats, data)
-                line = ",".join(formats) + "\n"
-                want = "".join(line % tuple(row) for row in data.tolist())
-                assert (tmp_path / "t.csv").read_text() == want, (cells, len(formats))
+                  (["%.8e"] * 255, density), (["%.8e"] * 255, zero)]
+        wants = ["".join((",".join(formats) + "\n") % tuple(row) for row in data.tolist())
+                 for formats, data in tables]
+        for chunk in (1, 3, 14, 600, 10**6):
+            for block in (1, 1000, 10**6):
+                monkeypatch.setattr(config, "_CHUNK_CELLS", chunk)
+                monkeypatch.setattr(config, "_BLOCK_CELLS", block)
+                for (formats, data), want in zip(tables, wants):
+                    record = RunRecord(parse_config(dict(BASE)), tmp_path)
+                    record.table("t.csv", None, formats, data)
+                    assert (tmp_path / "t.csv").read_text() == want, (chunk, block)
+
+    def test_density_takes_one_numpy_call_per_block(self, tmp_path, monkeypatch):
+        # a 255 x 255 density whose every cell numpy writes (quarters: exact
+        # mantissas, far from a rounding tie) is a few blocks of rows, not
+        # one call a row; with one 0.0 cell only that cell's row goes to `%`
+        built = []
+
+        def counted(chunk, p):
+            built.append(exponent_cells(chunk, p))
+            return built[-1]
+
+        exponent_cells = config._exponent_cells
+        monkeypatch.setattr(config, "_exponent_cells", counted)
+        data = np.arange(1, 255 * 255 + 1).reshape(255, 255) / 4.0
+        record = RunRecord(parse_config(dict(BASE)), tmp_path)
+        record.table("t.csv", None, ["%.8e"] * 255, data)
+        assert None not in built
+        assert len(built) <= math.ceil(data.size / config._BLOCK_CELLS)
+        assert (tmp_path / "t.csv").read_text() == "".join(built)
+        built.clear()
+        data[100, 17] = 0.0
+        record.table("t.csv", None, ["%.8e"] * 255, data)
+        assert built.count(None) == 2
+        assert sum(text.count("\n") for text in built if text is not None) == 254
 
 
 def _next(x, ulps):
