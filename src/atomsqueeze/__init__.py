@@ -41,8 +41,6 @@ from .params import (
 )
 from .scattering import (
     BogoliubovCoefficients,
-    InteriorModes,
-    interior_modes,
     r_from_coefficients,
     solve_scattering,
 )

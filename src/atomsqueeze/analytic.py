@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedChannelError
-from .params import DimensionlessParams, _first
+from .params import _first, check_dimensionless
 
 #: |arctanh_argument| within this distance below 1 is flagged near-threshold.
 NEAR_THRESHOLD_BAND = 1e-12
@@ -77,7 +77,7 @@ def _value_from_phase(d, phi) -> SqueezingValue:
     )
 
 
-def wavenumber_phase(params: DimensionlessParams) -> float:
+def wavenumber_phase(d, big_m, kappa):
     """Phase difference (k_plus - k_minus) * a of the interior branches.
 
     The interior wavenumbers are k_pm = sqrt(2m(mu +/- g0*s))/hbar with
@@ -88,26 +88,27 @@ def wavenumber_phase(params: DimensionlessParams) -> float:
 
     evaluated here as 2*kappa*s / (sqrt(1 + s/M) + sqrt(1 - s/M)), which
     avoids catastrophic cancellation at large M and at M = inf (the
-    mu >> g0 limit) is exactly kappa * s. Elementwise when the parameters
-    are arrays.
+    mu >> g0 limit) is exactly kappa * s. Elementwise over broadcast
+    arrays (d, M, kappa).
 
-    Raises ClosedChannelError when M < s (k_minus imaginary: the lower
-    interior branch is evanescent and the closed form does not apply).
+    Raises ParameterDomainError, naming the field, outside the domain of
+    :func:`~atomsqueeze.params.check_dimensionless`, and
+    ClosedChannelError when M < s (k_minus imaginary: the lower interior
+    branch is evanescent and the closed form does not apply).
     """
-    d, M = params.d, params.big_m
+    check_dimensionless(d, big_m, kappa)
     s = np.sqrt(1.0 + d * d)
-    closed = M < s
+    closed = big_m < s
     if np.any(closed):
         raise ClosedChannelError(
-            f"lower interior branch evanescent: big_m={_first(M, closed)} "
+            f"lower interior branch evanescent: big_m={_first(big_m, closed)} "
             f"< sqrt(1+d^2)={_first(s, closed)}"
         )
-    return 2.0 * params.kappa * s / (np.sqrt(1.0 + s / M) + np.sqrt(1.0 - s / M))
+    return 2.0 * kappa * s / (np.sqrt(1.0 + s / big_m) + np.sqrt(1.0 - s / big_m))
 
 
 def r_closed_form(d, big_m, kappa) -> SqueezingValue:
     """Closed-form squeezing over broadcast arrays (d, M, kappa), one array
     per field of the result; big_m = inf gives the mu >> g0 limit."""
     d, kappa = np.asarray(d, dtype=float), np.asarray(kappa, dtype=float)
-    params = DimensionlessParams(d=d, big_m=big_m, kappa=kappa)
-    return _value_from_phase(d, wavenumber_phase(params))
+    return _value_from_phase(d, wavenumber_phase(d, big_m, kappa))

@@ -97,15 +97,11 @@ _SCHEDULE_STEPS = 64
 
 @dataclass(frozen=True)
 class AbsorberSpec:
-    """Quadratic absorbing layer of ``width`` at the domain edge.
-
-    One-sided (far edge only) by default; two-sided layers damp both ends,
-    for symmetric open geometries.
-    """
+    """Quadratic absorbing layer of ``width`` at the far edge (x_max) of
+    the domain; the wall at x_min reflects."""
 
     width: float = 0.0
     strength: float = 6.0
-    two_sided: bool = False
 
     def __post_init__(self):
         _require("width", self.width, self.width >= 0, "finite and >= 0")
@@ -189,12 +185,6 @@ class GridSpec:
             g[inside] = self.absorber.strength * (
                 (x[inside] - x0) / self.absorber.width
             ) ** 2
-            if self.absorber.two_sided:
-                x1 = self.x_min + self.absorber.width
-                lo = x < x1
-                g[lo] += self.absorber.strength * (
-                    (x1 - x[lo]) / self.absorber.width
-                ) ** 2
         return g
 
 
@@ -293,9 +283,6 @@ class PlaneWaveSource:
         for name in ("x_pos", "amplitude", "delta", "t_on"):
             _require(name, getattr(self, name))
         _require("tau_on", self.tau_on, self.tau_on > 0, "finite and > 0")
-
-    def value(self, t: float) -> complex:
-        return self.values(np.array([t]))[0]
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """The source at each time of ``ts``. The tanh edge is math.tanh,
@@ -516,10 +503,11 @@ def evolve(
 
     Raises ParameterDomainError at setup, naming the field, if
     ``t_final``, ``state.t`` or a snapshot time is not finite,
-    ``t_final`` precedes ``state.t``, ``check_every`` is not a whole
-    number >= 1 (so not infinite either), the
-    source sits outside [grid.x_min, grid.x_max], or the potential
-    samples are not finite or not of the grid's shape; ResolutionError
+    ``t_final`` precedes ``state.t``, ``label.mu`` or ``label.k0`` of
+    the state is not finite, ``check_every`` is not a whole number >= 1
+    (so not infinite either), the source sits outside
+    [grid.x_min, grid.x_max], or the potential samples are not finite or
+    not of the grid's shape; ResolutionError
     if the grid cannot resolve the mode's nominal carrier (label.k0), and
     InstabilityDetectedError if the norm is not within the bound (a NaN
     norm included) mid-run.
@@ -528,6 +516,10 @@ def evolve(
     _require("state.t", state.t)
     if t_final < state.t:
         raise ParameterDomainError("t_final precedes the state's current time")
+    # a NaN mu turns every kinetic phase NaN; a NaN k0 skips the
+    # resolution check
+    _require("label.mu", state.label.mu)
+    _require("label.k0", state.label.k0)
     if snapshot_times is not None:
         _require("snapshot_times", np.asarray(snapshot_times, dtype=float))
     # NaN, +inf and 1.5 fail the whole-number test (an interval the step
@@ -638,18 +630,13 @@ def extract_output_correlators(
     Raises ParameterDomainError, naming the field, when ``label.mu`` or a
     detuning is not finite or ``detunings`` is empty, and when a detuning
     closes an exterior channel (|Delta| >= mu); all are checked before
-    WindowTooShortError, raised when the requested detuning spacing is
-    finer than the window's spectral resolution (group velocity times
-    2*pi / window length).
+    WindowTooShortError, raised when the window holds fewer than 8 points
+    or the requested detuning spacing is finer than the window's spectral
+    resolution (group velocity times 2*pi / window length).
     """
     if not history:
         raise ParameterDomainError("history must contain at least one snapshot")
     mu = history[0].label.mu
-    idx = window.indices(grid)
-    if len(idx) < 8:
-        raise WindowTooShortError("analysis window contains fewer than 8 points")
-    xs = grid.x[idx]
-    length = xs[-1] - xs[0]
     det = np.asarray(list(detunings), dtype=float)
     _require("label.mu", mu)
     _require("number of detunings", det.size, det.size > 0, "> 0")
@@ -657,6 +644,11 @@ def extract_output_correlators(
     for dd in det:
         if mu - abs(dd) <= 0:
             raise ParameterDomainError(f"exterior channel closed at detuning {dd}")
+    idx = window.indices(grid)
+    if len(idx) < 8:
+        raise WindowTooShortError("analysis window contains fewer than 8 points")
+    xs = grid.x[idx]
+    length = xs[-1] - xs[0]
     if det.size > 1:
         spacing = np.min(np.diff(np.sort(det)))
         k0 = math.sqrt(mu)
@@ -718,15 +710,15 @@ def steady_state_beta_squared(
     n_points: int = 3200,
     dt: float = 0.01,
     measure_c: float = 5.0,
-    settle_time: float = 20.0,
 ) -> dict:
     """Measure |beta(Delta=0)|^2 through a coupling ramp of rate gamma.
 
     The full steady-output numerical experiment: a hard wall at x = 0, the
     coupling slab on [0, a], an analysis window beyond it, a continuous
     plane-wave source at the carrier k0 = sqrt(M) farther out, and an
-    absorbing layer at the far edge. After the source settles, g ramps on
-    with rate gamma = gamma_ratio * g0; the output is measured at
+    absorbing layer at the far edge. The source settles for 20 time units;
+    then g ramps on with rate gamma = gamma_ratio * g0, centered at
+    t0 = 20 + 4 / gamma, and the output is measured at
     t0 + measure_c / gamma so every ramp rate is probed at the same point
     of its own schedule (the residual ramp deficit is then identical
     across gamma values and the remaining discrepancy against the
@@ -740,14 +732,13 @@ def steady_state_beta_squared(
     Returns a dict with the measured |beta0|^2, the measured |alpha0|^2,
     snapshot variance, and the run's bookkeeping. A ``big_m`` or
     ``gamma_ratio`` that is not finite and > 0, a ``kappa`` that is not
-    finite and >= 0, or a ``measure_c`` or ``settle_time`` that is not
-    finite is a ParameterDomainError naming it.
+    finite and >= 0, or a ``measure_c`` that is not finite is a
+    ParameterDomainError naming it.
     """
     _require("big_m", big_m, big_m > 0, "finite and > 0")
     _require("kappa", kappa, kappa >= 0, "finite and >= 0")
     _require("gamma_ratio", gamma_ratio, gamma_ratio > 0, "finite and > 0")
     _require("measure_c", measure_c)
-    _require("settle_time", settle_time)
     k0 = math.sqrt(big_m)
     a = kappa * math.sqrt(big_m)
     grid = GridSpec(
@@ -766,7 +757,7 @@ def steady_state_beta_squared(
             "choose length/n_points so a/dx is an integer"
         )
     grid.validate_resolution(k0)
-    t0_ramp = settle_time + 4.0 / gamma_ratio
+    t0_ramp = 20.0 + 4.0 / gamma_ratio
     t_meas = t0_ramp + measure_c / gamma_ratio
     ramp = CouplingRamp(
         g0_peak=1.0, gamma=gamma_ratio, shape="tanh", t_on=t0_ramp, x_lo=0.0, x_hi=a

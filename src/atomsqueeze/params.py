@@ -82,8 +82,9 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """Reduced parameters (d, M, kappa) that fully determine the spectra
-    (inside the package also a row of points, one array per field).
+    """Reduced parameters (d, M, kappa) of one operating point, which
+    fully determine the spectra. Rows of points pass as three arrays,
+    checked by :func:`check_dimensionless`.
 
     Attributes:
         d: detuning ratio delta/g0 (any real).

@@ -40,7 +40,7 @@ from .errors import (
     InconsistentChannelsError,
     SolverError,
 )
-from .params import DimensionlessParams, _first, _require
+from .params import DimensionlessParams, _first, _require, check_dimensionless
 
 #: 2-norm condition number above which a matching system counts as nearly
 #: singular. solve_matching takes the exact 1-norm condition number
@@ -56,21 +56,6 @@ SOLVER_TOL = 1e-10
 #: Largest disagreement of the two channel ratios |beta|/|alpha|, relative
 #: to the ratio scale, that :func:`r_from_coefficients` averages away.
 CHANNEL_TOL = 10.0 * SOLVER_TOL
-
-
-@dataclass(frozen=True)
-class InteriorModes:
-    """Eigenstructure of the coupled slab at one operating point.
-
-    ``wavevectors`` are the two interior wavenumbers (the lower branch is
-    purely imaginary with Im > 0 when evanescent); ``eigenvalues`` are the
-    corresponding k^2 in coupling units; ``eigenvectors`` holds the unit
-    (u, w) polarization of each branch as rows.
-    """
-
-    eigenvalues: Tuple[float, float]
-    eigenvectors: Tuple[Tuple[float, float], Tuple[float, float]]
-    wavevectors: Tuple[complex, complex]
 
 
 @dataclass(frozen=True)
@@ -109,32 +94,30 @@ class BogoliubovCoefficients:
         return abs(self.alpha_p * self.beta_m - self.alpha_m * self.beta_p)
 
 
-def interior_modes(params: DimensionlessParams) -> InteriorModes:
-    """Eigenpairs of the interior coupling matrix [[M+d, -1], [-1, M-d]].
+def _branches(d, big_m):
+    """Interior branches of [[M+d, -1], [-1, M-d]] over a row of points.
 
-    Closed channels are represented, not rejected: a negative eigenvalue
-    yields an imaginary wavevector (Im > 0 by convention), and the
-    corresponding slab solution is the sinh-like combination vanishing at
-    the wall. Elementwise when the parameters are arrays.
+    Returns ``(k, e)``: the wavenumbers sqrt(M +/- s), s = sqrt(1 + d^2),
+    of shape (2, N), and the unit (u, w) polarizations of shape (2, 2, N),
+    indexed [component, branch, point]. An evanescent branch (M < s) has
+    an imaginary wavenumber with Im > 0; its slab solution is the
+    sinh-like combination vanishing at the wall.
     """
-    d, M = params.d, params.big_m
     s = np.sqrt(1.0 + d * d)
-    lams = (M + s, M - s)
     # eigenvector of [[M+d, -1], [-1, M-d]] for eigenvalue M+s: (1, d-s)
-    norms = [np.sqrt(1.0 + w * w) for w in (d - s, d + s)]
-    return InteriorModes(
-        eigenvalues=lams,
-        eigenvectors=tuple((1.0 / n, w / n) for w, n in zip((d - s, d + s), norms)),
-        wavevectors=tuple(np.sqrt(lam + 0j) for lam in lams),
-    )
+    w = np.stack([d - s, d + s])
+    norm = np.sqrt(1.0 + w * w)
+    k = np.sqrt(np.stack([big_m + s, big_m - s]) + 0j)
+    return k, np.stack([1.0 / norm, w / norm])
 
 
 def _matching_system(d, big_m, kappa):
     """Assemble the matching problem of a row of points.
 
-    ``d``, ``big_m`` and ``kappa`` are 1-D arrays of one shape. With
-    S_j = sin(k_j a), K_j = k_j cos(k_j a) and (e_j^u, e_j^w) the edge
-    values and polarization of interior branch j, returns
+    ``d``, ``big_m`` and ``kappa`` are 1-D arrays of one shape, held to
+    the domain of :func:`~atomsqueeze.params.check_dimensionless`. With
+    S_j = sin(k_j a), K_j = k_j cos(k_j a) and (e_j^u, e_j^w) the
+    polarization of interior branch j (:func:`_branches`), returns
     ``(mat, rows, edges, a, ku, kw)``: the (N, 4, 4) matching matrices A,
     the rows e_j^u (K_j - i ku S_j) and e_j^w (K_j + i kw S_j) of the 2x2
     system, the edge values S_j e_j^u and S_j e_j^w of u and w (both
@@ -142,7 +125,7 @@ def _matching_system(d, big_m, kappa):
     wavenumbers. Raises ClosedExteriorChannelError as
     :func:`solve_matching` does.
     """
-    modes = interior_modes(DimensionlessParams(d=d, big_m=big_m, kappa=kappa))
+    check_dimensionless(d, big_m, kappa)
     closed = big_m - np.abs(d) <= 0
     if np.any(closed):
         raise ClosedExteriorChannelError(
@@ -152,8 +135,7 @@ def _matching_system(d, big_m, kappa):
     a = kappa * np.sqrt(big_m)
     ku = np.sqrt(big_m + d)
     kw = np.sqrt(big_m - d)
-    k = np.stack(modes.wavevectors)
-    e = np.stack(modes.eigenvectors, axis=1)
+    k, e = _branches(d, big_m)
     sin, kcos = np.sin(k * a), k * np.cos(k * a)
     edges = e * sin
     rows = e * (kcos + 1j * np.stack([-ku, kw])[:, None] * sin)

@@ -22,12 +22,7 @@ import numpy as np
 
 from .analytic import r_closed_form, wavenumber_phase
 from .errors import AboveThresholdError, ParameterDomainError, SolverError
-from .params import (
-    DimensionlessParams,
-    _first,
-    check_dimensionless,
-    nearest_threshold,
-)
+from .params import _first, check_dimensionless, nearest_threshold
 from .scattering import r_from_coefficients, solve_matching
 
 #: Most (d, kappa) points per array call of a grid sweep. A few hundred
@@ -124,8 +119,9 @@ def find_threshold(
     """
     if not 0.0 <= lo < hi:
         raise ParameterDomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+    # hi is the largest kappa searched; the phase below checks kappa = 1
     check_dimensionless(d, big_m, hi)
-    c = float(wavenumber_phase(DimensionlessParams(d=d, big_m=big_m, kappa=1.0)))
+    c = float(wavenumber_phase(d, big_m, 1.0))
     # floor() can land one peak low or high at the rounding edge
     n = max(0, math.floor((lo * c - math.pi / 2.0) / math.pi))
     while (kappa_star := (math.pi / 2.0 + n * math.pi) / c) <= lo:

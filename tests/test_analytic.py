@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomsqueeze import DimensionlessParams, r_closed_form, wavenumber_phase
+from atomsqueeze import r_closed_form, wavenumber_phase
 from atomsqueeze.analytic import _value_from_phase
 from atomsqueeze.errors import ClosedChannelError, ParameterDomainError
 
@@ -49,16 +49,14 @@ class TestTanhTwoTheta:
 class TestWavenumberPhase:
     def test_large_m_limit(self):
         # oracle: series limit (k+ - k-) a -> kappa sqrt(1+d^2) as M -> inf
-        p = DimensionlessParams(d=0.0, big_m=1e6, kappa=1.0)
-        assert wavenumber_phase(p) == pytest.approx(1.0, abs=1e-6)
+        assert wavenumber_phase(0.0, 1e6, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_kappa(self):
-        p = DimensionlessParams(d=1.0, big_m=50.0, kappa=0.0)
-        assert wavenumber_phase(p) == 0.0
+        assert wavenumber_phase(1.0, 50.0, 0.0) == 0.0
 
     def test_closed_channel(self):
         with pytest.raises(ClosedChannelError):
-            wavenumber_phase(DimensionlessParams(d=0.0, big_m=0.5, kappa=1.0))
+            wavenumber_phase(0.0, 0.5, 1.0)
 
     def test_matches_naive_form_at_moderate_m(self):
         # same quantity via the direct difference of the printed wavenumbers
@@ -66,8 +64,18 @@ class TestWavenumberPhase:
             s = math.sqrt(1 + d * d)
             a = kappa * math.sqrt(M)
             naive = (math.sqrt(M + s) - math.sqrt(M - s)) * a
-            p = DimensionlessParams(d=d, big_m=M, kappa=kappa)
-            assert wavenumber_phase(p) == pytest.approx(naive, rel=1e-12)
+            assert wavenumber_phase(d, M, kappa) == pytest.approx(naive, rel=1e-12)
+
+    @pytest.mark.parametrize("name, row", [
+        ("d", ([0.0, math.nan], 10.0, 1.0)),
+        ("big_m", (0.0, [10.0, -1.0], 1.0)),
+        ("kappa", (0.0, 10.0, [1.0, -0.1])),
+    ])
+    def test_domain_named(self, name, row):
+        # the phase checks the row it is given, before the closed channel
+        with pytest.raises(ParameterDomainError, match=f"^{name} must be") as err:
+            wavenumber_phase(*(np.asarray(v) for v in row))
+        assert err.value.name == name
 
 
 class TestRAnalytic:

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from atomsqueeze import (
     AbsorberSpec,
     CouplingRamp,
-    DimensionlessParams,
     GridSpec,
     ModeLabel,
     ModeState,
@@ -17,7 +16,6 @@ from atomsqueeze import (
     evolve,
     extract_output_correlators,
     gaussian_packet,
-    interior_modes,
     steady_state_beta_squared,
     symplectic_norm,
 )
@@ -29,6 +27,7 @@ from atomsqueeze.errors import (
     ResolutionError,
     WindowTooShortError,
 )
+from atomsqueeze.scattering import _branches
 
 NO_RAMP = CouplingRamp(g0_peak=0.0, gamma=1.0, shape="const")
 
@@ -120,7 +119,7 @@ class TestNamedInputErrors:
 
     @pytest.mark.parametrize("value, name", [
         *((v, n) for v in (math.nan, math.inf)
-          for n in ("measure_c", "settle_time", "kappa", "gamma_ratio")),
+          for n in ("measure_c", "kappa", "gamma_ratio")),
         (-0.5, "kappa"), (0.0, "gamma_ratio"), (-1.0, "gamma_ratio"),
     ])
     def test_steady_output_times(self, name, value):
@@ -149,6 +148,21 @@ class TestNamedInputErrors:
         state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
         with pytest.raises(ParameterDomainError, match="^snapshot_times must be"):
             evolve(state, NO_RAMP, None, grid, 0.1, snapshot_times=[0.05, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["mu", "k0"])
+    def test_evolve_label_named(self, field, bad):
+        # a NaN mu gave an all-NaN sourced field, a NaN k0 skipped the
+        # resolution check
+        grid = GridSpec(x_min=0.0, x_max=20.0, n_points=64, dt=0.01)
+        zeros = np.zeros(grid.x.shape, dtype=complex)
+        label = ModeLabel(**{"mu": 4.0, "k0": 2.0, field: bad})
+        state = ModeState(u=zeros, w=zeros, t=0.0, label=label)
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^label\.{field} must be finite") as err:
+            evolve(state, NO_RAMP, None, grid, 0.1,
+                   source=PlaneWaveSource(x_pos=10.0))
+        assert err.value.name == f"label.{field}"
 
     @pytest.mark.parametrize("x_pos", [-0.5, 40.5])
     def test_evolve_source_outside_grid(self, x_pos):
@@ -279,7 +293,7 @@ def unfused_strang_reference(state, ramp, potential, grid, n_steps, source):
     for step in range(n_steps):
         t_mid = t + dt / 2.0
         u, w = half_kick(u, w)
-        u[isrc] += (-1j * dt / grid.dx) * source.value(t_mid)
+        u[isrc] += (-1j * dt / grid.dx) * source.values(np.array([t_mid]))[0]
         g = ramp.envelope(t_mid) * gmask
         om = np.sqrt((v * v - g * g).astype(complex))
         c = np.cos(om * dt)
@@ -509,12 +523,13 @@ class TestOneAxisTransforms:
 
 
 class TestStationaryInterior:
-    def test_single_k_rotation_matches_interior_modes(self):
+    def test_single_k_rotation_matches_interior_branches(self):
         # uniform coupling over the whole (Dirichlet) box: a sine mode of the
         # box is an eigenmode of the coupled pair, rotating at the interior
-        # frequency Omega = sqrt((eps_k - mu)^2 - 1). interior_modes states
-        # the inverse relation: the branch at detuning d sits at
-        # eps = mu + sqrt(1 + d^2), so Omega must equal that d.
+        # frequency Omega = sqrt((eps_k - mu)^2 - 1). The scattering solve's
+        # interior branches state the inverse relation: the upper branch at
+        # detuning d sits at eps = mu + sqrt(1 + d^2), so Omega must equal
+        # that d.
         length, n = 20.0, 256
         grid = GridSpec(x_min=0.0, x_max=length, n_points=n, dt=0.001,
                         boundary="dirichlet")
@@ -524,9 +539,9 @@ class TestStationaryInterior:
         big_a = eps - mu
         assert big_a > 1.0
         d_pred = math.sqrt(big_a**2 - 1.0)
-        # cross-check the prediction through interior_modes itself
-        im = interior_modes(DimensionlessParams(d=d_pred, big_m=mu, kappa=1.0))
-        assert im.eigenvalues[0] == pytest.approx(eps, rel=1e-12)
+        # cross-check the prediction through the branches themselves
+        k_branch, _ = _branches(np.float64(d_pred), np.float64(mu))
+        assert (k_branch[0] ** 2).real == pytest.approx(eps, rel=1e-12)
 
         omega = d_pred  # rotation frequency of the +Omega eigenvector
         vec_w = omega - big_a  # w/u of that eigenvector (g = 1)
@@ -568,8 +583,7 @@ def plane_wave_snapshot(mu=9.0):
 class TestInstabilityAndWindows:
     def test_extractor_zero_coupling(self):
         res = steady_state_beta_squared(100.0, 1e-30, 0.1, length=160.0,
-                                        n_points=2560, dt=0.02, measure_c=2.0,
-                                        settle_time=18.0)
+                                        n_points=2560, dt=0.02, measure_c=2.0)
         assert res["beta2"] == pytest.approx(0.0, abs=1e-10)
         assert res["alpha2"] == pytest.approx(1.0, abs=0.05)
 
@@ -597,11 +611,16 @@ class TestInstabilityAndWindows:
     ])
     def test_undefined_channel_named(self, mu, detunings, named):
         # NaN compares False against the closed-channel bound and would
-        # give NaN estimates; no detuning would give empty ones
+        # give NaN estimates; no detuning would give empty ones. Named
+        # before the window's length is looked at: [1.0, 1.2] holds fewer
+        # than 8 points.
         state, window, grid = plane_wave_snapshot(mu)
-        with pytest.raises(ParameterDomainError, match=f"^{named} must be") as err:
-            extract_output_correlators([state], window, grid, detunings=detunings)
-        assert err.value.name == named
+        for win in (window, OutputWindow(x_lo=1.0, x_hi=1.2)):
+            with pytest.raises(ParameterDomainError,
+                               match=f"^{named} must be") as err:
+                extract_output_correlators([state], win, grid,
+                                           detunings=detunings)
+            assert err.value.name == named
 
     @pytest.mark.parametrize("check_every", [0, -3, math.nan, 1.5, math.inf])
     def test_guard_interval_below_one_rejected(self, check_every):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from atomsqueeze import (
     DimensionlessParams,
-    interior_modes,
     r_closed_form,
     r_from_coefficients,
     solve_scattering,
@@ -22,48 +21,38 @@ from atomsqueeze.errors import IllConditionedWarning
 from atomsqueeze.scattering import (
     CONDITION_LIMIT,
     BogoliubovCoefficients,
+    _branches,
     _matching_system,
     solve_matching,
 )
 from atomsqueeze.spectrum import find_threshold
 
 
-def char_poly_eigenvalues(d, M):
-    """Oracle: roots of the characteristic polynomial of [[M+d,-1],[-1,M-d]]."""
-    # lambda^2 - 2M lambda + (M^2 - d^2 - 1) = 0
-    disc = math.sqrt(4 * M * M - 4 * (M * M - d * d - 1.0))
-    return (M + disc / 2.0 - M + M, M - disc / 2.0)  # (M + s, M - s)
-
-
-class TestInteriorModes:
-    def test_resonant_symmetric(self):
-        m = interior_modes(DimensionlessParams(d=0.0, big_m=10.0, kappa=1.0))
-        assert m.eigenvalues == pytest.approx((11.0, 9.0))
-        hi, lo = m.eigenvectors
-        assert abs(hi[0]) == pytest.approx(1 / math.sqrt(2))
-        assert hi[1] == pytest.approx(-hi[0])
-        assert lo[1] == pytest.approx(lo[0])
-
-    @pytest.mark.parametrize("d", [0.0, 0.5, 1.7, -2.3])
-    def test_matches_characteristic_polynomial(self, d):
-        M = 12.0
-        got = interior_modes(DimensionlessParams(d=d, big_m=M, kappa=1.0))
-        want_hi, want_lo = char_poly_eigenvalues(d, M)
-        assert got.eigenvalues[0] == pytest.approx(want_hi, rel=1e-12)
-        assert got.eigenvalues[1] == pytest.approx(want_lo, rel=1e-12)
-        # eigenvector residuals of the defining matrix
-        mat = np.array([[M + d, -1.0], [-1.0, M - d]])
-        for lam, vec in zip(got.eigenvalues, got.eigenvectors):
-            v = np.array(vec)
-            assert np.linalg.norm(mat @ v - lam * v) < 1e-10
-            assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
-
-    def test_evanescent_branch(self):
-        m = interior_modes(DimensionlessParams(d=0.0, big_m=0.5, kappa=1.0))
-        assert m.eigenvalues[1] < 0
-        k_lo = m.wavevectors[1]
-        assert k_lo.real == pytest.approx(0.0, abs=1e-14)
-        assert k_lo.imag > 0
+class TestInteriorBranches:
+    def test_eigenpairs_on_grid(self):
+        # every (d, M) of a fixed grid, evanescent rows (M < sqrt(1 + d^2))
+        # included: unit polarizations e_j with
+        # [[M+d, -1], [-1, M-d]] e_j = k_j^2 e_j, the upper branch first
+        ds = np.array([-5.0, -2.3, -1.0, 0.0, 0.5, 1.7, 5.0])
+        ms = np.array([0.05, 0.5, 1.0, 1.2, 3.0, 12.0, 50.0, 400.0])
+        d, big_m = (a.ravel() for a in np.meshgrid(ds, ms))
+        assert np.any(big_m < np.sqrt(1.0 + d * d))
+        k, e = _branches(d, big_m)
+        assert k.shape == (2, d.size) and e.shape == (2, 2, d.size)
+        lam = k**2
+        mat = np.array([[big_m + d, -np.ones_like(d)],
+                        [-np.ones_like(d), big_m - d]])
+        for j in range(2):
+            v = e[:, j]
+            assert np.abs(np.hypot(*v) - 1.0).max() < 1e-12
+            residual = np.einsum("abn,bn->an", mat, v) - lam[j] * v
+            assert np.abs(residual).max() < 1e-10
+            assert np.all(k[j].imag[lam[j].real < 0] > 0)
+        # oracle: the roots of lambda^2 - 2M lambda + (M^2 - d^2 - 1)
+        assert np.allclose(lam[0] + lam[1], 2.0 * big_m, rtol=1e-12, atol=0.0)
+        assert np.allclose(lam[0] * lam[1], big_m**2 - d**2 - 1.0,
+                           rtol=1e-12, atol=1e-9)
+        assert np.all(lam[0].real > lam[1].real)
 
 
 #: Lists of (d, M - |d|, kappa): every (d, M, kappa) the spectrum, compare

@@ -40,7 +40,7 @@ def in_blocks(monkeypatch, block, sweep, *args, **kwargs):
 
 class TestFindThreshold:
     def test_finite_m_is_quarter_period_of_the_phase(self):
-        c = wavenumber_phase(DimensionlessParams(d=0.0, big_m=100.0, kappa=1.0))
+        c = wavenumber_phase(0.0, 100.0, 1.0)
         res = find_threshold(1.0, 2.0, d=0.0, big_m=100.0)
         assert res.found and res.diverges
         assert res.kappa == (math.pi / 2.0) / c
@@ -56,7 +56,7 @@ class TestFindThreshold:
     def test_limit_phase_constant_is_exact(self):
         # at big_m = inf the phase per unit kappa is sqrt(1 + d^2) exactly
         for d in np.linspace(-10.0, 10.0, 2001).tolist():
-            c = wavenumber_phase(DimensionlessParams(d=d, big_m=math.inf, kappa=1.0))
+            c = wavenumber_phase(d, math.inf, 1.0)
             assert c == math.sqrt(1.0 + d * d)
 
     def test_trough_threshold_found(self):
@@ -84,6 +84,12 @@ class TestFindThreshold:
     def test_negative_bracket_rejected(self):
         with pytest.raises(ParameterDomainError):
             find_threshold(-1.0, 2.0)
+
+    def test_infinite_top_named_as_kappa(self):
+        # hi is the largest kappa searched, held to kappa's domain
+        with pytest.raises(ParameterDomainError, match="^kappa must be") as err:
+            find_threshold(0.0, math.inf)
+        assert err.value.name == "kappa"
 
 
 class TestSpectrumGrid:
