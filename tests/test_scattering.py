@@ -28,7 +28,50 @@ from atomsqueeze.scattering import (
 from atomsqueeze.spectrum import find_threshold
 
 
-class TestInteriorBranches:
+def char_poly_eigenvalues(d, M):
+    """Oracle: roots of the characteristic polynomial of [[M+d,-1],[-1,M-d]]."""
+    # lambda^2 - 2M lambda + (M^2 - d^2 - 1) = 0
+    disc = math.sqrt(4 * M * M - 4 * (M * M - d * d - 1.0))
+    return (M + disc / 2.0, M - disc / 2.0)  # (M + s, M - s)
+
+
+def interior_point(d, big_m):
+    """The two branches of one point: (eigenvalues k_j^2, unit
+    polarizations e_j, wavenumbers k_j), the upper branch first."""
+    k, e = _branches(np.array([d]), np.array([big_m]))
+    lam = (k**2)[:, 0]
+    return lam, (e[:, 0, 0], e[:, 1, 0]), k[:, 0]
+
+
+class TestInteriorModes:
+    def test_resonant_symmetric(self):
+        lam, (hi, lo), _ = interior_point(0.0, 10.0)
+        assert lam.real == pytest.approx((11.0, 9.0))
+        assert np.all(lam.imag == 0.0)
+        assert abs(hi[0]) == pytest.approx(1 / math.sqrt(2))
+        assert hi[1] == pytest.approx(-hi[0])
+        assert lo[1] == pytest.approx(lo[0])
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.7, -2.3])
+    def test_matches_characteristic_polynomial(self, d):
+        M = 12.0
+        lam, vecs, _ = interior_point(d, M)
+        want_hi, want_lo = char_poly_eigenvalues(d, M)
+        assert lam[0].real == pytest.approx(want_hi, rel=1e-12)
+        assert lam[1].real == pytest.approx(want_lo, rel=1e-12)
+        # eigenvector residuals of the defining matrix
+        mat = np.array([[M + d, -1.0], [-1.0, M - d]])
+        for lj, v in zip(lam, vecs):
+            assert np.linalg.norm(mat @ v - lj * v) < 1e-10
+            assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+
+    def test_evanescent_branch(self):
+        lam, _, k = interior_point(0.0, 0.5)
+        assert lam[1].real < 0
+        k_lo = k[1]
+        assert k_lo.real == pytest.approx(0.0, abs=1e-14)
+        assert k_lo.imag > 0
+
     def test_eigenpairs_on_grid(self):
         # every (d, M) of a fixed grid, evanescent rows (M < sqrt(1 + d^2))
         # included: unit polarizations e_j with
