@@ -15,6 +15,14 @@ tree against those of its parent's:
     python3 scripts/variant_digests.py --root ../parent > old.txt
     diff old.txt new.txt
 
+Digests hold for one OpenBLAS kernel set: the barrier pair runs go
+through OpenBLAS's ``eigh`` and products, and another kernel (another
+host, or another ``OPENBLAS_CORETYPE``) may flip a last printed digit of
+their files. Compare lines made under the same kernel, pinned on both
+sides where the hosts may differ (``OPENBLAS_CORETYPE=Haswell`` runs on
+every AVX2 host). The kernel in use is printed to stderr, so the lines
+on stdout stay the same.
+
 ``--root`` names the checkout whose ``src/`` and ``bench/`` are run (by
 default the one holding this script). The files go to a temporary
 directory, or are kept under ``--keep DIR`` as ``DIR/<variant key>/``,
@@ -41,6 +49,10 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root), str(root / "src")]
     from bench import workloads
+
+    from atomsqueeze import _blas
+
+    print(f"OpenBLAS kernel: {_blas.describe()['corename']}", file=sys.stderr)
 
     with tempfile.TemporaryDirectory() as tmp:
         base = args.keep if args.keep is not None else Path(tmp)

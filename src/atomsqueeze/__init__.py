@@ -16,7 +16,6 @@ from .dynamics import (
     ModeLabel,
     ModeState,
     OutputWindow,
-    PlaneWaveSource,
     evolve,
     extract_output_correlators,
     gaussian_packet,

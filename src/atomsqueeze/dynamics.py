@@ -56,8 +56,9 @@ and the frequency-domain CLI modes load numpy only.
 
 Open geometries are handled with an absorbing layer at the far edge plus a
 domain long enough that absorbed flux never re-enters the analysis window,
-and a continuous plane-wave source for scattering experiments that would
-otherwise need an infinite incoming wave train.
+and one fixed continuous source for scattering experiments that would
+otherwise need an infinite incoming wave train: a unit carrier at mu,
+injected into u at one grid point and switched on once (see ``evolve``).
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ INSTABILITY_MARGIN = 1.5
 #: per grid point (3.3 MB of complex on 3200 points) for a potential that
 #: differs everywhere.
 _SCHEDULE_STEPS = 64
+
+#: Steps between two checks of ``evolve``'s instability guard.
+_CHECK_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,11 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
     def validate_resolution(self, k_max: float) -> None:
-        """Assert at least MIN_POINTS_PER_WAVELENGTH points per 2*pi/k_max."""
-        if k_max <= 0:
+        """Assert at least MIN_POINTS_PER_WAVELENGTH points per 2*pi/|k_max|
+        (a carrier exp(-i k x) needs the dx of exp(+i k x))."""
+        if k_max == 0:
             return
-        needed = 2.0 * np.pi / k_max / MIN_POINTS_PER_WAVELENGTH
+        needed = 2.0 * np.pi / abs(k_max) / MIN_POINTS_PER_WAVELENGTH
         if self.dx > needed:
             raise ResolutionError(
                 f"dx={self.dx:.4g} too coarse for k_max={k_max:.4g}: "
@@ -261,37 +266,14 @@ class CouplingRamp:
         return mask
 
 
-@dataclass(frozen=True)
-class PlaneWaveSource:
-    """Continuous injection into the u component at a single grid point.
-
-    Radiates, at frame detuning ``delta`` (zero for a carrier at mu), a
-    steady wave train in both directions; in an open geometry the outward
-    half is absorbed and the inward half plays the incident beam of a
-    scattering experiment. The turn-on is a tanh edge of time scale
-    ``tau_on`` centered at ``t_on``. Injected amplitude is per unit time
-    per grid cell (the discrete delta carries the 1/dx).
+def _carrier(ts: np.ndarray) -> np.ndarray:
+    """The source of ``evolve`` at each time of ``ts``: a unit carrier at
+    frame detuning zero, switched on by a tanh edge of unit time centred
+    at t = 3, as complex with imaginary part +0.0. The edge is math.tanh,
+    entry by entry (numpy's tanh rounds differently).
     """
-
-    x_pos: float
-    amplitude: float = 1.0
-    delta: float = 0.0
-    t_on: float = 3.0
-    tau_on: float = 1.0
-
-    def __post_init__(self):
-        for name in ("x_pos", "amplitude", "delta", "t_on"):
-            _require(name, getattr(self, name))
-        _require("tau_on", self.tau_on, self.tau_on > 0, "finite and > 0")
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """The source at each time of ``ts``. The tanh edge is math.tanh,
-        entry by entry (numpy's tanh rounds differently); the rest is one
-        array expression with the bits of the same expression on one time.
-        """
-        edge = [math.tanh(x) for x in ((ts - self.t_on) / self.tau_on).tolist()]
-        env = 0.5 * (1.0 + np.array(edge))
-        return self.amplitude * env * np.exp(-1j * self.delta * ts)
+    edge = [math.tanh(t - 3.0) for t in ts.tolist()]
+    return (0.5 * (1.0 + np.array(edge))).astype(complex)
 
 
 def symplectic_norm(state: ModeState, grid: GridSpec) -> float:
@@ -395,8 +377,6 @@ class _Stepper:
             axis=-1,
         )
         x = grid.x
-        if callable(potential):
-            potential = potential(x)
         v = _potential_samples(potential, "potential", x)
         gmask = ramp.spatial_mask(grid)
         # outside the span where g or V can be nonzero the 2x2 step is the
@@ -479,33 +459,38 @@ class _Stepper:
 def evolve(
     state: ModeState,
     ramp: CouplingRamp,
-    potential,
+    potential: Optional[np.ndarray],
     grid: GridSpec,
     t_final: float,
-    source: Optional[PlaneWaveSource] = None,
+    source_x: Optional[float] = None,
     snapshot_times: Optional[Sequence[float]] = None,
-    check_every: int = 50,
 ) -> Tuple[ModeState, List[ModeState]]:
     """Advance a mode pair to ``t_final``; optionally record snapshots.
 
     Returns (final_state, snapshots). Snapshots are taken at the first step
-    boundary at or after each requested time. The instability guard
-    compares the plus-norm against the analytic bound
-    exp(2*g0_peak*(t-t0)) every ``check_every`` steps.
+    boundary at or after each requested time. Without a source the
+    instability guard compares the plus-norm against the analytic bound
+    exp(2*g0_peak*(t-t0)) every ``_CHECK_EVERY`` = 50 steps.
+
+    ``source_x``, when given, places the continuous source at the grid
+    point nearest to it: a unit carrier at frame detuning zero, switched
+    on by a tanh edge of unit time centred at t = 3, injected into u per
+    unit time per grid cell (the discrete delta carries the 1/dx). It
+    radiates a steady wave train both ways; in an open geometry the
+    outward half is absorbed and the inward half plays the incident beam
+    of a scattering experiment.
 
     Adjacent Strang half-kicks are fused into one kinetic kick. Where the
     state must exist at a step boundary (a snapshot time or a guard check)
     one forward transform gives both the boundary state and the state
     kicked on into the next step; the final step ends with a half-kick.
 
-    ``potential`` is None (zero), samples on grid.x, or a callable of
-    grid.x returning them.
+    ``potential`` is None (zero) or samples on grid.x.
 
     Raises ParameterDomainError at setup, naming the field, if
     ``t_final``, ``state.t`` or a snapshot time is not finite,
     ``t_final`` precedes ``state.t``, ``label.mu`` or ``label.k0`` of
-    the state is not finite, ``check_every`` is not a whole number >= 1
-    (so not infinite either), the source sits outside
+    the state is not finite, ``source_x`` is not in
     [grid.x_min, grid.x_max], or the potential samples are not finite or
     not of the grid's shape; ResolutionError
     if the grid cannot resolve the mode's nominal carrier (label.k0), and
@@ -522,12 +507,8 @@ def evolve(
     _require("label.k0", state.label.k0)
     if snapshot_times is not None:
         _require("snapshot_times", np.asarray(snapshot_times, dtype=float))
-    # NaN, +inf and 1.5 fail the whole-number test (an interval the step
-    # count never reaches would turn the guard off)
-    _require("check_every", check_every,
-             check_every % 1 == 0 and check_every >= 1, "a whole number >= 1")
-    if source is not None:
-        _require("x_pos", source.x_pos, grid.x_min <= source.x_pos <= grid.x_max,
+    if source_x is not None:
+        _require("source_x", source_x, grid.x_min <= source_x <= grid.x_max,
                  f"in [grid.x_min, grid.x_max] = [{grid.x_min!r}, {grid.x_max!r}]")
     grid.validate_resolution(state.label.k0)
     stepper = _Stepper(grid, ramp, potential, mu=state.label.mu)
@@ -537,14 +518,14 @@ def evolve(
         raise ParameterDomainError("state arrays do not match the grid")
     f = np.array([u, w], dtype=complex)
     isrc = None
-    if source is not None:
-        isrc = int(np.argmin(np.abs(grid.x - source.x_pos)))
+    if source_x is not None:
+        isrc = int(np.argmin(np.abs(grid.x - source_x)))
 
     n_steps = int(math.ceil((t_final - state.t) / grid.dt - 1e-12))
     pending = sorted(snapshot_times) if snapshot_times is not None else []
     snapshots: List[ModeState] = []
     norm0 = plus_norm(state, grid)
-    guarded = norm0 > 0 and source is None
+    guarded = norm0 > 0 and source_x is None
     t = state.t
     t0 = state.t
     injection = -1j * grid.dt / grid.dx  # a source value's kick at its grid point
@@ -556,7 +537,7 @@ def evolve(
         t_mids = (t0 + steps * grid.dt) + grid.dt / 2.0
         factors = stepper.local_factors(t_mids)
         if isrc is not None:
-            kicks = injection * source.values(t_mids)
+            kicks = injection * _carrier(t_mids)
         for j, step in enumerate(steps.tolist()):
             if lead != "done":
                 f = stepper.kinetic.kick(f, full=lead == "full")
@@ -566,7 +547,7 @@ def evolve(
             t = t0 + (step + 1) * grid.dt
 
             snap = bool(pending) and t >= pending[0] - 1e-12
-            check = guarded and (step + 1) % check_every == 0
+            check = guarded and (step + 1) % _CHECK_EVERY == 0
             if step == n_steps - 1:
                 f = stepper.kinetic.kick(f, full=False)
                 at = f.copy() if snap else f  # the last snapshot must not alias f
@@ -714,9 +695,9 @@ def steady_state_beta_squared(
     """Measure |beta(Delta=0)|^2 through a coupling ramp of rate gamma.
 
     The full steady-output numerical experiment: a hard wall at x = 0, the
-    coupling slab on [0, a], an analysis window beyond it, a continuous
-    plane-wave source at the carrier k0 = sqrt(M) farther out, and an
-    absorbing layer at the far edge. The source settles for 20 time units;
+    coupling slab on [0, a], an analysis window beyond it, the continuous
+    carrier source (k0 = sqrt(M)) farther out, and an absorbing layer at
+    the far edge. The source settles for 20 time units;
     then g ramps on with rate gamma = gamma_ratio * g0, centered at
     t0 = 20 + 4 / gamma, and the output is measured at
     t0 + measure_c / gamma so every ramp rate is probed at the same point
@@ -762,7 +743,6 @@ def steady_state_beta_squared(
     ramp = CouplingRamp(
         g0_peak=1.0, gamma=gamma_ratio, shape="tanh", t_on=t0_ramp, x_lo=0.0, x_hi=a
     )
-    source = PlaneWaveSource(x_pos=0.58 * length, amplitude=1.0, delta=0.0)
     window = OutputWindow(x_lo=0.15 * length, x_hi=0.48 * length)
     state = ModeState(
         u=np.zeros(grid.x.shape, dtype=complex),
@@ -773,7 +753,8 @@ def steady_state_beta_squared(
     # three closely spaced snapshots at the end give the estimator variance
     snap_times = [t_meas - 2.0 * grid.dt * i for i in range(3)][::-1]
     _, snaps = evolve(
-        state, ramp, None, grid, t_meas, source=source, snapshot_times=snap_times
+        state, ramp, None, grid, t_meas, source_x=0.58 * length,
+        snapshot_times=snap_times
     )
     est = extract_output_correlators(snaps, window, grid, detunings=(0.0,))
     return {

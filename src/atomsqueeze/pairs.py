@@ -8,9 +8,10 @@ In the frame rotating at mu per particle the amplitude obeys
     i df/dt = (H_+ (x) + H_- (y) - 2 mu) f + g(x, t) delta(x - y)
 
 driven on the diagonal by the pair-creation source (the vacuum component
-is dropped; it does not affect any post-selected quantity). H_+/- may
-carry different potentials when probing internal-state asymmetries. The
-delta source is discretized as 1/dx on the grid diagonal.
+is dropped; it does not affect any post-selected quantity). H_+ may carry
+a potential (a barrier on the +1 side probes internal-state asymmetry);
+H_- is free. The delta source is discretized as 1/dx on the grid
+diagonal.
 
 The amplitude is that of Strang steps of the 2-D field, computed without
 stepping the field: H_+(x) + H_-(y) is separable and the source sits on
@@ -130,7 +131,6 @@ def pair_amplitude(
     t0: float,
     mu: float,
     potential_plus: Optional[np.ndarray] = None,
-    potential_minus: Optional[np.ndarray] = None,
 ) -> PairAmplitude:
     """Evolve the sourced two-atom amplitude to time ``t0``.
 
@@ -138,9 +138,9 @@ def pair_amplitude(
     box; ParameterDomainError naming ``absorber`` otherwise) containing
     the coupling support [-a, a] (a is taken from the ramp support, which
     must be symmetric). ``mu`` is the chemical potential in coupling units
-    (the escape carrier is k0 = sqrt(mu)); it must be finite and > 0. The
-    potentials are per internal component, finite samples on grid.x; both
-    default to zero.
+    (the escape carrier is k0 = sqrt(mu)); it must be finite and > 0.
+    ``potential_plus`` is the potential of the +1 component, finite
+    samples on grid.x, zero by default; the -1 component is free.
 
     The ramp should switch off before t0 (shape 'pulse') so the pair has a
     free escape interval; the leakage metric reports how completely it
@@ -175,16 +175,16 @@ def pair_amplitude(
     C' being the pulse's discrete spectrum at the pair energy (energy
     conservation of pair creation). It is the product (P_+ diag(c)) P_-^T
     of the power tables P_rk = D_r^k, built by running products and
-    multiplied POWER_BLOCK powers at a time. A side with no potential is
-    the case O = I, D = h^2, and no eigendecomposition runs for it; both
-    sides share one basis when both potentials are the same array.
-    Otherwise S is applied to columns by one transform pair, O comes from
-    ``eigh`` of Re S + MIX Im S, and within each run of its eigenvalues
-    closer than CLUSTER_GAP, where two phases may map to nearly one value,
-    the eigenvectors are turned by ``eigh`` of the complementary
-    Im S - MIX Re S. D is the diagonal of O^T S O; if |S O - O diag(D)|
-    exceeds EIGEN_RESIDUAL on a side, SolverError names that side and the
-    residual.
+    multiplied POWER_BLOCK powers at a time. The free -1 side, and the +1
+    side when ``potential_plus`` is None, is the case O = I, D = h^2, and
+    no eigendecomposition runs for it; with no potential both sides share
+    that one basis. On a +1 side with a potential S is applied to columns
+    by one transform pair, O comes from ``eigh`` of Re S + MIX Im S, and
+    within each run of its eigenvalues closer than CLUSTER_GAP, where two
+    phases may map to nearly one value, the eigenvectors are turned by
+    ``eigh`` of the complementary Im S - MIX Re S. D is the diagonal of
+    O^T S O; if |S O - O diag(D)| exceeds EIGEN_RESIDUAL, SolverError
+    names ``potential_plus`` and the residual.
 
     Thread count: the eigendecompositions and products run inside
     ``_blas.one_thread``, which pins numpy's bundled OpenBLAS to one
@@ -225,8 +225,8 @@ def pair_amplitude(
         raise ParameterDomainError(f"mu must be finite and > 0, got {mu!r}")
     grid.validate_resolution(math.sqrt(mu))
     sides = [_potential_samples(potential_plus, "potential_plus", x)]
-    if potential_minus is not potential_plus:
-        sides.append(_potential_samples(potential_minus, "potential_minus", x))
+    if potential_plus is not None:
+        sides.append(np.zeros_like(x))  # the free -1 side
 
     dt = grid.dt
     # frame: each particle rotated by mu
@@ -242,8 +242,7 @@ def pair_amplitude(
         np.where(env > 1e-14 * ramp.g0_peak, (-1j * dt / grid.dx) * env, 0.0), "f"
     )
     with _blas.one_thread():
-        bases = [_step_basis(kinetic, v, dt, name) for v, name
-                 in zip(sides, ("potential_plus", "potential_minus"))]
+        bases = [_step_basis(kinetic, v, dt) for v in sides]
         fhat = _closed_sum(kinetic, bases, support, m, coeff)
     f = kinetic.inverse(kinetic.inverse(fhat), axis=1)
 
@@ -275,11 +274,11 @@ def _apply_step(kinetic, phase, x) -> np.ndarray:
     return y
 
 
-def _step_basis(kinetic, v, dt, name):
-    """(O, D) with S = O diag(D) O^T the step of side ``name`` in the
-    half-kicked sine frame (see ``pair_amplitude``); SolverError if
-    |S O - O D| exceeds ``EIGEN_RESIDUAL``. A side with no potential is
-    (None, h^2)."""
+def _step_basis(kinetic, v, dt):
+    """(O, D) with S = O diag(D) O^T the step of a side with potential
+    ``v`` in the half-kicked sine frame (see ``pair_amplitude``);
+    SolverError naming ``potential_plus`` if |S O - O D| exceeds
+    ``EIGEN_RESIDUAL``. A side with no potential is (None, h^2)."""
     if not v.any():
         return None, kinetic.full[:, 0]
     phase = np.exp(-1j * dt * v)
@@ -306,7 +305,7 @@ def _step_basis(kinetic, v, dt, name):
     residual = np.abs(so).max()
     if not residual <= EIGEN_RESIDUAL:
         raise SolverError(
-            f"{name}: step eigen residual {residual:.3g} exceeds "
+            f"potential_plus: step eigen residual {residual:.3g} exceeds "
             f"EIGEN_RESIDUAL = {EIGEN_RESIDUAL:g}"
         )
     return o, d
@@ -334,21 +333,19 @@ def _pulse_spectrum(bases, coeff) -> np.ndarray:
 
 
 def _closed_sum(kinetic, bases, support, m, coeff) -> np.ndarray:
-    """O_+ (X o C') O_-^T (see ``pair_amplitude``); ``bases`` holds (O, D)
-    per side, one entry when both sides share it, and O is None for a free
-    side (O = I)."""
+    """O_+ (X o C') O_-^T (see ``pair_amplitude``) with O_- = I (the free
+    -1 side); ``bases`` holds (O, D) per side, one entry when both sides
+    are free, and O is None for a free side (O = I)."""
     n = kinetic.full.shape[0]
     spec0 = np.zeros((n, support.size))
     spec0[support, np.arange(support.size)] = 1.0
     spec0 = kinetic.forward(spec0) * kinetic.half
-    ys = [spec0 if o is None else _real_left(o.T, spec0) for o, _ in bases]
+    o_plus = bases[0][0]
+    y_plus = spec0 if o_plus is None else _real_left(o_plus.T, spec0)
     spectrum = _pulse_spectrum(bases, coeff)
-    fhat = (ys[0] * m) @ ys[-1].T
+    fhat = (y_plus * m) @ spec0.T
     fhat *= spectrum
     del spectrum
-    o_plus, o_minus = bases[0][0], bases[-1][0]
-    if o_minus is not None:
-        fhat = _real_left(o_minus, fhat.T).T
     if o_plus is not None:
         fhat = _real_left(o_plus, fhat)
     return fhat

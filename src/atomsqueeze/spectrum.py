@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytic import r_closed_form, wavenumber_phase
 from .errors import AboveThresholdError, ParameterDomainError, SolverError
-from .params import _first, check_dimensionless, nearest_threshold
+from .params import _first, _require, nearest_threshold
 from .scattering import r_from_coefficients, solve_matching
 
 #: Most (d, kappa) points per array call of a grid sweep. A few hundred
@@ -116,12 +116,15 @@ def find_threshold(
     (lo, hi); an interval holding none reports found=False. The peak
     saturates the argument only at d = 0; then with big_m = inf the
     located kappa is the textbook threshold pi/2 + n*pi.
+
+    A bracket without 0 <= lo < hi, or with hi = inf, is a
+    ParameterDomainError (the latter naming ``hi``).
     """
     if not 0.0 <= lo < hi:
         raise ParameterDomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    # hi is the largest kappa searched; the phase below checks kappa = 1
-    check_dimensionless(d, big_m, hi)
+    # the phase checks d and big_m; lo < hi leaves hi = inf to name
     c = float(wavenumber_phase(d, big_m, 1.0))
+    _require("hi", hi)
     # floor() can land one peak low or high at the rounding edge
     n = max(0, math.floor((lo * c - math.pi / 2.0) / math.pi))
     while (kappa_star := (math.pi / 2.0 + n * math.pi) / c) <= lo:

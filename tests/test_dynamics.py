@@ -12,7 +12,6 @@ from atomsqueeze import (
     ModeLabel,
     ModeState,
     OutputWindow,
-    PlaneWaveSource,
     evolve,
     extract_output_correlators,
     gaussian_packet,
@@ -94,17 +93,6 @@ class TestNamedInputErrors:
         assert const.envelope(5.0) == 1.0
 
     @pytest.mark.parametrize("name, value", [
-        ("tau_on", 0.0), ("tau_on", -1.0), ("tau_on", math.nan),
-        ("x_pos", math.nan), ("amplitude", math.inf), ("delta", math.nan),
-        ("t_on", math.inf),
-    ])
-    def test_source_field(self, name, value):
-        kw = dict(x_pos=5.0)
-        kw[name] = value
-        with pytest.raises(ParameterDomainError, match=name):
-            PlaneWaveSource(**kw)
-
-    @pytest.mark.parametrize("name, value", [
         ("width", -1.0), ("width", math.nan), ("width", math.inf),
         ("strength", -1.0), ("strength", math.nan), ("strength", math.inf),
     ])
@@ -160,27 +148,35 @@ class TestNamedInputErrors:
         state = ModeState(u=zeros, w=zeros, t=0.0, label=label)
         with pytest.raises(ParameterDomainError,
                            match=rf"^label\.{field} must be finite") as err:
-            evolve(state, NO_RAMP, None, grid, 0.1,
-                   source=PlaneWaveSource(x_pos=10.0))
+            evolve(state, NO_RAMP, None, grid, 0.1, source_x=10.0)
         assert err.value.name == f"label.{field}"
 
-    @pytest.mark.parametrize("x_pos", [-0.5, 40.5])
-    def test_evolve_source_outside_grid(self, x_pos):
+    @pytest.mark.parametrize("k0", [50.0, -50.0])
+    def test_evolve_carrier_unresolved_at_either_sign(self, k0):
+        # exp(-i 50 x) needs the dx of exp(+i 50 x); dx = 0.3125 fits neither
+        grid = GridSpec(x_min=0.0, x_max=20.0, n_points=64, dt=0.01)
+        zeros = np.zeros(grid.x.shape, dtype=complex)
+        state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=k0))
+        with pytest.raises(ResolutionError, match=f"k_max={k0:.4g}"):
+            evolve(state, NO_RAMP, None, grid, 0.1)
+
+    @pytest.mark.parametrize("source_x", [-0.5, 40.5, math.nan])
+    def test_evolve_source_outside_grid(self, source_x):
         # nearest-point placement would move it to the edge point silently
         grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01)
         zeros = np.zeros(grid.x.shape, dtype=complex)
         state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
-        with pytest.raises(ParameterDomainError, match=r"^x_pos must be in \[grid"):
-            evolve(state, NO_RAMP, None, grid, 0.1,
-                   source=PlaneWaveSource(x_pos=x_pos))
+        with pytest.raises(ParameterDomainError,
+                           match=r"^source_x must be in \[grid") as err:
+            evolve(state, NO_RAMP, None, grid, 0.1, source_x=source_x)
+        assert err.value.name == "source_x"
 
-    @pytest.mark.parametrize("x_pos", [0.0, 40.0])
-    def test_evolve_source_on_grid_edge_accepted(self, x_pos):
+    @pytest.mark.parametrize("source_x", [0.0, 40.0])
+    def test_evolve_source_on_grid_edge_accepted(self, source_x):
         grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01)
         zeros = np.zeros(grid.x.shape, dtype=complex)
         state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
-        final, _ = evolve(state, NO_RAMP, None, grid, 0.1,
-                          source=PlaneWaveSource(x_pos=x_pos, t_on=0.0))
+        final, _ = evolve(state, NO_RAMP, None, grid, 0.1, source_x=source_x)
         assert np.abs(final.u).max() > 0
 
 
@@ -270,19 +266,19 @@ class TestSymplecticStructure:
         assert np.abs(fc.w - (a * f1.w + b * f2.w)).max() < 1e-12
 
 
-def unfused_strang_reference(state, ramp, potential, grid, n_steps, source):
+def unfused_strang_reference(state, ramp, v, grid, n_steps, source_x):
     """Dirichlet evolve by plain Strang steps (oracle for the fused stepper).
 
     Every step is two unfused half-kicks, u and w transformed separately,
-    around the source, the 2x2 exponential on the whole grid (written with
+    around the source (the unit carrier switched on at t = 3, as a scalar
+    per step), the 2x2 exponential on the whole grid (written with
     np.sinc) and the absorber decay on the whole grid.
     """
     dt = grid.dt
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - state.label.mu) * dt / 2.0)
-    v = potential(grid.x)
     gmask = ramp.spatial_mask(grid)
     decay = np.exp(-grid.absorber_profile() * dt)
-    isrc = int(np.argmin(np.abs(grid.x - source.x_pos)))
+    isrc = int(np.argmin(np.abs(grid.x - source_x)))
 
     def half_kick(u, w):
         return (idst(dst(u, type=1) * half, type=1),
@@ -293,7 +289,7 @@ def unfused_strang_reference(state, ramp, potential, grid, n_steps, source):
     for step in range(n_steps):
         t_mid = t + dt / 2.0
         u, w = half_kick(u, w)
-        u[isrc] += (-1j * dt / grid.dx) * source.values(np.array([t_mid]))[0]
+        u[isrc] += (-1j * dt / grid.dx) * 0.5 * (1.0 + math.tanh(t_mid - 3.0))
         g = ramp.envelope(t_mid) * gmask
         om = np.sqrt((v * v - g * g).astype(complex))
         c = np.cos(om * dt)
@@ -323,40 +319,37 @@ class TestKickFusion:
                         absorber=AbsorberSpec(width=10.0, strength=6.0))
         ramp = CouplingRamp(g0_peak=1.0, gamma=2.0, shape="tanh", t_on=0.5,
                             x_lo=0.0, x_hi=5.0)
-        source = PlaneWaveSource(x_pos=20.0, t_on=0.3, tau_on=0.2)
-
-        def step_potential(x):
-            return np.where((x > 8.0) & (x < 10.0), 0.5, 0.0)
-
+        step_potential = np.where((grid.x > 8.0) & (grid.x < 10.0), 0.5, 0.0)
         zeros = np.zeros(grid.x.shape, dtype=complex)
         state = ModeState(u=zeros, w=zeros, t=0.0,
                           label=ModeLabel(mu=4.0, k0=2.0))
         n = 150
         plain, none = evolve(state, ramp, step_potential, grid, n * grid.dt,
-                             source=source)
+                             source_x=20.0)
         every, snaps = evolve(state, ramp, step_potential, grid, n * grid.dt,
-                              source=source,
+                              source_x=20.0,
                               snapshot_times=[grid.dt * (i + 1) for i in range(n)])
         assert none == [] and len(snaps) == n
         assert_same_final_state(every, plain)
         # the restricted local step matches the dense one
-        ref = unfused_strang_reference(state, ramp, step_potential, grid, n, source)
+        ref = unfused_strang_reference(state, ramp, step_potential, grid, n, 20.0)
         assert_same_final_state(plain, ref)
 
-    def test_periodic_run_with_guard(self):
+    def test_periodic_run_with_guard(self, monkeypatch):
         grid = periodic_grid(n=256, dt=0.01)
         ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
                             x_lo=20.0, x_hi=40.0)
         state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
         n = 100
         # guard checks every 7 steps split the unsnapshotted run off-period
-        plain, _ = evolve(state, ramp, None, grid, n * grid.dt, check_every=7)
-        every, snaps = evolve(state, ramp, None, grid, n * grid.dt, check_every=7,
+        monkeypatch.setattr(dynamics, "_CHECK_EVERY", 7)
+        plain, _ = evolve(state, ramp, None, grid, n * grid.dt)
+        every, snaps = evolve(state, ramp, None, grid, n * grid.dt,
                               snapshot_times=[grid.dt * (i + 1) for i in range(n)])
         assert len(snaps) == n
         assert_same_final_state(every, plain)
         # a snapshot keeps the state of its own step boundary
-        mid, _ = evolve(state, ramp, None, grid, 50 * grid.dt, check_every=7)
+        mid, _ = evolve(state, ramp, None, grid, 50 * grid.dt)
         assert_same_final_state(snaps[49], mid)
 
 
@@ -371,40 +364,44 @@ class TestSchedule:
     RAMP = CouplingRamp(g0_peak=1.2, gamma=100.0, shape="tanh", t_on=0.15,
                         x_lo=2.0, x_hi=8.0)
 
-    def run(self, source):
+    def run(self, source_x):
         grid = self.GRID
-        if source is None:  # guarded: a packet, no source
+        if source_x is None:  # guarded: a packet, no source
             state = gaussian_packet(grid, x0=15.0, sigma=3.0, k=3.0, mu=9.0)
         else:
             zeros = np.zeros(grid.x.size, dtype=complex)
             state = ModeState(u=zeros, w=zeros, t=0.03, label=ModeLabel(mu=9.0, k0=3.0))
         # snapshots and guard checks on the boundaries of 7- and 3-step blocks
         times = [state.t + k * grid.dt for k in (7, 21, 22, 40)]
-        final, snaps = evolve(state, self.RAMP, lambda x: 0.3 * (x > 5.0), grid,
-                              state.t + 45 * grid.dt, source=source,
-                              snapshot_times=times, check_every=7)
+        final, snaps = evolve(state, self.RAMP, 0.3 * (grid.x > 5.0), grid,
+                              state.t + 45 * grid.dt, source_x=source_x,
+                              snapshot_times=times)
         return [(s.t, s.u.tobytes(), s.w.tobytes()) for s in [final, *snaps]]
 
-    @pytest.mark.parametrize("source", [
-        PlaneWaveSource(x_pos=20.0, delta=0.3, t_on=0.1, tau_on=0.05), None])
-    def test_same_bits_at_every_block_size(self, monkeypatch, source):
+    @pytest.mark.parametrize("source_x", [20.0, None])
+    def test_same_bits_at_every_block_size(self, monkeypatch, source_x):
+        monkeypatch.setattr(dynamics, "_CHECK_EVERY", 7)
         runs = []
         for steps in (1, 3, 7, 64, 10**6):
             monkeypatch.setattr(dynamics, "_SCHEDULE_STEPS", steps)
-            runs.append(self.run(source))
+            runs.append(self.run(source_x))
         assert len(runs[0]) == 5
         assert all(r == runs[0] for r in runs[1:])
 
-    @pytest.mark.parametrize("delta", [0.0, 0.3, -1.7])
-    def test_source_values_have_the_scalar_bits(self, delta):
-        # the scalar expression the stepper used per step, against the block
-        source = PlaneWaveSource(x_pos=0.0, delta=delta, t_on=3.0, tau_on=0.7)
+    def test_source_values_have_the_scalar_bits(self):
+        # the fixed carrier against the general source it replaced, at the
+        # one setting in use (amplitude 1, delta 0, t_on 3, tau_on 1): as
+        # that source's block expression, and as its scalar expression per
+        # step times the step's kick
         ts = (0.03 + np.arange(2000) * 0.01) + 0.01 / 2.0
+        got = dynamics._carrier(ts)
+        edge = [math.tanh(x) for x in ((ts - 3.0) / 1.0).tolist()]
+        block = 1.0 * (0.5 * (1.0 + np.array(edge))) * np.exp(-1j * 0.0 * ts)
+        assert block.tobytes() == got.tobytes()
         kick = -1j * 0.01 / 0.05
-        want = [kick * (source.amplitude * (0.5 * (1.0 + math.tanh((t - 3.0) / 0.7)))
-                        * np.exp(-1j * delta * t)) for t in ts.tolist()]
-        got = kick * source.values(ts)
-        assert np.array(want).tobytes() == got.tobytes()
+        want = [kick * (1.0 * (0.5 * (1.0 + math.tanh((t - 3.0) / 1.0)))
+                        * np.exp(-1j * 0.0 * t)) for t in ts.tolist()]
+        assert np.array(want).tobytes() == (kick * got).tobytes()
 
 
 def expm_local_step(f, v, g, dt):
@@ -430,9 +427,9 @@ class TestLocalStepExponential:
 
     def check(self, potential, n_distinct):
         grid, ramp = self.GRID, self.RAMP
-        stepper = _Stepper(grid, ramp, potential, mu=4.0)
-        assert stepper.v.size == n_distinct
         v = np.zeros(grid.x.size) if potential is None else potential(grid.x)
+        stepper = _Stepper(grid, ramp, v, mu=4.0)
+        assert stepper.v.size == n_distinct
         gmask = ramp.spatial_mask(grid)
         rng = np.random.default_rng(5)
         f = rng.normal(size=(2, grid.x.size)) + 1j * rng.normal(size=(2, grid.x.size))
@@ -622,16 +619,6 @@ class TestInstabilityAndWindows:
                                            detunings=detunings)
             assert err.value.name == named
 
-    @pytest.mark.parametrize("check_every", [0, -3, math.nan, 1.5, math.inf])
-    def test_guard_interval_below_one_rejected(self, check_every):
-        # a periodic packet with no source runs guarded
-        grid = periodic_grid(n=256, dt=0.01)
-        ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
-                            x_lo=20.0, x_hi=40.0)
-        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
-        with pytest.raises(ParameterDomainError, match="check_every"):
-            evolve(state, ramp, None, grid, 10 * grid.dt, check_every=check_every)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_named(self, bad):
         grid = periodic_grid(n=256, dt=0.01)
@@ -652,12 +639,13 @@ class TestInstabilityAndWindows:
             f *= scale
 
         monkeypatch.setattr(_Stepper, "local_step", runaway)
+        monkeypatch.setattr(dynamics, "_CHECK_EVERY", 10)
         grid = periodic_grid(n=256, dt=0.01)
         ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
                             x_lo=20.0, x_hi=40.0)
         state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
         with pytest.raises(InstabilityDetectedError):
-            evolve(state, ramp, None, grid, 100 * grid.dt, check_every=10)
+            evolve(state, ramp, None, grid, 100 * grid.dt)
 
     def test_history_required(self):
         grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)

@@ -102,16 +102,17 @@ def free_pair_oracle(
     return out
 
 
-def unfused_pair_reference(ramp, grid, t0, mu, vp, vm):
+def unfused_pair_reference(ramp, grid, t0, mu, vp):
     """The pair amplitude by plain Strang steps (oracle for the closed sum).
 
     Every step is two unfused half-kicks, each a 1-D sine transform pair
-    per axis, around the dense potential phase and the diagonal source.
+    per axis, around the +1 side's potential phase (along x; the -1 side
+    is free) and the diagonal source.
     """
     n = grid.x.size
     dt = grid.dt
     half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
-    phase_pot = np.exp(-1j * (vp[:, None] + vm[None, :]) * dt)
+    phase_pot = np.exp(-1j * vp * dt)[:, None]
     gmask = ramp.spatial_mask(grid)
     diag = np.arange(n)
 
@@ -187,45 +188,38 @@ class TestPairAmplitude:
         assert fa.created_norm2 > 0
 
     @pytest.mark.parametrize(
-        "h_plus, h_minus, tau, t0, a, n",
+        "h_plus, tau, t0, a, n",
         [
             # steps below the source skip at both ends
-            (1.5, 0.0, 0.02, 3.0, A_REGION, 64),
-            # a 145-point slab reaching over both barriers
-            (1.5, 0.7, 0.35, 2.0, 5.4, 320),
+            (1.5, 0.02, 3.0, A_REGION, 64),
+            # a 145-point slab reaching over the barrier
+            (1.5, 0.35, 2.0, 5.4, 320),
             # both sides free (the sine basis on both)
-            (0.0, 0.0, 0.35, 3.0, A_REGION, 64),
-            (0.0, 0.0, 0.02, 3.0, A_REGION, 64),
-            # one barrier: that side in its step's eigenbasis, the other in
-            # the sine basis
-            (1.5, 0.0, 0.35, 3.0, A_REGION, 64),
-            (0.0, 0.7, 0.35, 3.0, A_REGION, 64),
-            (0.5, 0.0, 0.35, 3.0, A_REGION, 64),
-            (2.0, 0.0, 0.35, 3.0, A_REGION, 64),
-            # barriers on both sides: two eigenbases
-            (1.5, 0.7, 0.35, 3.0, A_REGION, 64),
+            (0.0, 0.35, 3.0, A_REGION, 64),
+            (0.0, 0.02, 3.0, A_REGION, 64),
+            # a barrier on the +1 side: that side in its step's eigenbasis,
+            # the free -1 side in the sine basis
+            (1.5, 0.35, 3.0, A_REGION, 64),
+            (0.5, 0.35, 3.0, A_REGION, 64),
+            (2.0, 0.35, 3.0, A_REGION, 64),
         ],
         ids=["fast_edges", "wide_slab", "both_free", "both_free_fast_edges",
-             "minus_free", "plus_free", "plus_half", "plus_two",
-             "both_barriers"],
+             "minus_free", "plus_half", "plus_two"],
     )
-    def test_matches_unfused_strang_steps(self, h_plus, h_minus, tau, t0, a,
-                                          n):
+    def test_matches_unfused_strang_steps(self, h_plus, tau, t0, a, n):
         # the closed time sum against dense 2-D Strang steps
         grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=n, dt=0.04,
                         boundary="dirichlet")
         ramp = pulse_ramp(t_on=0.6, t_off=1.6, tau=tau, a=a)
         vp = barrier(h_plus, grid)
-        vm = barrier(h_minus, grid, center=-2.0)
         env = np.array([ramp.envelope((k + 0.5) * grid.dt)
                         for k in range(int(round(t0 / grid.dt)))])
         below = env <= 1e-14 * ramp.g0_peak
         # fast edges leave steps below the source skip at both ends
         assert (below[0] and below[-1]) == (tau < 0.1)
         fa = pair_amplitude(ramp, grid, t0=t0, mu=MU,
-                            potential_plus=vp if h_plus else None,
-                            potential_minus=vm if h_minus else None)
-        ref = unfused_pair_reference(ramp, grid, t0, MU, vp, vm)
+                            potential_plus=vp if h_plus else None)
+        ref = unfused_pair_reference(ramp, grid, t0, MU, vp)
         scale = np.abs(ref).max()
         assert scale > 0
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
@@ -258,13 +252,12 @@ class TestPairAmplitude:
         # products, which run inside _blas.one_thread: without the pin, eigh
         # and products of inner dimension 255 gave other bits at 2 threads
         # than at 1. A barrier on the plus side of a 9-point and of a
-        # 145-point slab, then the 9-point slab with barriers on both sides
-        # (two eigenbases) and with none (no eigh). This is the bit check:
-        # the CLI test compares files that round f to 9 digits.
+        # 145-point slab, then the 9-point slab with no barrier (no eigh).
+        # This is the bit check: the CLI test compares files that round f
+        # to 9 digits.
         code = (
             "import hashlib, numpy as np, atomsqueeze as a\n"
-            "for n, w, hp, hm in ((64, 1.5, 1.5, 0.0), (320, 5.4, 1.5, 0.0),\n"
-            "                     (64, 1.5, 1.5, 0.7), (64, 1.5, 0.0, 0.0)):\n"
+            "for n, w, hp in ((64, 1.5, 1.5), (320, 5.4, 1.5), (64, 1.5, 0.0)):\n"
             "    grid = a.GridSpec(x_min=-12.0, x_max=12.0, n_points=n,\n"
             "                      dt=0.04, boundary='dirichlet')\n"
             "    ramp = a.CouplingRamp(g0_peak=0.05, gamma=1 / 0.35,\n"
@@ -272,8 +265,7 @@ class TestPairAmplitude:
             "                          x_lo=-w, x_hi=w)\n"
             "    v = np.exp(-(grid.x - 3.0) ** 2 / 1.28)\n"
             "    fa = a.pair_amplitude(ramp, grid, t0=3.0, mu=4.0,\n"
-            "                          potential_plus=hp * v if hp else None,\n"
-            "                          potential_minus=hm * v[::-1] if hm else None)\n"
+            "                          potential_plus=hp * v if hp else None)\n"
             "    print(hashlib.sha256(fa.f.tobytes()).hexdigest())\n"
         )
         src = str(Path(atomsqueeze.__file__).resolve().parents[1])
@@ -286,16 +278,15 @@ class TestPairAmplitude:
                          OPENBLAS_NUM_THREADS=threads), timeout=600)
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.split())
-        assert len(digests[0]) == 4
+        assert len(digests[0]) == 3
         assert digests[0] == digests[1]
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(height=st.floats(0.1, 30.0), center=st.floats(0.0, 6.0),
            dt=st.sampled_from([0.02, 0.04, 0.05, 0.1]),
            n=st.sampled_from([48, 64, 80]),
-           shape=st.sampled_from(["single", "double"]),
-           minus=st.sampled_from(["free", "same", "mirror"]))
-    def test_step_eigenbasis(self, height, center, dt, n, shape, minus):
+           shape=st.sampled_from(["single", "double"]))
+    def test_step_eigenbasis(self, height, center, dt, n, shape):
         # a barrier, or a symmetric double barrier whose parity doublets
         # are nearly degenerate, on a grid without absorber: the basis of
         # the step S (built here from the dense sine matrix) and the closed
@@ -305,7 +296,6 @@ class TestPairAmplitude:
         vp = barrier(height, grid, center=center)
         if shape == "double":
             vp = vp + barrier(height, grid, center=-center)
-        vm = {"free": None, "same": vp, "mirror": 0.5 * vp[::-1]}[minus]
         half = np.exp(-1j * (grid.wavenumbers() ** 2 - MU) * dt / 2.0)
         size = half.size
         idx = np.arange(1, size + 1)
@@ -313,14 +303,12 @@ class TestPairAmplitude:
                                                  / (size + 1))
         step = half[:, None] * (q @ (np.exp(-1j * dt * vp)[:, None] * q)) * half
         kinetic = _SpectralPropagator(half[:, None], dirichlet=True, axis=0)
-        o, d = pairs._step_basis(kinetic, vp, dt, "potential_plus")
+        o, d = pairs._step_basis(kinetic, vp, dt)
         assert np.abs(step @ o - o * d).max() <= 1e-12
         assert np.abs(o.T @ o - np.eye(size)).max() <= 1e-13
         ramp = pulse_ramp(t_on=0.6, t_off=1.6)
-        fa = pair_amplitude(ramp, grid, t0=3.0, mu=MU, potential_plus=vp,
-                            potential_minus=vm)
-        ref = unfused_pair_reference(ramp, grid, 3.0, MU, vp,
-                                     np.zeros_like(vp) if vm is None else vm)
+        fa = pair_amplitude(ramp, grid, t0=3.0, mu=MU, potential_plus=vp)
+        ref = unfused_pair_reference(ramp, grid, 3.0, MU, vp)
         scale = np.abs(ref).max()
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
 
@@ -331,12 +319,11 @@ class TestPairAmplitude:
         grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=64, dt=0.04,
                         boundary="dirichlet")
         ramp = pulse_ramp(t_on=0.6, t_off=1.6)
-        for name in ("potential_plus", "potential_minus"):
-            with pytest.raises(SolverError,
-                               match=f"^{name}: step eigen residual "
-                                     "[0-9.e+-]+ exceeds EIGEN_RESIDUAL = 0$"):
-                pair_amplitude(ramp, grid, t0=3.0, mu=MU,
-                               **{name: barrier(1.5, grid)})
+        with pytest.raises(SolverError,
+                           match="^potential_plus: step eigen residual "
+                                 "[0-9.e+-]+ exceeds EIGEN_RESIDUAL = 0$"):
+            pair_amplitude(ramp, grid, t0=3.0, mu=MU,
+                           potential_plus=barrier(1.5, grid))
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf])
     def test_t0_not_finite_named(self, t0):
@@ -355,15 +342,14 @@ class TestPairAmplitude:
             pair_amplitude(ramp, grid, t0=1.0, mu=mu)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["potential_plus", "potential_minus"])
-    def test_non_finite_potential_named(self, name, bad):
+    def test_non_finite_potential_named(self, bad):
         grid = pair_grid(n=64, half_width=8.0, dt=0.05)
         ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
                             t_off=0.6, x_lo=-1.0, x_hi=1.0)
         v = np.zeros(grid.x.size)
         v[40] = bad
-        with pytest.raises(ParameterDomainError, match=f"^{name} samples"):
-            pair_amplitude(ramp, grid, t0=1.0, mu=1.0, **{name: v})
+        with pytest.raises(ParameterDomainError, match="^potential_plus samples"):
+            pair_amplitude(ramp, grid, t0=1.0, mu=1.0, potential_plus=v)
 
     def test_nan_norm_trips_perturbation_guard(self, monkeypatch):
         # a coupling mask that is NaN on its support makes every amplitude

@@ -85,11 +85,16 @@ class TestFindThreshold:
         with pytest.raises(ParameterDomainError):
             find_threshold(-1.0, 2.0)
 
-    def test_infinite_top_named_as_kappa(self):
-        # hi is the largest kappa searched, held to kappa's domain
-        with pytest.raises(ParameterDomainError, match="^kappa must be") as err:
+    def test_infinite_top_named_as_hi(self):
+        # the caller passed hi, not kappa: the error names the argument
+        with pytest.raises(ParameterDomainError,
+                           match="^hi must be finite, got inf") as err:
             find_threshold(0.0, math.inf)
-        assert err.value.name == "kappa"
+        assert err.value.name == "hi"
+        # d and big_m are still checked first, under their own names
+        with pytest.raises(ParameterDomainError, match="^d must be") as err:
+            find_threshold(0.0, math.inf, d=math.nan)
+        assert err.value.name == "d"
 
 
 class TestSpectrumGrid:
