@@ -1,4 +1,5 @@
-"""SHA-256 of every data file written by the benchmark's CLI variants.
+"""SHA-256 of every data file written by the benchmark's CLI variants,
+and of every norm-movie result.
 
 Runs each CLI operation that ``bench.workloads.every_variant`` lists, for
 every workload at the full and the tiny size, each into its own output
@@ -6,10 +7,17 @@ directory, and prints one line per data file:
 
     <variant key> <file name> <sha256>
 
-``run_record.json`` is left out: it holds timestamps. Two checkouts give
-the same lines exactly when their data files have the same bytes, so a
-change that must keep the outputs is checked by diffing the lines of its
-tree against those of its parent's:
+``run_record.json`` is left out: it holds timestamps. Each norm-movie
+variant (the library ``evolve`` on its periodic branch, which no CLI mode
+runs) prints one line more, the digest of the repr of its run result, a
+dict of Python floats whose repr round-trips their bits:
+
+    <variant key> result <sha256>
+
+Two checkouts give the same lines exactly when their data files and
+norm-movie results have the same bits, so a change that must keep the
+outputs is checked by diffing the lines of its tree against those of its
+parent's:
 
     python3 scripts/variant_digests.py > new.txt
     python3 scripts/variant_digests.py --root ../parent > old.txt
@@ -61,6 +69,10 @@ def main(argv=None) -> int:
         for name in workloads.WORKLOADS:
             for size in ("full", "tiny"):
                 for op in workloads.every_variant(name, size):
+                    if isinstance(op, workloads.NormMovieOp):
+                        result = repr(op.run(None)).encode()
+                        print(op.key, "result", hashlib.sha256(result).hexdigest(),
+                              flush=True)
                     if not isinstance(op, workloads.CliOp):
                         continue
                     out = base / op.key

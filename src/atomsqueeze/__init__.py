@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .analytic import SqueezingValue, r_closed_form, wavenumber_phase
 from .dynamics import (
-    AbsorberSpec,
     CouplingRamp,
     GridSpec,
     ModeLabel,

@@ -98,18 +98,8 @@ _SCHEDULE_STEPS = 64
 #: Steps between two checks of ``evolve``'s instability guard.
 _CHECK_EVERY = 50
 
-
-@dataclass(frozen=True)
-class AbsorberSpec:
-    """Quadratic absorbing layer of ``width`` at the far edge (x_max) of
-    the domain; the wall at x_min reflects."""
-
-    width: float = 0.0
-    strength: float = 6.0
-
-    def __post_init__(self):
-        _require("width", self.width, self.width >= 0, "finite and >= 0")
-        _require("strength", self.strength, self.strength >= 0, "finite and >= 0")
+#: Damping rate at the far edge of a GridSpec's absorbing layer, in g0.
+ABSORBER_STRENGTH = 6.0
 
 
 @dataclass(frozen=True)
@@ -117,15 +107,17 @@ class GridSpec:
     """Uniform spatial grid and step size for one evolution.
 
     ``boundary`` is 'dirichlet' (field pinned at both edges; the wall of
-    the scattering geometry) or 'periodic'. The absorber, when present,
-    must fit inside the domain.
+    the scattering geometry) or 'periodic'. ``absorber_width`` > 0 puts a
+    quadratic absorbing layer of that width, rising to
+    ``ABSORBER_STRENGTH``, at the far edge (x_max); the wall at x_min
+    reflects. The layer must fit inside the domain.
     """
 
     x_min: float
     x_max: float
     n_points: int
     dt: float
-    absorber: AbsorberSpec = field(default_factory=AbsorberSpec)
+    absorber_width: float = 0.0
     boundary: str = "dirichlet"
 
     def __post_init__(self):
@@ -140,8 +132,9 @@ class GridSpec:
             raise ParameterDomainError("x_max must exceed x_min")
         if self.boundary not in ("dirichlet", "periodic"):
             raise ParameterDomainError(f"unknown boundary {self.boundary!r}")
-        if not 0.0 <= self.absorber.width <= (self.x_max - self.x_min):
-            raise ParameterDomainError("absorber must fit inside the domain")
+        _require("absorber_width", self.absorber_width,
+                 0.0 <= self.absorber_width <= self.length,
+                 f"finite and in [0, x_max - x_min] = [0, {self.length!r}]")
 
     @property
     def length(self) -> float:
@@ -184,11 +177,11 @@ class GridSpec:
         """Damping rate Gamma(x), quadratic in depth into the layer."""
         x = self.x
         g = np.zeros_like(x)
-        if self.absorber.width > 0:
-            x0 = self.x_max - self.absorber.width
+        if self.absorber_width > 0:
+            x0 = self.x_max - self.absorber_width
             inside = x > x0
-            g[inside] = self.absorber.strength * (
-                (x[inside] - x0) / self.absorber.width
+            g[inside] = ABSORBER_STRENGTH * (
+                (x[inside] - x0) / self.absorber_width
             ) ** 2
         return g
 
@@ -224,9 +217,10 @@ class CouplingRamp:
         'pulse' : smooth on at t_on and off at t_off, edge time 1/gamma.
         'const' : g0_peak for all t.
 
-    The spatial support is [x_lo, x_hi] sampled with half weight exactly at
-    the edges (trapezoid rule), which keeps the effective slab length
-    correct to second order in dx.
+    The spatial support is [x_lo, x_hi], finite with x_hi >= x_lo (0, 0
+    by default), sampled with half weight exactly at the edges (trapezoid
+    rule), which keeps the effective slab length correct to second order
+    in dx.
     """
 
     g0_peak: float
@@ -247,6 +241,10 @@ class CouplingRamp:
             _require("t_on", self.t_on, what="finite for ramped shapes")
         if math.isnan(self.t_off):
             raise ParameterDomainError("t_off must be a number or +inf, got nan")
+        # a NaN edge matches no grid point and a reversed support none
+        # between its edges: both would run uncoupled
+        _require("x_lo", self.x_lo)
+        _require("x_hi", self.x_hi, self.x_hi >= self.x_lo, "finite and >= x_lo")
 
     def envelope(self, t: float) -> float:
         if self.shape == "const":
@@ -597,87 +595,62 @@ def extract_output_correlators(
     history: Sequence[ModeState],
     window: OutputWindow,
     grid: GridSpec,
-    detunings: Sequence[float] = (0.0,),
 ):
-    """Estimate |alpha|^2 and |beta|^2 per detuning from steady snapshots.
+    """Estimate |alpha|^2 and |beta|^2 at zero detuning from steady snapshots.
 
-    Projects the window region of each snapshot onto the outgoing plane
-    waves of both channels: at frame detuning Delta the u channel reflects
-    into exp(+i k_u x) and the w channel radiates exp(-i k_w x), with
-    k_{u,w} = sqrt(mu +/- Delta); the incident amplitude is read from the
-    exp(-i k_u x) component of u. Returns a dict with per-detuning mean
-    estimates and the across-snapshot estimator variance.
+    The source of ``evolve`` drives one frequency, the carrier at mu, so the
+    output is read there: the window region of each snapshot is projected
+    onto the outgoing plane waves of both channels at k = sqrt(mu), the
+    u channel reflecting into exp(+i k x) and the w channel radiating
+    exp(-i k x), and the incident amplitude is read from the exp(-i k x)
+    component of u. Both channels share k, so the flux ratio of the
+    channels is 1. Returns ``{"alpha2": {0.0: a}, "beta2": {0.0: b}}``,
+    a and b the means over the snapshots.
 
-    Raises ParameterDomainError, naming the field, when ``label.mu`` or a
-    detuning is not finite or ``detunings`` is empty, and when a detuning
-    closes an exterior channel (|Delta| >= mu); all are checked before
-    WindowTooShortError, raised when the window holds fewer than 8 points
-    or the requested detuning spacing is finer than the window's spectral
-    resolution (group velocity times 2*pi / window length).
+    Raises ParameterDomainError naming ``label.mu`` when it is not finite
+    and > 0 (an exterior channel open at zero detuning), checked before
+    WindowTooShortError, raised when the window holds fewer than 8 points.
     """
     if not history:
         raise ParameterDomainError("history must contain at least one snapshot")
     mu = history[0].label.mu
-    det = np.asarray(list(detunings), dtype=float)
-    _require("label.mu", mu)
-    _require("number of detunings", det.size, det.size > 0, "> 0")
-    _require("detunings", det)
-    for dd in det:
-        if mu - abs(dd) <= 0:
-            raise ParameterDomainError(f"exterior channel closed at detuning {dd}")
+    _require("label.mu", mu, mu > 0, "finite and > 0 (an open exterior channel)")
     idx = window.indices(grid)
     if len(idx) < 8:
         raise WindowTooShortError("analysis window contains fewer than 8 points")
     xs = grid.x[idx]
-    length = xs[-1] - xs[0]
-    if det.size > 1:
-        spacing = np.min(np.diff(np.sort(det)))
-        k0 = math.sqrt(mu)
-        resolution = 2.0 * k0 * (2.0 * np.pi / length)  # dDelta = v * dk
-        if spacing < resolution:
-            raise WindowTooShortError(
-                f"detuning spacing {spacing:.4g} below window resolution "
-                f"{resolution:.4g}"
-            )
-    alpha2 = {}
-    beta2 = {}
-    var_alpha2 = {}
-    var_beta2 = {}
-    for dd in det:
-        ku = math.sqrt(mu + dd)
-        kw = math.sqrt(mu - dd)
-        a_s, b_s = [], []
-        for st in history:
-            uu = st.u[idx]
-            ww = st.w[idx]
-            a_in = _hann_project(uu, xs, ku)
-            u_out = _hann_project(uu, xs, -ku)
-            w_out = _hann_project(ww, xs, kw)
-            if abs(a_in) == 0.0:
-                raise ParameterDomainError("no incident amplitude in window")
-            a_s.append(abs(u_out / a_in) ** 2)
-            # flux normalization: amplitude ratios carry sqrt(k) weights,
-            # so the cross-channel power picks up one factor k_w/k_u
-            b_s.append((kw / ku) * abs(w_out / a_in) ** 2)
-        alpha2[float(dd)] = float(np.mean(a_s))
-        beta2[float(dd)] = float(np.mean(b_s))
-        var_alpha2[float(dd)] = float(np.var(a_s))
-        var_beta2[float(dd)] = float(np.var(b_s))
-    return {
-        "alpha2": alpha2,
-        "beta2": beta2,
-        "alpha2_variance": var_alpha2,
-        "beta2_variance": var_beta2,
-    }
+    k = math.sqrt(mu)
+    a_s, b_s = [], []
+    for st in history:
+        uu = st.u[idx]
+        a_in = _hann_project(uu, xs, k)
+        if abs(a_in) == 0.0:
+            raise ParameterDomainError("no incident amplitude in window")
+        a_s.append(abs(_hann_project(uu, xs, -k) / a_in) ** 2)
+        b_s.append(abs(_hann_project(st.w[idx], xs, k) / a_in) ** 2)
+    # keyed by the one detuning read, as the benchmark's readout expects
+    return {"alpha2": {0.0: float(np.mean(a_s))},
+            "beta2": {0.0: float(np.mean(b_s))}}
 
 
 def gaussian_packet(
     grid: GridSpec, x0: float, sigma: float, k: float, mu: float = 0.0
 ) -> ModeState:
-    """Unit-norm Gaussian wavepacket in u (w empty), carrier exp(+i k x)."""
+    """Unit-norm Gaussian wavepacket in u (w empty), carrier exp(+i k x).
+
+    ``x0`` and ``k`` must be finite and ``sigma`` finite and > 0, and the
+    packet must have weight on the grid points; ParameterDomainError
+    naming the field otherwise.
+    """
+    _require("x0", x0)
+    _require("sigma", sigma, sigma > 0, "finite and > 0")
+    _require("k", k)
     x = grid.x
     u = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * k * x).astype(complex)
-    u /= math.sqrt(float(np.sum(np.abs(u) ** 2) * grid.dx))
+    norm2 = float(np.sum(np.abs(u) ** 2) * grid.dx)
+    _require("sigma", sigma, norm2 > 0,
+             f"wide enough to put weight on the grid points near x0 = {x0!r}")
+    u /= math.sqrt(norm2)
     w = np.zeros_like(u)
     return ModeState(u=u, w=w, t=0.0, label=ModeLabel(mu=mu, k0=abs(k)))
 
@@ -710,8 +683,10 @@ def steady_state_beta_squared(
     that keep kappa*sqrt(M)/dx integral for best accuracy (the default
     length/n_points give dx = 0.05).
 
-    Returns a dict with the measured |beta0|^2, the measured |alpha0|^2,
-    snapshot variance, and the run's bookkeeping. A ``big_m`` or
+    Returns a dict with the measured |beta0|^2 (``beta2``) and |alpha0|^2
+    (``alpha2``), each the mean over three snapshots 2 dt apart at the end
+    of the run, the run's ``grid``, and the last snapshot
+    (``final_state``). A ``big_m`` or
     ``gamma_ratio`` that is not finite and > 0, a ``kappa`` that is not
     finite and >= 0, or a ``measure_c`` that is not finite is a
     ParameterDomainError naming it.
@@ -727,7 +702,7 @@ def steady_state_beta_squared(
         x_max=length,
         n_points=n_points,
         dt=dt,
-        absorber=AbsorberSpec(width=0.38 * length, strength=6.0),
+        absorber_width=0.38 * length,
         boundary="dirichlet",
     )
     # align the slab edge to the grid; a mismatch biases the slab phase
@@ -750,22 +725,17 @@ def steady_state_beta_squared(
         t=0.0,
         label=ModeLabel(mu=big_m, k0=k0),
     )
-    # three closely spaced snapshots at the end give the estimator variance
+    # the mean over three closely spaced snapshots at the end: the
+    # published |beta|^2 carries the bits of all three
     snap_times = [t_meas - 2.0 * grid.dt * i for i in range(3)][::-1]
     _, snaps = evolve(
         state, ramp, None, grid, t_meas, source_x=0.58 * length,
         snapshot_times=snap_times
     )
-    est = extract_output_correlators(snaps, window, grid, detunings=(0.0,))
+    est = extract_output_correlators(snaps, window, grid)
     return {
         "beta2": est["beta2"][0.0],
         "alpha2": est["alpha2"][0.0],
-        "beta2_variance": est["beta2_variance"][0.0],
-        "big_m": big_m,
-        "kappa": kappa,
-        "gamma_ratio": gamma_ratio,
-        "t_ramp_center": t0_ramp,
-        "t_measured": t_meas,
         "grid": grid,
         "final_state": snaps[-1],
     }

@@ -36,7 +36,8 @@ class InstabilityDetectedError(AtomsqueezeError):
 
 
 class WindowTooShortError(AtomsqueezeError):
-    """The analysis window is too short for the requested frequency bins."""
+    """The analysis window holds fewer than the 8 grid points a windowed
+    projection needs."""
 
 
 class PerturbationInvalidError(AtomsqueezeError):

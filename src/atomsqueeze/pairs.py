@@ -134,11 +134,12 @@ def pair_amplitude(
 ) -> PairAmplitude:
     """Evolve the sourced two-atom amplitude to time ``t0``.
 
-    ``grid`` must be a symmetric Dirichlet grid without absorber (a closed
-    box; ParameterDomainError naming ``absorber`` otherwise) containing
-    the coupling support [-a, a] (a is taken from the ramp support, which
-    must be symmetric). ``mu`` is the chemical potential in coupling units
-    (the escape carrier is k0 = sqrt(mu)); it must be finite and > 0.
+    ``grid`` must be a symmetric Dirichlet grid without absorber (a
+    closed box; ParameterDomainError naming ``absorber_width`` otherwise)
+    containing the coupling support [-a, a] (a is taken from the ramp
+    support, which must be symmetric). ``mu`` is the chemical potential
+    in coupling units (the escape carrier is k0 = sqrt(mu)); it must be
+    finite and > 0.
     ``potential_plus`` is the potential of the +1 component, finite
     samples on grid.x, zero by default; the -1 component is free.
 
@@ -197,10 +198,10 @@ def pair_amplitude(
     """
     if grid.boundary != "dirichlet":
         raise ParameterDomainError("pair evolution uses a Dirichlet box")
-    if grid.absorber_profile().any():
+    if grid.absorber_width > 0:
         raise ParameterDomainError(
-            "pair grid takes no absorber: it would remove the escaped pair",
-            name="absorber",
+            "absorber_width must be 0 on a pair grid: an absorber would "
+            "remove the escaped pair", name="absorber_width",
         )
     x = grid.x
     if abs(grid.x_min + grid.x_max) > 1e-9 * grid.length:

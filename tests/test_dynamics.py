@@ -6,7 +6,6 @@ from scipy.fft import dst, dstn, fftn, idst, idstn, ifftn
 from scipy.linalg import expm
 
 from atomsqueeze import (
-    AbsorberSpec,
     CouplingRamp,
     GridSpec,
     ModeLabel,
@@ -41,9 +40,23 @@ class TestGridSpec:
             GridSpec(x_min=0.0, x_max=1.0, n_points=8, dt=0.1)
 
     def test_absorber_must_fit(self):
-        with pytest.raises(ParameterDomainError):
-            GridSpec(x_min=0.0, x_max=1.0, n_points=32, dt=0.1,
-                     absorber=AbsorberSpec(width=2.0))
+        with pytest.raises(ParameterDomainError,
+                           match=r"^absorber_width must be finite and in \[0, ") as err:
+            GridSpec(x_min=0.0, x_max=1.0, n_points=32, dt=0.1, absorber_width=2.0)
+        assert err.value.name == "absorber_width"
+        # the whole domain may absorb
+        GridSpec(x_min=0.0, x_max=1.0, n_points=32, dt=0.1, absorber_width=1.0)
+
+    def test_absorber_profile(self):
+        # quadratic in depth, reaching ABSORBER_STRENGTH at x_max
+        grid = GridSpec(x_min=0.0, x_max=10.0, n_points=100, dt=0.1,
+                        absorber_width=2.0)
+        x = grid.x
+        depth = (x - 8.0) / 2.0
+        want = np.where(x > 8.0, dynamics.ABSORBER_STRENGTH * depth**2, 0.0)
+        assert np.array_equal(grid.absorber_profile(), want)
+        assert not GridSpec(x_min=0.0, x_max=10.0, n_points=100,
+                            dt=0.1).absorber_profile().any()
 
     def test_resolution_guard(self):
         grid = GridSpec(x_min=0.0, x_max=10.0, n_points=32, dt=0.01)
@@ -65,6 +78,8 @@ class TestNamedInputErrors:
         ("x_min", -math.inf), ("x_max", math.nan), ("x_max", math.inf),
         ("n_points", math.nan), ("n_points", math.inf),
         ("n_points", -math.inf), ("n_points", 100.5),
+        ("absorber_width", -1.0), ("absorber_width", math.nan),
+        ("absorber_width", math.inf),
     ])
     def test_grid_field(self, name, value):
         kw = dict(x_min=0.0, x_max=10.0, n_points=32, dt=0.01)
@@ -92,13 +107,33 @@ class TestNamedInputErrors:
                              t_on=math.nan)
         assert const.envelope(5.0) == 1.0
 
-    @pytest.mark.parametrize("name, value", [
-        ("width", -1.0), ("width", math.nan), ("width", math.inf),
-        ("strength", -1.0), ("strength", math.nan), ("strength", math.inf),
+    @pytest.mark.parametrize("name, x_lo, x_hi", [
+        ("x_lo", math.nan, math.nan), ("x_lo", math.nan, 40.0),
+        ("x_lo", -math.inf, 40.0), ("x_hi", 20.0, math.nan),
+        ("x_hi", 20.0, math.inf), ("x_hi", 40.0, 20.0),
     ])
-    def test_absorber_field(self, name, value):
-        with pytest.raises(ParameterDomainError, match=f"^{name} must be"):
-            AbsorberSpec(**{name: value})
+    def test_ramp_support_named(self, name, x_lo, x_hi):
+        # a NaN or reversed support held no grid point, so the run went
+        # uncoupled without an error
+        with pytest.raises(ParameterDomainError,
+                           match=f"^{name} must be finite") as err:
+            CouplingRamp(g0_peak=1.0, gamma=1.0, x_lo=x_lo, x_hi=x_hi)
+        assert err.value.name == name
+
+    @pytest.mark.parametrize("name, kw", [
+        ("sigma", {"sigma": 0.0}), ("sigma", {"sigma": -1.0}),
+        ("sigma", {"sigma": math.nan}), ("sigma", {"sigma": math.inf}),
+        ("x0", {"x0": math.nan}), ("x0", {"x0": math.inf}),
+        ("k", {"k": math.inf}), ("k", {"k": math.nan}),
+        # finite, but no weight on a grid point
+        ("sigma", {"sigma": 1e-10, "x0": 30.01}), ("sigma", {"x0": 1e6}),
+    ])
+    def test_gaussian_packet_named(self, name, kw):
+        # each ended in a RuntimeWarning or a NaN state
+        args = dict(x0=30.0, sigma=5.0, k=3.0, mu=9.0) | kw
+        with pytest.raises(ParameterDomainError, match=f"^{name} must be") as err:
+            gaussian_packet(periodic_grid(n=64), **args)
+        assert err.value.name == name
 
     @pytest.mark.parametrize("big_m", [0.0, -4.0, math.nan, math.inf])
     def test_steady_output_big_m(self, big_m):
@@ -316,7 +351,7 @@ class TestKickFusion:
 
     def test_sourced_dirichlet_run_with_absorber(self):
         grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
-                        absorber=AbsorberSpec(width=10.0, strength=6.0))
+                        absorber_width=10.0)
         ramp = CouplingRamp(g0_peak=1.0, gamma=2.0, shape="tanh", t_on=0.5,
                             x_lo=0.0, x_hi=5.0)
         step_potential = np.where((grid.x > 8.0) & (grid.x < 10.0), 0.5, 0.0)
@@ -358,7 +393,7 @@ class TestSchedule:
     gives the bits of the step-by-step expressions at every block size."""
 
     GRID = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
-                    absorber=AbsorberSpec(width=10.0))
+                    absorber_width=10.0)
     # the envelope moves every step up to t = 0.34, then saturates at 1.2
     # exactly: the later steps keep the gathered matrix
     RAMP = CouplingRamp(g0_peak=1.2, gamma=100.0, shape="tanh", t_on=0.15,
@@ -583,41 +618,36 @@ class TestInstabilityAndWindows:
                                         n_points=2560, dt=0.02, measure_c=2.0)
         assert res["beta2"] == pytest.approx(0.0, abs=1e-10)
         assert res["alpha2"] == pytest.approx(1.0, abs=0.05)
+        assert set(res) == {"beta2", "alpha2", "grid", "final_state"}
+
+    def test_plane_wave_reads_as_pure_incidence(self):
+        # an incident wave alone: nothing converted, and no reflection
+        # beyond the Hann window's leakage of the incident wave (3e-5 on
+        # this 4-unit window)
+        state, window, grid = plane_wave_snapshot()
+        est = extract_output_correlators([state, state], window, grid)
+        assert est["alpha2"][0.0] < 1e-4
+        assert est["beta2"] == {0.0: 0.0}
 
     def test_window_too_short(self):
-        state, window, grid = plane_wave_snapshot()
-        with pytest.raises(WindowTooShortError):
-            extract_output_correlators([state], window, grid,
-                                       detunings=(0.0, 0.05))
+        # [1.0, 1.2] holds fewer than 8 of the grid's points
+        state, _, grid = plane_wave_snapshot()
+        with pytest.raises(WindowTooShortError, match="fewer than 8 points"):
+            extract_output_correlators([state], OutputWindow(x_lo=1.0, x_hi=1.2),
+                                       grid)
 
-    @pytest.mark.parametrize("mu", [0.0, -9.0])
-    @pytest.mark.parametrize("detunings", [(0.0,), (0.0, 0.05)])
-    def test_closed_channel_named_at_any_detuning_count(self, detunings, mu):
-        # the channel check comes before the spacing check, whose
-        # resolution needs sqrt(mu)
-        state, window, grid = plane_wave_snapshot(mu)
-        with pytest.raises(ParameterDomainError, match="^exterior channel closed"):
-            extract_output_correlators([state], window, grid, detunings=detunings)
-
-    @pytest.mark.parametrize("mu, detunings, named", [
-        (math.nan, (0.0,), "label.mu"),
-        (math.inf, (0.0,), "label.mu"),
-        (9.0, (), "number of detunings"),
-        (9.0, (math.nan,), "detunings"),
-        (9.0, (0.0, math.inf), "detunings"),
-    ])
-    def test_undefined_channel_named(self, mu, detunings, named):
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -9.0])
+    def test_undefined_channel_named(self, mu):
         # NaN compares False against the closed-channel bound and would
-        # give NaN estimates; no detuning would give empty ones. Named
-        # before the window's length is looked at: [1.0, 1.2] holds fewer
-        # than 8 points.
+        # give NaN estimates, mu <= 0 has no propagating exterior wave.
+        # Named before the window's length is looked at: [1.0, 1.2] holds
+        # fewer than 8 points.
         state, window, grid = plane_wave_snapshot(mu)
         for win in (window, OutputWindow(x_lo=1.0, x_hi=1.2)):
             with pytest.raises(ParameterDomainError,
-                               match=f"^{named} must be") as err:
-                extract_output_correlators([state], win, grid,
-                                           detunings=detunings)
-            assert err.value.name == named
+                               match=r"^label\.mu must be finite and > 0") as err:
+                extract_output_correlators([state], win, grid)
+            assert err.value.name == "label.mu"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_named(self, bad):

@@ -14,7 +14,6 @@ from scipy.integrate import simpson
 import atomsqueeze
 from atomsqueeze import _blas, pairs
 from atomsqueeze import (
-    AbsorberSpec,
     CouplingRamp,
     GridSpec,
     bell_metrics,
@@ -224,27 +223,18 @@ class TestPairAmplitude:
         assert scale > 0
         assert np.abs(fa.f - ref).max() < 1e-12 * scale
 
-    @pytest.mark.parametrize("absorber", [
-        AbsorberSpec(width=3.0, strength=6.0),
-        AbsorberSpec(width=24.0, strength=0.5),
-    ], ids=["one_sided", "whole_domain"])
-    def test_absorber_named(self, absorber):
-        # the pair is read after free escape; a pair grid is a closed box
+    @pytest.mark.parametrize("width", [3.0, 24.0, 0.1],
+                             ids=["one_sided", "whole_domain", "between_points"])
+    def test_absorber_named(self, width):
+        # the pair is read after free escape; a pair grid is a closed box,
+        # also where the layer is too thin to reach a grid point
         grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=64, dt=0.04,
-                        boundary="dirichlet", absorber=absorber)
-        with pytest.raises(ParameterDomainError, match="absorber") as err:
+                        boundary="dirichlet", absorber_width=width)
+        with pytest.raises(ParameterDomainError,
+                           match="^absorber_width must be 0") as err:
             pair_amplitude(pulse_ramp(t_on=0.6, t_off=1.6), grid, t0=3.0,
                            mu=MU)
-        assert err.value.name == "absorber"
-
-    def test_zero_strength_absorber_is_a_closed_box(self):
-        # a layer of strength 0 has a zero profile, so the grid is accepted
-        grid = GridSpec(x_min=-12.0, x_max=12.0, n_points=64, dt=0.04,
-                        boundary="dirichlet",
-                        absorber=AbsorberSpec(width=3.0, strength=0.0))
-        fa = pair_amplitude(pulse_ramp(t_on=0.6, t_off=1.6), grid, t0=3.0,
-                            mu=MU)
-        assert fa.created_norm2 > 0
+        assert err.value.name == "absorber_width"
 
     def test_same_bits_at_one_and_two_blas_threads(self):
         # fresh interpreters, since OpenBLAS reads its thread count at load.
