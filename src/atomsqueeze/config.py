@@ -46,8 +46,10 @@ PARAMETER_BLOCKS = ("dimensionless", "physical")
 #: required key, ``type | None`` a key whose default lives with its consumer,
 #: and a tuple default a non-empty list of numbers. A (default, domain) pair
 #: adds a domain: "finite", or finite and "> x" or ">= x", x a number or an
-#: earlier key. The library checks (and names) the parameter blocks and the
-#: times; the dynamics ``kappa`` and ``big_m`` only repeat the parameters.
+#: earlier key. The library checks (and names) the parameter blocks; the
+#: times are only held finite here, and the solvers check how they relate
+#: (the pulse ends before ``t0``, ``t0`` is whole steps). The dynamics
+#: ``kappa`` and ``big_m`` only repeat the parameters.
 BLOCKS = {
     "dimensionless": {"big_m": float, "kappa": float, "delta_over_g0": 0.0},
     "physical": {"g0": float, "mu": float, "a": float, "m": float,
@@ -58,11 +60,13 @@ BLOCKS = {
     "dynamics": {"gamma_ratios": ((0.1,), "> 0"), "kappa": float | None,
                  "big_m": float | None, "length": (float | None, "> 0"),
                  "n_points": (int | None, f">= {MIN_GRID_POINTS}"),
-                 "dt": (float | None, "> 0"), "measure_c": float | None},
+                 "dt": (float | None, "> 0"),
+                 "measure_c": (float | None, "finite")},
     "pairs": {"mu": (4.0, "> 0"), "a": (1.5, "> 0"), "g_peak": (0.05, ">= 0"),
-              "t0": 6.0, "half_width": (24.0, "> a"),
+              "t0": (6.0, "finite"), "half_width": (24.0, "> a"),
               "n_points": (256, f">= {MIN_GRID_POINTS}"), "dt": (0.02, "> 0"),
-              "t_on": 0.8, "t_off": 2.2, "ramp_time": (0.35, "> 0"),
+              "t_on": (0.8, "finite"), "t_off": (2.2, "finite"),
+              "ramp_time": (0.35, "> 0"),
               "asymmetry": (0.0, "finite"), "barrier_center": (3.0, "finite"),
               "barrier_sigma": (0.8, "> 0")},
 }

@@ -18,36 +18,44 @@ interior eigenstructure. That consistency is what the cross-validation
 tests check.
 
 Stepping scheme: Strang splitting between the kinetic phases (applied
-exactly in a sine/Fourier basis) and the local 2x2 potential-coupling
+exactly in the Fourier basis) and the local 2x2 potential-coupling
 generator (applied via its exact matrix exponential). Both stages preserve
 the symplectic norm to round-off, so norm conservation is structural; the
-solution error is second order in dt. Dirichlet boundaries use a type-I
-discrete sine transform (a hard wall at x_min comes for free); periodic
-boundaries use the FFT.
+solution error is second order in dt. Periodic boundaries use the FFT of
+the grid. Dirichlet boundaries (hard walls at x_min and x_max) step the
+field's odd extension, the periodic grid of 2 n_points points on which
+f(2 x_max - x) = -f(x): its FFT kick is the type-I discrete sine
+transform kick of the grid, in one complex FFT pair that costs less than
+the sine-transform pair (see ``_Stepper``). The grid's field is embedded
+once per run, and snapshots, guard norms and the final state read its
+points. Both stages are even in x, so round-off in the extension's even
+part never feeds its odd part, and the local stage restores the odd
+symmetry exactly on the points it touches.
 
 One private spectral propagator serves this module and, through its
 bound forward and inverse transforms, the pair amplitude of ``pairs``,
-which applies one side's step to columns along axis 0, sums over time in
-each side's step eigenbasis without stepping, and ends with one 2-D
-inverse transform (see ``pairs.pair_amplitude``). The trailing
-half-kick of one step and the leading half-kick of the next are fused
-into one full kick (the phase squared), which leaves the scheme second
-order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); where the state must
-exist at a step boundary (a snapshot time, an instability-guard check)
-one forward transform yields both the half-kicked boundary state and
-the fully kicked state the next step continues from, and the final step
-ends with a half-kick. u and w are carried as one (2, n) array, so each
-kick is one forward and one inverse call of a 1-D transform along the
-grid axis.
-The 2x2 local exponential runs only on the span where g or V is nonzero,
-evaluated once per distinct (V, coupling-mask) pair of that span and
-gathered to its points; the absorber decay runs only on the absorbing
-layer. ``evolve`` precomputes its schedule per block of steps: the step
-midpoints, the source kicks and, for the steps whose coupling envelope
-moved, the 2x2 factors of the distinct pairs, each as one array
-expression with the bits of the step-by-step scalar expression (the tanh
-edges stay ``math.tanh`` per step); a block whose envelope does not move
-reuses the gathered matrix.
+which applies one side's step in the sine basis to columns along axis 0,
+sums over time in each side's step eigenbasis without stepping, and ends
+with one 2-D inverse transform (see ``pairs.pair_amplitude``). The
+trailing half-kick of one step and the leading half-kick of the next are
+fused into one full kick (the phase squared), which leaves the scheme
+second order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); where the
+state must exist at a step boundary (a snapshot time, an
+instability-guard check) one forward transform yields both the
+half-kicked boundary state and the fully kicked state the next step
+continues from, and the final step ends with a half-kick. u and w are
+carried as one (2, m) array, so each kick is one forward and one inverse
+call of a 1-D transform along the grid axis.
+The 2x2 local exponential runs only on the span where g or V is nonzero
+(and, on the odd extension, is copied negated to the span's mirror
+image), evaluated once per distinct (V, coupling-mask) pair of that span
+and gathered to its points; the absorber decay runs only on the
+absorbing layer (and its mirror image). ``evolve`` precomputes its
+schedule per block of steps: the step midpoints, the source kicks and,
+for the steps whose coupling envelope moved, the 2x2 factors of the
+distinct pairs, each as one array expression with the bits of the
+step-by-step scalar expression (the tanh edges stay ``math.tanh`` per
+step); a block whose envelope does not move reuses the gathered matrix.
 
 The propagator is the package's only user of scipy: ``scipy.fft`` is
 imported when the first propagator is built (the first ``evolve`` or
@@ -220,7 +228,8 @@ class CouplingRamp:
     The spatial support is [x_lo, x_hi], finite with x_hi >= x_lo (0, 0
     by default), sampled with half weight exactly at the edges (trapezoid
     rule), which keeps the effective slab length correct to second order
-    in dx.
+    in dx. A support of zero length (to within the edge tolerance, 1e-9
+    dx at each edge) couples no point.
     """
 
     g0_peak: float
@@ -259,8 +268,11 @@ class CouplingRamp:
         x = grid.x
         tol = 1e-9 * grid.dx
         mask = np.where((x > self.x_lo + tol) & (x < self.x_hi - tol), 1.0, 0.0)
-        mask[np.abs(x - self.x_lo) <= tol] = 0.5
-        mask[np.abs(x - self.x_hi) <= tol] = 0.5
+        # edges closer than their two tolerances bound a support of zero
+        # length: both half weights would land on one point
+        if self.x_hi - self.x_lo > 2.0 * tol:
+            mask[np.abs(x - self.x_lo) <= tol] = 0.5
+            mask[np.abs(x - self.x_hi) <= tol] = 0.5
         return mask
 
 
@@ -320,15 +332,17 @@ class _SpectralPropagator:
     against the transformed field; ``axis`` is the one transformed axis.
     A full kick (two adjacent half-kicks fused) multiplies the precomputed
     squared phase, so it costs one forward and one inverse transform, the
-    same as a half-kick. The transforms are the 1-D ``scipy.fft`` calls
-    (type-I ``dst``/``idst`` or ``fft``/``ifft``), bound once to the axis:
-    the n-D wrappers run the same pocketfft kernel behind a per-call
-    dispatch that costs about as much as the kernel on small grids. They
-    run in place on the caller's field, and are the attributes
-    ``forward`` and ``inverse`` for callers that work in the spectral
-    basis themselves (``pairs.pair_amplitude``, which builds a side's
-    step from them and ``half``, and also passes ``axis=1`` for its one
-    2-D inverse).
+    same as a half-kick. ``dirichlet`` selects the sine basis, which only
+    ``pairs`` uses: ``evolve`` kicks a field with walls in the Fourier
+    basis of its odd extension (see ``_Stepper``). The transforms are the
+    1-D ``scipy.fft`` calls (type-I ``dst``/``idst`` or ``fft``/``ifft``),
+    bound once to the axis: the n-D wrappers run the same pocketfft kernel
+    behind a per-call dispatch that costs about as much as the kernel on
+    small grids. They run in place on the caller's field, and are the
+    attributes ``forward`` and ``inverse`` for callers that work in the
+    spectral basis themselves (``pairs.pair_amplitude``, which builds a
+    side's step from them and ``half``, and also passes ``axis=1`` for its
+    one 2-D inverse).
     """
 
     def __init__(self, half: np.ndarray, dirichlet: bool, axis: int):
@@ -360,19 +374,29 @@ class _SpectralPropagator:
 class _Stepper:
     """Precomputed stage operators for one (grid, ramp, potential) setup.
 
-    The field is the stacked pair f = [u, w] of shape (2, n), so one
-    transform along the last axis kicks both components.
+    The field is the stacked pair f = [u, w] of shape (2, m), so one
+    transform along the last axis kicks both components. On a periodic
+    grid f holds the n grid points (m = n). On a Dirichlet grid it is the
+    odd extension of the grid's field: the m = 2n points of the periodic
+    grid of length 2L, where f at x_min + j dx is minus f at
+    x_min + (2n - j) dx, the walls at j = 0 and n are zero, and the grid's
+    points are j = 1 .. n-1. A type-I sine-transform kick of the grid's
+    points is an FFT kick of the extension, and the FFT of 2n points is
+    the cheaper one. ``points`` is where the grid's points sit in f.
     """
 
     def __init__(self, grid: GridSpec, ramp: CouplingRamp, potential, mu: float):
         self.grid = grid
         self.ramp = ramp
-        k = grid.wavenumbers()
+        n = int(grid.n_points)
+        self.odd = grid.boundary == "dirichlet"
+        self.size = 2 * n if self.odd else n
+        first = 1 if self.odd else 0
+        self.points = slice(first, first + grid.x.size)
+        k = 2.0 * np.pi * np.fft.fftfreq(self.size, d=grid.dx)
         half = np.exp(-1j * (k**2 - mu) * grid.dt / 2.0)
         self.kinetic = _SpectralPropagator(
-            np.stack([half, np.conj(half)]),
-            dirichlet=grid.boundary == "dirichlet",
-            axis=-1,
+            np.stack([half, np.conj(half)]), dirichlet=False, axis=-1
         )
         x = grid.x
         v = _potential_samples(potential, "potential", x)
@@ -381,19 +405,38 @@ class _Stepper:
         # identity; the absorber decay is a real scalar per point, so it
         # commutes with the 2x2 step and runs on its own layer(s) only
         runs = _runs((gmask != 0) | (v != 0))
-        self.coupled = slice(runs[0].start, runs[-1].stop) if runs else None
-        if self.coupled is not None:
+        self.coupled = None
+        if runs:
+            lo, hi = runs[0].start, runs[-1].stop
+            self.coupled = slice(first + lo, first + hi)
+            # the span's mirror image in the odd extension, point by point
+            self.mirror = (slice(self.size - first - lo, self.size - first - hi, -1)
+                           if self.odd else None)
             # the 2x2 step of a point depends on its (V, g-mask) pair only:
             # keep the distinct pairs (the complex key holds both exactly)
             # and, per point, the index of its pair
             pairs, self._index = np.unique(
-                v[self.coupled] + 1j * gmask[self.coupled], return_inverse=True
+                v[lo:hi] + 1j * gmask[lo:hi], return_inverse=True
             )
             self.v = pairs.real
             self.gmask = pairs.imag
             self._env = math.nan  # the envelope of the last scheduled step
         profile = grid.absorber_profile()
+        if self.odd:
+            # even-extended, so the decay damps a point and its mirror
+            # alike; the wall at x_max takes its neighbour's rate, which
+            # joins the layer and its mirror into one run
+            profile = np.concatenate(([0.0], profile, profile[-1:], profile[::-1]))
         self.absorber = [(s, np.exp(-profile[s] * grid.dt)) for s in _runs(profile)]
+
+    def embed(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The stepped field of the grid samples ``u`` and ``w``."""
+        f = np.zeros((2, self.size), dtype=complex)
+        f[:, self.points] = u, w
+        if self.odd:
+            n = self.size // 2
+            f[:, n + 1:] = -f[:, n - 1:0:-1]
+        return f
 
     def local_factors(self, t_mids: np.ndarray) -> list:
         """The 2x2 factors of a block of steps at midpoints ``t_mids``, one
@@ -438,7 +481,9 @@ class _Stepper:
 
         ``factors`` is the step's entry of ``local_factors``: new factors
         are gathered from the distinct pairs to the points, None keeps the
-        gathered matrix of the step before.
+        gathered matrix of the step before. On the odd extension the
+        exponential runs on the grid's points and their mirror images take
+        the negated values, which is exact in floating point.
         """
         s = self.coupled
         if s is not None:
@@ -450,6 +495,8 @@ class _Stepper:
             un = uu * u - uw * w
             f[1, s] = ww * w + uw * u
             f[0, s] = un
+            if self.mirror is not None:
+                np.negative(f[:, s], out=f[:, self.mirror])
         for s, decay in self.absorber:
             f[:, s] *= decay
 
@@ -514,10 +561,13 @@ def evolve(
     w = np.asarray(state.w)
     if u.shape != grid.x.shape or w.shape != grid.x.shape:
         raise ParameterDomainError("state arrays do not match the grid")
-    f = np.array([u, w], dtype=complex)
-    isrc = None
+    f = stepper.embed(u, w)
+    points = stepper.points
+    isrc = imirror = None
     if source_x is not None:
-        isrc = int(np.argmin(np.abs(grid.x - source_x)))
+        isrc = points.start + int(np.argmin(np.abs(grid.x - source_x)))
+        if stepper.odd:  # the odd extension carries the source's mirror image
+            imirror = stepper.size - isrc
 
     n_steps = int(math.ceil((t_final - state.t) / grid.dt - 1e-12))
     pending = sorted(snapshot_times) if snapshot_times is not None else []
@@ -541,6 +591,8 @@ def evolve(
                 f = stepper.kinetic.kick(f, full=lead == "full")
             if isrc is not None:
                 f[0, isrc] += kicks[j]
+                if imirror is not None:
+                    f[0, imirror] -= kicks[j]
             stepper.local_step(f, factors[j])
             t = t0 + (step + 1) * grid.dt
 
@@ -560,15 +612,16 @@ def evolve(
             if snap:
                 while pending and t >= pending[0] - 1e-12:
                     pending.pop(0)
-                snapshots.append(state.copy_with(at[0], at[1], t))
+                snapshots.append(state.copy_with(at[0, points], at[1, points], t))
             if check:
                 bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
-                norm = plus_norm(state.copy_with(at[0], at[1], t), grid)
+                norm = plus_norm(state.copy_with(at[0, points], at[1, points], t),
+                                 grid)
                 if not norm <= INSTABILITY_MARGIN * bound:
                     raise InstabilityDetectedError(
                         f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
                     )
-    final = state.copy_with(f[0], f[1], t)
+    final = state.copy_with(f[0, points], f[1, points], t)
     return final, snapshots
 
 

@@ -376,16 +376,21 @@ def test_usage_error_is_a_config_error(args, named, tmp_path, capsys):
 
 @pytest.mark.parametrize("mode, block, key", [
     ("pairs", "pairs", "t0"),
+    ("pairs", "pairs", "t_on"),
+    ("pairs", "pairs", "t_off"),
     ("dynamics", "dynamics", "measure_c"),
 ])
-def test_non_finite_time_is_a_solver_error(mode, block, key, tmp_path, capsys):
-    # the library names the field; no traceback reaches the caller
+def test_non_finite_time_is_a_config_error(mode, block, key, tmp_path, capsys):
+    # named by its block.key before any solver runs (they were solver
+    # errors, exit code 2); no traceback reaches the caller
     payload = json.loads(json.dumps(SMALL[mode]))
     payload[block][key] = math.nan
     cfg = write_config(tmp_path / "c.json", payload)
-    assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"solver error: {key} must be finite, got nan\n"
+    assert err == f"error: {block}.{key} must be finite, got nan\n"
+    assert not out.exists()
 
 
 def test_missing_config_is_a_config_error(capsys):

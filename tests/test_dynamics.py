@@ -336,6 +336,20 @@ def unfused_strang_reference(state, ramp, v, grid, n_steps, source_x):
     return state.copy_with(u, w, t)
 
 
+def sourced_dirichlet_setup():
+    """(grid, ramp, potential, state): walls, an absorbing layer, a slab
+    ramped on at the left wall and a potential step beyond it; the state
+    is empty, for a source at x = 20."""
+    grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
+                    absorber_width=10.0)
+    ramp = CouplingRamp(g0_peak=1.0, gamma=2.0, shape="tanh", t_on=0.5,
+                        x_lo=0.0, x_hi=5.0)
+    step_potential = np.where((grid.x > 8.0) & (grid.x < 10.0), 0.5, 0.0)
+    zeros = np.zeros(grid.x.shape, dtype=complex)
+    state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
+    return grid, ramp, step_potential, state
+
+
 def assert_same_final_state(got, ref):
     scale = max(np.abs(ref.u).max(), np.abs(ref.w).max())
     assert scale > 0
@@ -350,14 +364,7 @@ class TestKickFusion:
     all but the guard checks and the final step."""
 
     def test_sourced_dirichlet_run_with_absorber(self):
-        grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
-                        absorber_width=10.0)
-        ramp = CouplingRamp(g0_peak=1.0, gamma=2.0, shape="tanh", t_on=0.5,
-                            x_lo=0.0, x_hi=5.0)
-        step_potential = np.where((grid.x > 8.0) & (grid.x < 10.0), 0.5, 0.0)
-        zeros = np.zeros(grid.x.shape, dtype=complex)
-        state = ModeState(u=zeros, w=zeros, t=0.0,
-                          label=ModeLabel(mu=4.0, k0=2.0))
+        grid, ramp, step_potential, state = sourced_dirichlet_setup()
         n = 150
         plain, none = evolve(state, ramp, step_potential, grid, n * grid.dt,
                              source_x=20.0)
@@ -386,6 +393,52 @@ class TestKickFusion:
         # a snapshot keeps the state of its own step boundary
         mid, _ = evolve(state, ramp, None, grid, 50 * grid.dt)
         assert_same_final_state(snaps[49], mid)
+
+
+class TestOddExtension:
+    """A Dirichlet field is stepped on its odd extension, the periodic grid
+    of 2 n_points points: an FFT kick there is the type-I sine-transform
+    kick of the grid's points, and a run keeps the extension odd."""
+
+    @pytest.mark.parametrize("n", [16, 1601, 3200])
+    def test_kick_matches_sine_transform(self, n):
+        # 1601 is prime: the FFT of 3202 points takes pocketfft's Bluestein
+        # path
+        grid = GridSpec(x_min=0.0, x_max=0.05 * n, n_points=n, dt=0.01)
+        stepper = _Stepper(grid, NO_RAMP, None, mu=100.0)
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(2, n - 1)) + 1j * rng.normal(size=(2, n - 1))
+        half = np.exp(-1j * (grid.wavenumbers() ** 2 - 100.0) * grid.dt / 2.0)
+        half = np.stack([half, np.conj(half)])
+        for full in (False, True):
+            want = idst((half**2 if full else half) * dst(g, type=1), type=1)
+            f = stepper.kinetic.kick(stepper.embed(*g), full=full)
+            # a few ulps: at most 4.1e-15 of the field at these three n
+            assert (np.abs(f[:, stepper.points] - want).max()
+                    < 1e-14 * np.abs(want).max())
+
+    def test_sourced_absorbing_run_stays_odd(self, monkeypatch):
+        # the output of the final half-kick is the extension whose points
+        # the final state holds
+        kicked = []
+        kick = _SpectralPropagator.kick
+
+        def recorded(self, f, full):
+            kicked.append(kick(self, f, full))
+            return kicked[-1]
+
+        monkeypatch.setattr(_SpectralPropagator, "kick", recorded)
+        grid, ramp, step_potential, state = sourced_dirichlet_setup()
+        # to t = 6: the source is on from t = 3
+        final, _ = evolve(state, ramp, step_potential, grid, 600 * grid.dt,
+                          source_x=20.0)
+        f, n = kicked[-1], grid.n_points
+        assert np.shares_memory(f, final.u)
+        # the mirror images and the two walls: round-off of the even part,
+        # 2.1e-14 and 2.3e-15 of the field
+        scale = np.abs(f).max()
+        assert np.abs(f[:, :n:-1] + f[:, 1:n]).max() < 1e-13 * scale
+        assert np.abs(f[:, [0, n]]).max() < 1e-13 * scale
 
 
 class TestSchedule:
@@ -449,6 +502,15 @@ def expm_local_step(f, v, g, dt):
     return out
 
 
+@pytest.mark.parametrize("x", [0.0, 30.0])
+def test_zero_length_support_couples_no_point(x):
+    # both edge rules gave the grid point lying at x the weight 0.5 (dx =
+    # 0.9375); [0, 0] is the default support
+    grid = periodic_grid(n=64)
+    ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, x_lo=x, x_hi=x)
+    assert not ramp.spatial_mask(grid).any()
+
+
 class TestLocalStepExponential:
     """The closed-form 2x2 exponential, evaluated on the distinct
     (V, g-mask) pairs of the coupled span and gathered to the points,
@@ -467,13 +529,18 @@ class TestLocalStepExponential:
         assert stepper.v.size == n_distinct
         gmask = ramp.spatial_mask(grid)
         rng = np.random.default_rng(5)
-        f = rng.normal(size=(2, grid.x.size)) + 1j * rng.normal(size=(2, grid.x.size))
+        # the grid's points on the stepper's odd extension
+        f = stepper.embed(*(rng.normal(size=(2, grid.x.size))
+                            + 1j * rng.normal(size=(2, grid.x.size))))
+        points, n = stepper.points, grid.n_points
         signs = set()
         for t_mid in self.T_MIDS:
             g = ramp.envelope(t_mid) * gmask
-            want = expm_local_step(f, v, g, grid.dt)
+            want = expm_local_step(f[:, points], v, g, grid.dt)
             stepper.local_step(f, stepper.local_factors(np.array([t_mid]))[0])
-            assert np.abs(f - want).max() < 1e-13 * np.abs(want).max()
+            assert np.abs(f[:, points] - want).max() < 1e-13 * np.abs(want).max()
+            # the mirror images carry the negated values bit for bit
+            assert np.array_equal(f[:, :n:-1], -f[:, points])
             signs.update(np.sign(v * v - g * g))
         return signs
 
@@ -661,21 +728,25 @@ class TestInstabilityAndWindows:
     @pytest.mark.parametrize("scale", [1.1, math.nan], ids=["growth", "nan"])
     def test_guard_trips_on_runaway_local_step(self, monkeypatch, scale):
         # a local step that scales f by 1.1 (or turns it to NaN) each step
-        # must trip the guard of a periodic packet with no source
+        # must trip the guard of a packet with no source, on a periodic
+        # grid and on a Dirichlet grid's odd extension, whose guard reads
+        # the grid's points
         local_step = _Stepper.local_step
 
-        def runaway(self, f, t_mid):
-            local_step(self, f, t_mid)
+        def runaway(self, f, factors):
+            local_step(self, f, factors)
             f *= scale
 
         monkeypatch.setattr(_Stepper, "local_step", runaway)
         monkeypatch.setattr(dynamics, "_CHECK_EVERY", 10)
-        grid = periodic_grid(n=256, dt=0.01)
         ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
                             x_lo=20.0, x_hi=40.0)
-        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
-        with pytest.raises(InstabilityDetectedError):
-            evolve(state, ramp, None, grid, 100 * grid.dt)
+        for boundary in ("periodic", "dirichlet"):
+            grid = GridSpec(x_min=0.0, x_max=60.0, n_points=256, dt=0.01,
+                            boundary=boundary)
+            state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+            with pytest.raises(InstabilityDetectedError):
+                evolve(state, ramp, None, grid, 100 * grid.dt)
 
     def test_history_required(self):
         grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
