@@ -5,6 +5,9 @@ the run record (config.RunRecord) writes them all, then a run_record.json
 with the config hash and file checksums once the command has returned.
 Exit codes: 0 success, 1 config error (a usage error on the command line
 included), 2 solver error, 3 tolerance failure in compare mode.
+
+This module loads only the config layer; each cmd_<mode> imports the
+solver modules its mode runs, so a run compiles no other mode's modules.
 """
 
 from __future__ import annotations
@@ -17,20 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import r_closed_form
 from .config import (BLOCKS, METHODS, MODES, OPTIONS, RunConfig, RunRecord,
                      parse_config, parse_options, parse_value, read_config)
-from .dynamics import (CouplingRamp, GridSpec, export_state_columns,
-                       steady_state_beta_squared)
 from .errors import AtomsqueezeError, ConfigError
-from .pairs import bell_metrics, pair_amplitude, quadrant_decompose
-from .spectrum import (
-    FLUX_DEFINITION,
-    compare_methods,
-    find_threshold,
-    flux_estimate,
-    spectrum_grid,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -39,6 +31,9 @@ EXIT_TOLERANCE = 3
 
 
 def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
+    from .analytic import r_closed_form
+    from .spectrum import FLUX_DEFINITION, flux_estimate, spectrum_grid
+
     g = config.grid
     d_grid = np.linspace(g["d_min"], g["d_max"], g["d_points"])
     k_grid = np.linspace(g["kappa_min"], g["kappa_max"], g["kappa_points"])
@@ -54,23 +49,27 @@ def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
             ["delta_over_g0", "kappa", "r", "above_threshold"],
         )
     # flux diagnostic over the d-grid at the configured kappa (both signs of
-    # detuning contribute; the grid is reflected evenly)
-    if config.g0 is not None and config.kappa > 0:
+    # detuning contribute; the grid is reflected evenly). It integrates the
+    # M = inf closed form, whose first threshold is kappa = pi/2: at or above
+    # it the output grows and has no steady flux, though r is finite again
+    # at most d.
+    if config.g0 is not None and 0 < config.kappa < math.pi / 2:
         ds = np.unique(np.concatenate([-d_grid[::-1], d_grid]))
-        value = r_closed_form(ds, math.inf, config.kappa)
-        if not value.above_threshold.any():
-            flux = flux_estimate(ds, value.r, config.g0)
-            record.json("flux.json", {
-                "flux_atoms_per_s": flux,
-                "flux_atoms_per_ms": flux / 1e3,
-                "definition": FLUX_DEFINITION,
-                "kappa": config.kappa,
-                "g0_rad_per_s": config.g0,
-            })
+        flux = flux_estimate(ds, r_closed_form(ds, math.inf, config.kappa).r,
+                             config.g0)
+        record.json("flux.json", {
+            "flux_atoms_per_s": flux,
+            "flux_atoms_per_ms": flux / 1e3,
+            "definition": FLUX_DEFINITION,
+            "kappa": config.kappa,
+            "g0_rad_per_s": config.g0,
+        })
     return EXIT_OK
 
 
 def cmd_threshold(config: RunConfig, record: RunRecord) -> int:
+    from .spectrum import find_threshold
+
     result = find_threshold(config.grid["kappa_min"], config.grid["kappa_max"],
                             d=config.delta_over_g0, big_m=config.big_m)
     record.json("threshold.json", {
@@ -87,6 +86,8 @@ def cmd_threshold(config: RunConfig, record: RunRecord) -> int:
 
 
 def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
+    from .spectrum import compare_methods
+
     g = config.grid
     d_grid = np.linspace(g["d_min"], g["d_max"], g["d_points"])
     k_lo, k_hi = max(g["kappa_min"], 0.05), min(g["kappa_max"], 1.3)
@@ -114,6 +115,9 @@ def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
 
 
 def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
+    from .analytic import r_closed_form
+    from .dynamics import export_state_columns, steady_state_beta_squared
+
     # the keys left after gamma_ratios are steady_state_beta_squared options
     dyn = dict(config.dynamics)
     gamma_ratios, kappa, big_m = dyn.pop("gamma_ratios"), config.kappa, config.big_m
@@ -146,6 +150,9 @@ def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
 
 
 def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
+    from .dynamics import CouplingRamp, GridSpec
+    from .pairs import bell_metrics, pair_amplitude, quadrant_decompose
+
     pc = config.pairs
     half_width = pc["half_width"]
     asym = pc["asymmetry"]

@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, _blas
-from .dynamics import MIN_GRID_POINTS
 from .errors import ConfigError, ParameterDomainError
-from .params import (PhysicalParams, check_dimensionless, threshold_distance,
-                     to_dimensionless, validity as validity_report)
+from .params import (MIN_GRID_POINTS, PhysicalParams, check_dimensionless,
+                     threshold_distance, to_dimensionless,
+                     validity as validity_report)
 
 METHODS = ("analytic", "scattering", "both")
 PARAMETER_BLOCKS = ("dimensionless", "physical")

@@ -59,8 +59,10 @@ step); a block whose envelope does not move reuses the gathered matrix.
 
 The propagator is the package's only user of scipy: ``scipy.fft`` is
 imported when the first propagator is built (the first ``evolve`` or
-``pair_amplitude`` call), not with this module, so ``import atomsqueeze``
-and the frequency-domain CLI modes load numpy only.
+``pair_amplitude`` call), not with this module. This module itself loads
+on first use too: ``import atomsqueeze`` binds its names lazily, and only
+the ``dynamics`` and ``pairs`` CLI modes import it, so the
+frequency-domain modes load neither it nor scipy.
 
 Open geometries are handled with an absorbing layer at the far edge plus a
 domain long enough that absorbed flux never re-enters the analysis window,
@@ -84,13 +86,10 @@ from .errors import (
     ResolutionError,
     WindowTooShortError,
 )
-from .params import _require
+from .params import MIN_GRID_POINTS, _require
 
 #: Minimum sampling of the shortest expected wavelength, points per 2*pi/k.
 MIN_POINTS_PER_WAVELENGTH = 8
-
-#: Fewest points of a GridSpec.
-MIN_GRID_POINTS = 16
 
 #: Norm growth beyond exp(2*g0_peak*t) by this factor trips the instability guard.
 INSTABILITY_MARGIN = 1.5
@@ -165,9 +164,14 @@ class GridSpec:
         return self.x_min + np.arange(self.n_points) * self.dx
 
     def wavenumbers(self) -> np.ndarray:
-        if self.boundary == "dirichlet":
-            return np.pi * np.arange(1, self.n_points) / self.length
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+        """Wavenumbers pi*j/L, j = 1 .. n_points-1, of the type-I sine
+        basis of a Dirichlet grid's interior points; ParameterDomainError
+        naming ``boundary`` on a periodic grid."""
+        if self.boundary != "dirichlet":
+            raise ParameterDomainError(
+                f"boundary must be 'dirichlet' for sine-basis wavenumbers, "
+                f"got {self.boundary!r}", "boundary")
+        return np.pi * np.arange(1, self.n_points) / self.length
 
     def validate_resolution(self, k_max: float) -> None:
         """Assert at least MIN_POINTS_PER_WAVELENGTH points per 2*pi/|k_max|

@@ -34,6 +34,10 @@ HBAR = 1.054571817e-34  # J s
 #: Cutoff of the ratios gamma/g0 and g0/mu in the validity report.
 DEFAULT_MARGIN = 0.1
 
+#: Fewest points of a time-domain grid (dynamics.GridSpec, and the config
+#: domains of the dynamics and pairs blocks).
+MIN_GRID_POINTS = 16
+
 
 def _require(name, value, ok=True, what="finite", finite=True):
     """Raise ParameterDomainError unless ``ok`` holds and (with ``finite``)

@@ -606,6 +606,19 @@ class TestSpectrumCommand:
         assert rows[1][3] == "1"
         assert rows[0][3] == "0" and rows[2][3] == "0"
 
+    def test_no_flux_at_or_above_first_threshold(self, tmp_path):
+        # a = 4.5e-6 m gives kappa = 2.00003 > pi/2, where the M = inf closed
+        # form the flux integrates is finite again at every d but the output
+        # grows; TestValidityRecord pins the flux bytes at kappa = 1.333
+        cfg = write_config(tmp_path / "c.json", {
+            "mode": "spectrum", "physical": {**PHYSICAL, "a": 4.5e-6},
+            "grid": {"d_points": 4, "kappa_points": 3}})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert list(record["manifest"]) == ["spectrum_analytic.csv"]
+        assert not (out / "flux.json").exists()
+
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             **BASE,
@@ -1042,15 +1055,104 @@ class TestDynamicsAndPairsCommands:
         assert header == "x,re_u,im_u,re_w,im_w"
 
 
+#: The package modules a fresh ``import atomsqueeze.cli`` and config parse
+#: load, and those each mode's run adds.
+CONFIG_LAYER = {"_blas", "cli", "config", "errors", "params"}
+FREQUENCY_DOMAIN = CONFIG_LAYER | {"analytic", "scattering", "spectrum"}
+MODE_LOADS = {"spectrum": FREQUENCY_DOMAIN, "threshold": FREQUENCY_DOMAIN,
+              "compare": FREQUENCY_DOMAIN,
+              "dynamics": CONFIG_LAYER | {"analytic", "dynamics"},
+              "pairs": CONFIG_LAYER | {"dynamics", "pairs"}}
+
+#: Every public name of the package, by the submodule that defines it.
+EXPORTS = {
+    "analytic": ("SqueezingValue", "r_closed_form", "wavenumber_phase"),
+    "dynamics": ("CouplingRamp", "GridSpec", "ModeLabel", "ModeState",
+                 "OutputWindow", "evolve", "extract_output_correlators",
+                 "gaussian_packet", "steady_state_beta_squared",
+                 "symplectic_norm"),
+    "pairs": ("PairAmplitude", "QuadrantDecomposition", "bell_metrics",
+              "internal_reduced_state", "pair_amplitude", "quadrant_decompose"),
+    "params": ("DimensionlessParams", "PhysicalParams", "ValidityReport",
+               "to_dimensionless", "transit_time", "validity"),
+    "scattering": ("BogoliubovCoefficients", "r_from_coefficients",
+                   "solve_scattering"),
+    "spectrum": ("CompareResult", "ThresholdResult", "compare_methods",
+                 "find_threshold", "flux_estimate", "spectrum_grid"),
+}
+
+
 class TestColdStart:
-    """The frequency-domain modes run on numpy alone; scipy.fft loads with
-    the first time-domain stepper. Checks which modules are loaded, no
-    timing."""
+    """A run loads only the package modules its mode uses, and scipy.fft
+    loads with the first time-domain stepper; the package binds its names
+    on first access. Checks which modules are loaded, no timing."""
 
     SCIPY_LOADED = (
         "import sys; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy'))"
     )
+    PACKAGE_LOADED = (
+        "import sys; print(*sorted(m.partition('.')[2] for m in sys.modules"
+        " if m.startswith('atomsqueeze.')))"
+    )
+
+    def test_cli_and_config_parse_load_the_config_layer_only(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"mode": "spectrum",
+                                                 "physical": PHYSICAL})
+        code = (
+            "import sys, atomsqueeze.cli\n"
+            "from atomsqueeze.config import load_config\n"
+            "load_config(sys.argv[1])\n"
+            + self.PACKAGE_LOADED
+        )
+        assert set(run_fresh_python(code, cfg).split()) == CONFIG_LAYER
+
+    @pytest.mark.parametrize("mode", list(MODE_LOADS))
+    def test_each_mode_loads_its_own_modules_only(self, mode, tmp_path):
+        cfg = write_config(tmp_path / "c.json", SMALL[mode])
+        code = (
+            "import sys, atomsqueeze.cli\n"
+            "mode, cfg, out = sys.argv[1:]\n"
+            "code = atomsqueeze.cli.main([mode, '--config', cfg, '--out', out])\n"
+            "assert code == 0, code\n"
+            + self.PACKAGE_LOADED
+        )
+        loaded = run_fresh_python(code, mode, cfg, str(tmp_path / "out")).split()
+        assert set(loaded) == MODE_LOADS[mode]
+
+    @pytest.mark.parametrize("how", ["attribute", "from-import", "star-import"])
+    def test_every_public_name_resolves_to_its_modules_object(self, how):
+        code = (
+            "import importlib, sys, atomsqueeze\n"
+            "how, specs = sys.argv[1], sys.argv[2:]\n"
+            "names = [spec.partition('.')[2] for spec in specs]\n"
+            "assert set(names) <= set(dir(atomsqueeze))\n"
+            "namespace = {}\n"
+            "if how == 'star-import':\n"
+            "    exec('from atomsqueeze import *', namespace)\n"
+            "for spec, name in zip(specs, names):\n"
+            "    module = spec.partition('.')[0]\n"
+            "    if how == 'attribute':\n"
+            "        got = getattr(atomsqueeze, name)\n"
+            "        assert getattr(atomsqueeze, module) is sys.modules['atomsqueeze.' + module]\n"
+            "    elif how == 'from-import':\n"
+            "        exec(f'from atomsqueeze import {name}', namespace)\n"
+            "        got = namespace[name]\n"
+            "    else:\n"
+            "        got = namespace[name]\n"
+            "    want = getattr(importlib.import_module('atomsqueeze.' + module), name)\n"
+            "    assert got is want, spec\n"
+            "print(len(specs))"
+        )
+        specs = [f"{module}.{name}" for module, names in EXPORTS.items()
+                 for name in names]
+        assert run_fresh_python(code, how, *specs).strip() == str(len(specs))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            atomsqueeze.no_such_name
+        with pytest.raises(ImportError):
+            from atomsqueeze import no_such_name  # noqa: F401
 
     def test_frequency_domain_modes_never_load_scipy(self, tmp_path):
         configs = {mode: SMALL[mode] for mode in ("spectrum", "threshold", "compare")}

@@ -69,6 +69,14 @@ class TestGridSpec:
         assert len(grid.x) == 15
         assert grid.x[0] == pytest.approx(grid.dx)
 
+    def test_wavenumbers_of_the_sine_basis_only(self):
+        grid = GridSpec(x_min=-24.0, x_max=24.0, n_points=256.0, dt=0.02)
+        assert np.array_equal(grid.wavenumbers(),
+                              np.pi * np.arange(1, 256) / 48.0)
+        with pytest.raises(ParameterDomainError, match="^boundary must be") as err:
+            periodic_grid(n=256.0).wavenumbers()
+        assert err.value.name == "boundary"
+
 
 class TestNamedInputErrors:
     """Each invalid stepper input is a ParameterDomainError naming its field."""
