@@ -27,25 +27,20 @@ field's odd extension, the periodic grid of 2 n_points points on which
 f(2 x_max - x) = -f(x): its FFT kick is the type-I discrete sine
 transform kick of the grid, in one complex FFT pair that costs less than
 the sine-transform pair (see ``_Stepper``). The grid's field is embedded
-once per run, and snapshots, guard norms and the final state read its
-points. Both stages are even in x, so round-off in the extension's even
-part never feeds its odd part, and the local stage restores the odd
-symmetry exactly on the points it touches.
+once per run; snapshots and the final state hold copies of its points,
+and guard norms read them in place. Both stages are even in x, so
+round-off in the extension's even part never feeds its odd part, and the
+local stage restores the odd symmetry exactly on the points it touches.
 
-One private spectral propagator serves this module and, through its
-bound forward and inverse transforms, the pair amplitude of ``pairs``,
-which applies one side's step in the sine basis to columns along axis 0,
-sums over time in each side's step eigenbasis without stepping, and ends
-with one 2-D inverse transform (see ``pairs.pair_amplitude``). The
-trailing half-kick of one step and the leading half-kick of the next are
-fused into one full kick (the phase squared), which leaves the scheme
-second order (Strang, SIAM J. Numer. Anal. 5, 506 (1968)); where the
-state must exist at a step boundary (a snapshot time, an
-instability-guard check) one forward transform yields both the
+The stepper owns its kinetic kicks: u and w are carried as one (2, m)
+array, so each kick is one forward and one inverse call of a 1-D FFT
+along the grid axis. The trailing half-kick of one step and the leading
+half-kick of the next are fused into one full kick (the phase squared),
+which leaves the scheme second order (Strang, SIAM J. Numer. Anal. 5, 506
+(1968)); where the state must exist at a step boundary (a snapshot time,
+an instability-guard check) one forward transform yields both the
 half-kicked boundary state and the fully kicked state the next step
-continues from, and the final step ends with a half-kick. u and w are
-carried as one (2, m) array, so each kick is one forward and one inverse
-call of a 1-D transform along the grid axis.
+continues from, and the final step ends with a half-kick.
 The 2x2 local exponential runs only on the span where g or V is nonzero
 (and, on the odd extension, is copied negated to the span's mirror
 image), evaluated once per distinct (V, coupling-mask) pair of that span
@@ -57,12 +52,13 @@ distinct pairs, each as one array expression with the bits of the
 step-by-step scalar expression (the tanh edges stay ``math.tanh`` per
 step); a block whose envelope does not move reuses the gathered matrix.
 
-The propagator is the package's only user of scipy: ``scipy.fft`` is
-imported when the first propagator is built (the first ``evolve`` or
-``pair_amplitude`` call), not with this module. This module itself loads
-on first use too: ``import atomsqueeze`` binds its names lazily, and only
-the ``dynamics`` and ``pairs`` CLI modes import it, so the
-frequency-domain modes load neither it nor scipy.
+scipy has two users in the package, ``_Stepper`` here and
+``pairs.pair_amplitude``, which keeps its own type-I sine basis: each
+imports ``scipy.fft`` on first use (the first stepper built, the first
+pair amplitude), not with its module. This module itself loads on first
+use too: ``import atomsqueeze`` binds its names lazily, and only the
+``dynamics`` and ``pairs`` CLI modes import it, so the frequency-domain
+modes load neither it nor scipy.
 
 Open geometries are handled with an absorbing layer at the far edge plus a
 domain long enough that absorbed flux never re-enters the analysis window,
@@ -162,16 +158,6 @@ class GridSpec:
         if self.boundary == "dirichlet":
             return self.x_min + np.arange(1, self.n_points) * self.dx
         return self.x_min + np.arange(self.n_points) * self.dx
-
-    def wavenumbers(self) -> np.ndarray:
-        """Wavenumbers pi*j/L, j = 1 .. n_points-1, of the type-I sine
-        basis of a Dirichlet grid's interior points; ParameterDomainError
-        naming ``boundary`` on a periodic grid."""
-        if self.boundary != "dirichlet":
-            raise ParameterDomainError(
-                f"boundary must be 'dirichlet' for sine-basis wavenumbers, "
-                f"got {self.boundary!r}", "boundary")
-        return np.pi * np.arange(1, self.n_points) / self.length
 
     def validate_resolution(self, k_max: float) -> None:
         """Assert at least MIN_POINTS_PER_WAVELENGTH points per 2*pi/|k_max|
@@ -329,52 +315,6 @@ def _potential_samples(v, name: str, x: np.ndarray) -> np.ndarray:
     return v
 
 
-class _SpectralPropagator:
-    """Exact kinetic kicks of a field, in the sine or Fourier basis.
-
-    ``half`` is the spectral phase of one Strang half-kick, broadcast
-    against the transformed field; ``axis`` is the one transformed axis.
-    A full kick (two adjacent half-kicks fused) multiplies the precomputed
-    squared phase, so it costs one forward and one inverse transform, the
-    same as a half-kick. ``dirichlet`` selects the sine basis, which only
-    ``pairs`` uses: ``evolve`` kicks a field with walls in the Fourier
-    basis of its odd extension (see ``_Stepper``). The transforms are the
-    1-D ``scipy.fft`` calls (type-I ``dst``/``idst`` or ``fft``/``ifft``),
-    bound once to the axis: the n-D wrappers run the same pocketfft kernel
-    behind a per-call dispatch that costs about as much as the kernel on
-    small grids. They run in place on the caller's field, and are the
-    attributes ``forward`` and ``inverse`` for callers that work in the
-    spectral basis themselves (``pairs.pair_amplitude``, which builds a
-    side's step from them and ``half``, and also passes ``axis=1`` for its
-    one 2-D inverse).
-    """
-
-    def __init__(self, half: np.ndarray, dirichlet: bool, axis: int):
-        # not at module level: scipy loads with the first stepper only
-        from scipy.fft import dst, fft, idst, ifft
-
-        self.half = half
-        self.full = half**2
-        if dirichlet:
-            forward, inverse, kw = dst, idst, {"type": 1}
-        else:
-            forward, inverse, kw = fft, ifft, {}
-        self.forward = functools.partial(forward, axis=axis, overwrite_x=True, **kw)
-        self.inverse = functools.partial(inverse, axis=axis, overwrite_x=True, **kw)
-
-    def kick(self, f: np.ndarray, full: bool) -> np.ndarray:
-        spec = self.forward(f)
-        spec *= self.full if full else self.half
-        return self.inverse(spec)
-
-    def split_kick(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Half-kicked and full-kicked ``f`` from one forward transform."""
-        spec = self.forward(f)
-        half = spec * self.half
-        spec *= self.full
-        return self.inverse(half), self.inverse(spec)
-
-
 class _Stepper:
     """Precomputed stage operators for one (grid, ramp, potential) setup.
 
@@ -387,9 +327,22 @@ class _Stepper:
     points are j = 1 .. n-1. A type-I sine-transform kick of the grid's
     points is an FFT kick of the extension, and the FFT of 2n points is
     the cheaper one. ``points`` is where the grid's points sit in f.
+
+    ``half`` is the spectral phase of one Strang half-kick of f (u's phase
+    over w's conjugate one) and ``full`` its square, two half-kicks fused,
+    so a full kick costs one forward and one inverse transform, the same
+    as a half-kick. The transforms are the 1-D ``scipy.fft`` calls
+    ``fft``/``ifft``, bound once to the last axis (the n-D wrappers run the
+    same pocketfft kernel behind a per-call dispatch that costs about as
+    much as the kernel on small grids), in place on the caller's field.
     """
 
     def __init__(self, grid: GridSpec, ramp: CouplingRamp, potential, mu: float):
+        # not at module level: scipy loads with the first stepper only
+        from scipy.fft import fft, ifft
+
+        self.forward = functools.partial(fft, axis=-1, overwrite_x=True)
+        self.inverse = functools.partial(ifft, axis=-1, overwrite_x=True)
         self.grid = grid
         self.ramp = ramp
         n = int(grid.n_points)
@@ -399,9 +352,8 @@ class _Stepper:
         self.points = slice(first, first + grid.x.size)
         k = 2.0 * np.pi * np.fft.fftfreq(self.size, d=grid.dx)
         half = np.exp(-1j * (k**2 - mu) * grid.dt / 2.0)
-        self.kinetic = _SpectralPropagator(
-            np.stack([half, np.conj(half)]), dirichlet=False, axis=-1
-        )
+        self.half = np.stack([half, np.conj(half)])
+        self.full = self.half**2
         x = grid.x
         v = _potential_samples(potential, "potential", x)
         gmask = ramp.spatial_mask(grid)
@@ -441,6 +393,27 @@ class _Stepper:
             n = self.size // 2
             f[:, n + 1:] = -f[:, n - 1:0:-1]
         return f
+
+    def fields(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """u and w on the grid's points of the stepped field ``f``: views
+        on a periodic grid, where they are all of f, and a copy on the odd
+        extension, whose whole array a view would keep alive."""
+        g = f[:, self.points]
+        if self.odd:
+            g = g.copy()
+        return g[0], g[1]
+
+    def kick(self, f: np.ndarray, full: bool) -> np.ndarray:
+        spec = self.forward(f)
+        spec *= self.full if full else self.half
+        return self.inverse(spec)
+
+    def split_kick(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Half-kicked and full-kicked ``f`` from one forward transform."""
+        spec = self.forward(f)
+        half = spec * self.half
+        spec *= self.full
+        return self.inverse(half), self.inverse(spec)
 
     def local_factors(self, t_mids: np.ndarray) -> list:
         """The 2x2 factors of a block of steps at midpoints ``t_mids``, one
@@ -581,8 +554,8 @@ def evolve(
     t = state.t
     t0 = state.t
     injection = -1j * grid.dt / grid.dx  # a source value's kick at its grid point
-    # the kick a step opens with: "half", "full", or "done" by split_kick
-    lead = "half"
+    if n_steps:
+        f = stepper.kick(f, full=False)  # the first step's leading half-kick
     for lo in range(0, n_steps, _SCHEDULE_STEPS):
         steps = np.arange(lo, min(lo + _SCHEDULE_STEPS, n_steps))
         # the scalar loop's midpoints t + dt/2, t = t0 + k*dt (t0 at k = 0)
@@ -591,8 +564,6 @@ def evolve(
         if isrc is not None:
             kicks = injection * _carrier(t_mids)
         for j, step in enumerate(steps.tolist()):
-            if lead != "done":
-                f = stepper.kinetic.kick(f, full=lead == "full")
             if isrc is not None:
                 f[0, isrc] += kicks[j]
                 if imirror is not None:
@@ -600,23 +571,25 @@ def evolve(
             stepper.local_step(f, factors[j])
             t = t0 + (step + 1) * grid.dt
 
+            # each step ends with one kick: the final half-kick, a split
+            # kick at a step boundary that must exist, or a full kick (this
+            # step's trailing half-kick fused with the next one's leading)
             snap = bool(pending) and t >= pending[0] - 1e-12
             check = guarded and (step + 1) % _CHECK_EVERY == 0
             if step == n_steps - 1:
-                f = stepper.kinetic.kick(f, full=False)
+                f = stepper.kick(f, full=False)
                 at = f.copy() if snap else f  # the last snapshot must not alias f
             elif snap or check:
                 # the boundary state (fresh arrays), and f kicked on through
                 # the next step's leading half-kick, from one forward transform
-                at, f = stepper.kinetic.split_kick(f)
-                lead = "done"
+                at, f = stepper.split_kick(f)
             else:
-                lead = "full"
+                f = stepper.kick(f, full=True)
                 continue
             if snap:
                 while pending and t >= pending[0] - 1e-12:
                     pending.pop(0)
-                snapshots.append(state.copy_with(at[0, points], at[1, points], t))
+                snapshots.append(state.copy_with(*stepper.fields(at), t))
             if check:
                 bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
                 norm = plus_norm(state.copy_with(at[0, points], at[1, points], t),
@@ -625,7 +598,7 @@ def evolve(
                     raise InstabilityDetectedError(
                         f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
                     )
-    final = state.copy_with(f[0, points], f[1, points], t)
+    final = state.copy_with(*stepper.fields(f), t)
     return final, snapshots
 
 

@@ -17,15 +17,18 @@ The amplitude is that of Strang steps of the 2-D field, computed without
 stepping the field: H_+(x) + H_-(y) is separable and the source sits on
 the diagonal inside the coupling slab, so f is a sum over steps of
 products of 1-D source columns, each carried to the final time by powers
-of its own side's one-step map (see ``pair_amplitude``). The pair grid is
-a closed box: the pair is read after it has escaped freely, and an
-absorber would remove the amplitude the metrics count. So that map is
-unitary and complex symmetric, and diagonal in a real orthogonal basis
-(the sine basis itself on a side with no potential); in those bases the
-sum over time closes: each pair of modes is weighted by the pulse's
-discrete spectrum at the pair energy, and no step is taken. The dense
-algebra runs at one BLAS thread, so f does not depend on the BLAS thread
-count.
+of its own side's one-step map (see ``pair_amplitude``). The kinetic part
+of that map is a phase in the type-I sine basis of the grid's points,
+whose transforms and phases this module keeps (``_SineBasis``); no other
+module uses that basis (``dynamics.evolve`` kicks in the Fourier basis of
+its own field). The pair grid is a closed box: the pair is read after it
+has escaped freely, and an absorber would remove the amplitude the
+metrics count. So that map is unitary and complex symmetric, and
+diagonal in a real orthogonal basis (the sine basis itself on a side
+with no potential); in those bases the sum over time closes: each pair of
+modes is weighted by the pulse's discrete spectrum at the pair energy,
+and no step is taken. The dense algebra runs at one BLAS thread, so f
+does not depend on the BLAS thread count.
 
 Once the pair has escaped the coupling region the amplitude is decomposed
 by exit side into quadrants LL/LR/RL/RR (left: coordinate < -a; right:
@@ -43,6 +46,7 @@ closed form in the branch coherence alone (see ``chsh_maximum``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,12 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import _blas
-from .dynamics import (
-    CouplingRamp,
-    GridSpec,
-    _potential_samples,
-    _SpectralPropagator,
-)
+from .dynamics import CouplingRamp, GridSpec, _potential_samples
 from .errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
@@ -123,6 +122,31 @@ class QuadrantDecomposition:
     f_lr: np.ndarray
     f_rl: np.ndarray
     dx: float
+
+
+class _SineBasis:
+    """The type-I sine basis of a pair grid's points, in which either
+    side's kinetic kick is a phase, for fields whose columns lie along
+    axis 0.
+
+    The wavenumbers are pi*j/L, j = 1 .. n_points-1; ``half`` is the
+    phase of one Strang half-kick in the frame rotated by mu, as a column,
+    and ``full`` its square. ``forward`` and ``inverse`` are the 1-D
+    ``scipy.fft`` calls ``dst``/``idst`` of type I, bound once to axis 0
+    (the n-D wrappers run the same pocketfft kernel behind a per-call
+    dispatch), in place on the caller's array; ``inverse(..., axis=1)``
+    ends a 2-D inverse transform.
+    """
+
+    def __init__(self, grid: GridSpec, mu: float):
+        # not at module level: scipy loads with the first pair amplitude
+        from scipy.fft import dst, idst
+
+        self.forward = functools.partial(dst, type=1, axis=0, overwrite_x=True)
+        self.inverse = functools.partial(idst, type=1, axis=0, overwrite_x=True)
+        k = np.pi * np.arange(1, grid.n_points) / grid.length
+        self.half = np.exp(-1j * (k**2 - mu) * grid.dt / 2.0)[:, None]
+        self.full = self.half**2
 
 
 def pair_amplitude(
@@ -230,9 +254,7 @@ def pair_amplitude(
         sides.append(np.zeros_like(x))  # the free -1 side
 
     dt = grid.dt
-    # frame: each particle rotated by mu
-    half = np.exp(-1j * (grid.wavenumbers() ** 2 - mu) * dt / 2.0)
-    kinetic = _SpectralPropagator(half[:, None], dirichlet=True, axis=0)
+    kinetic = _SineBasis(grid, mu)
     gmask = ramp.spatial_mask(grid)
     support = np.flatnonzero(gmask)
     m = gmask[support]

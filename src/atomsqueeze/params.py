@@ -124,10 +124,13 @@ class ValidityReport:
     """Diagnostics for the approximations behind the closed-form spectrum.
 
     ``steady_output_ok`` checks the slow-ramp condition gamma << g0,
-    ``large_mu_ok`` checks mu >> g0, and ``below_threshold`` checks that the
-    operating point is away from the parametric thresholds
-    kappa = pi/2 + n*pi. Margins are the raw ratios / distances so callers
-    can apply their own cutoffs.
+    ``large_mu_ok`` checks mu >> g0, and ``below_threshold`` checks that
+    kappa lies below the first parametric threshold pi/2 (by more than
+    1e-12): past it the output grows instead of settling, and the closed
+    form describes no steady state. ``threshold_distance`` is the distance
+    to the nearest threshold pi/2 + n*pi, n >= 0, wherever kappa lies.
+    Margins are the raw ratios / distances so callers can apply their own
+    cutoffs.
     """
 
     steady_output_ok: bool
@@ -173,9 +176,8 @@ def threshold_distance(kappa: float) -> float:
 def validity(p: PhysicalParams) -> ValidityReport:
     """Check the operating point of ``p`` against the model's regime:
     steady output needs gamma/g0 <= DEFAULT_MARGIN, the large-mu regime
-    g0/mu <= DEFAULT_MARGIN, below threshold a kappa more than 1e-12 from
-    every pi/2 + n*pi."""
-    dist = threshold_distance(to_dimensionless(p).kappa)
+    g0/mu <= DEFAULT_MARGIN, below threshold a kappa < pi/2 - 1e-12."""
+    kappa = to_dimensionless(p).kappa
     g_ratio = p.gamma / p.g0
     mu_ratio = p.g0 / p.mu
     return ValidityReport(
@@ -183,6 +185,6 @@ def validity(p: PhysicalParams) -> ValidityReport:
         steady_output_margin=g_ratio,
         large_mu_ok=mu_ratio <= DEFAULT_MARGIN,
         large_mu_margin=mu_ratio,
-        below_threshold=dist > 1e-12,
-        threshold_distance=dist,
+        below_threshold=kappa < math.pi / 2.0 - 1e-12,
+        threshold_distance=threshold_distance(kappa),
     )

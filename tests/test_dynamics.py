@@ -17,8 +17,8 @@ from atomsqueeze import (
     steady_state_beta_squared,
     symplectic_norm,
 )
-from atomsqueeze import dynamics
-from atomsqueeze.dynamics import _SpectralPropagator, _Stepper, plus_norm
+from atomsqueeze import dynamics, pairs
+from atomsqueeze.dynamics import _Stepper, plus_norm
 from atomsqueeze.errors import (
     InstabilityDetectedError,
     ParameterDomainError,
@@ -68,14 +68,6 @@ class TestGridSpec:
         grid = GridSpec(x_min=0.0, x_max=1.0, n_points=16, dt=0.1)
         assert len(grid.x) == 15
         assert grid.x[0] == pytest.approx(grid.dx)
-
-    def test_wavenumbers_of_the_sine_basis_only(self):
-        grid = GridSpec(x_min=-24.0, x_max=24.0, n_points=256.0, dt=0.02)
-        assert np.array_equal(grid.wavenumbers(),
-                              np.pi * np.arange(1, 256) / 48.0)
-        with pytest.raises(ParameterDomainError, match="^boundary must be") as err:
-            periodic_grid(n=256.0).wavenumbers()
-        assert err.value.name == "boundary"
 
 
 class TestNamedInputErrors:
@@ -318,7 +310,8 @@ def unfused_strang_reference(state, ramp, v, grid, n_steps, source_x):
     np.sinc) and the absorber decay on the whole grid.
     """
     dt = grid.dt
-    half = np.exp(-1j * (grid.wavenumbers() ** 2 - state.label.mu) * dt / 2.0)
+    k = np.pi * np.arange(1, grid.n_points) / grid.length  # the sine basis
+    half = np.exp(-1j * (k**2 - state.label.mu) * dt / 2.0)
     gmask = ramp.spatial_mask(grid)
     decay = np.exp(-grid.absorber_profile() * dt)
     isrc = int(np.argmin(np.abs(grid.x - source_x)))
@@ -416,32 +409,50 @@ class TestOddExtension:
         stepper = _Stepper(grid, NO_RAMP, None, mu=100.0)
         rng = np.random.default_rng(n)
         g = rng.normal(size=(2, n - 1)) + 1j * rng.normal(size=(2, n - 1))
-        half = np.exp(-1j * (grid.wavenumbers() ** 2 - 100.0) * grid.dt / 2.0)
+        k = np.pi * np.arange(1, n) / grid.length  # the sine basis
+        half = np.exp(-1j * (k**2 - 100.0) * grid.dt / 2.0)
         half = np.stack([half, np.conj(half)])
         for full in (False, True):
             want = idst((half**2 if full else half) * dst(g, type=1), type=1)
-            f = stepper.kinetic.kick(stepper.embed(*g), full=full)
+            f = stepper.kick(stepper.embed(*g), full=full)
             # a few ulps: at most 4.1e-15 of the field at these three n
             assert (np.abs(f[:, stepper.points] - want).max()
                     < 1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_states_keep_their_points_only(self, boundary):
+        # a Dirichlet snapshot or final state holds a copy of the grid's
+        # points, not a view that keeps the (2, 2 n_points) extension
+        # alive; on a periodic grid the (2, n_points) field is the points
+        grid = GridSpec(x_min=0.0, x_max=60.0, n_points=256, dt=0.01,
+                        boundary=boundary)
+        state = gaussian_packet(grid, x0=30.0, sigma=4.0, k=1.0)
+        final, snaps = evolve(state, NO_RAMP, None, grid, t_final=0.5,
+                              snapshot_times=[0.1, 0.5])
+        assert len(snaps) == 2
+        for mode in [final] + snaps:
+            owner = mode.u if mode.u.base is None else mode.u.base
+            assert owner.base is None
+            assert owner.nbytes == mode.u.nbytes + mode.w.nbytes
 
     def test_sourced_absorbing_run_stays_odd(self, monkeypatch):
         # the output of the final half-kick is the extension whose points
         # the final state holds
         kicked = []
-        kick = _SpectralPropagator.kick
+        kick = _Stepper.kick
 
         def recorded(self, f, full):
             kicked.append(kick(self, f, full))
             return kicked[-1]
 
-        monkeypatch.setattr(_SpectralPropagator, "kick", recorded)
+        monkeypatch.setattr(_Stepper, "kick", recorded)
         grid, ramp, step_potential, state = sourced_dirichlet_setup()
         # to t = 6: the source is on from t = 3
         final, _ = evolve(state, ramp, step_potential, grid, 600 * grid.dt,
                           source_x=20.0)
         f, n = kicked[-1], grid.n_points
-        assert np.shares_memory(f, final.u)
+        assert np.array_equal(f[0, 1:n], final.u)
+        assert np.array_equal(f[1, 1:n], final.w)
         # the mirror images and the two walls: round-off of the even part,
         # 2.1e-14 and 2.3e-15 of the field
         scale = np.abs(f).max()
@@ -588,45 +599,51 @@ class TestLocalStepExponential:
         assert {-1.0, 0.0, 1.0} <= signs
 
 
-def nd_kick(f, half, dirichlet, axis, full):
-    """One kick by the n-D scipy.fft transforms over the single ``axis``."""
-    forward, inverse, kw = ((dstn, idstn, {"type": 1}) if dirichlet
-                            else (fftn, ifftn, {}))
-    spec = forward(f, axes=(axis,), **kw)
-    return inverse(spec * (half**2 if full else half), axes=(axis,), **kw)
+def nd_kick(f, half, full):
+    """One kick by the n-D scipy.fft transforms over the last axis only."""
+    spec = fftn(f, axes=(-1,))
+    return ifftn(spec * (half**2 if full else half), axes=(-1,))
 
 
 class TestOneAxisTransforms:
-    """The propagator's 1-D transform calls give the n-D calls' numbers
-    exactly, in the stepper's (2, n) layout along the last axis and in the
-    pair amplitude's (n, sides, |S|) column block along axis 0."""
+    """The steppers' 1-D transform calls give the n-D calls' numbers
+    exactly: the FFT kicks of ``_Stepper``'s (2, n) field along the last
+    axis, and the type-I sine transforms of the pair amplitude's (n, |S|)
+    column blocks along axis 0, with the axis-1 inverse that ends its 2-D
+    transform."""
 
     N = 125
 
-    def layouts(self):
+    def field(self, shape):
         rng = np.random.default_rng(11)
-        h = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, self.N))
-        stepper = (np.stack([h, np.conj(h)]), -1, (2, self.N))
-        columns = (h[:, None, None], 0, (self.N, 2, 5))
-        for half, axis, shape in (stepper, columns):
-            f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            yield half, axis, f
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    @pytest.mark.parametrize("dirichlet", [True, False], ids=["dst", "fft"])
-    def test_kick(self, dirichlet):
-        for half, axis, f in self.layouts():
-            prop = _SpectralPropagator(half, dirichlet=dirichlet, axis=axis)
-            for full in (False, True):
-                want = nd_kick(f, half, dirichlet, axis, full)
-                assert np.array_equal(prop.kick(f.copy(), full=full), want)
+    def test_kick(self):
+        stepper = _Stepper(periodic_grid(n=self.N), NO_RAMP, None, mu=4.0)
+        f = self.field((2, self.N))
+        for full in (False, True):
+            assert np.array_equal(stepper.kick(f.copy(), full=full),
+                                  nd_kick(f, stepper.half, full))
 
-    @pytest.mark.parametrize("dirichlet", [True, False], ids=["dst", "fft"])
-    def test_split_kick(self, dirichlet):
-        for half, axis, f in self.layouts():
-            prop = _SpectralPropagator(half, dirichlet=dirichlet, axis=axis)
-            at, on = prop.split_kick(f.copy())
-            assert np.array_equal(at, nd_kick(f, half, dirichlet, axis, False))
-            assert np.array_equal(on, nd_kick(f, half, dirichlet, axis, True))
+    def test_split_kick(self):
+        stepper = _Stepper(periodic_grid(n=self.N), NO_RAMP, None, mu=4.0)
+        f = self.field((2, self.N))
+        at, on = stepper.split_kick(f.copy())
+        assert np.array_equal(at, nd_kick(f, stepper.half, False))
+        assert np.array_equal(on, nd_kick(f, stepper.half, True))
+
+    def test_sine_columns(self):
+        grid = GridSpec(x_min=-8.0, x_max=8.0, n_points=self.N + 1, dt=0.02)
+        basis = pairs._SineBasis(grid, mu=4.0)
+        f = self.field((self.N, 5))
+        phase = np.exp(-1j * np.linspace(0.0, 6.0, self.N))
+        # one side's step S = H Q L Q H on the columns
+        spec = dstn(f * basis.half, type=1, axes=(0,)) * phase[:, None]
+        want = idstn(spec, type=1, axes=(0,)) * basis.half
+        assert np.array_equal(pairs._apply_step(basis, phase, f), want)
+        g = self.field((self.N, self.N))
+        want = idstn(idstn(g, type=1, axes=(0,)), type=1, axes=(1,))
+        assert np.array_equal(basis.inverse(basis.inverse(g.copy()), axis=1), want)
 
 
 class TestStationaryInterior:

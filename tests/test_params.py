@@ -146,6 +146,32 @@ class TestValidity:
         assert not rep.below_threshold
         assert rep.threshold_distance == pytest.approx(0.0, abs=1e-12)
 
+    def test_above_first_threshold_not_below(self):
+        # the README physical config (a = 3 um, kappa = 1.333) with the
+        # slab stretched to a = 4.5 um: kappa = 2.00003, where the output
+        # grows; the distance to the nearest threshold stays what it was
+        readme = dict(g0=2e4, mu=1.467e6, m=3.82e-26, gamma=0.5, n0=1e6)
+        assert validity(PhysicalParams(a=3e-6, **readme)).below_threshold
+        p = PhysicalParams(a=4.5e-6, **readme)
+        kappa = to_dimensionless(p).kappa
+        assert kappa == pytest.approx(2.00003, abs=1e-5)
+        rep = validity(p)
+        assert not rep.below_threshold
+        assert rep.threshold_distance == threshold_distance(kappa)
+        assert rep.threshold_distance == pytest.approx(kappa - math.pi / 2)
+
+    @pytest.mark.parametrize("kappa", [
+        math.pi / 2 + 1e-9, math.pi - 1e-3, math.pi, 5.0 * math.pi / 2 + 0.5,
+    ], ids=["past_pi_half", "below_pi", "pi", "past_5pi_half"])
+    def test_kappa_at_or_past_pi_half_not_below(self, kappa):
+        # kappa near pi lies pi/2 from every threshold pi/2 + n*pi, and is
+        # past the first of them all the same
+        vbar = math.sqrt(2 * HBAR * MU_REF / SODIUM_MASS)
+        a = kappa * vbar / (2 * 2e4)
+        p = PhysicalParams(g0=2e4, mu=MU_REF, a=a, m=SODIUM_MASS)
+        assert to_dimensionless(p).kappa == pytest.approx(kappa, rel=1e-13)
+        assert not validity(p).below_threshold
+
     def test_margins_nonnegative(self):
         rep = validity(REF)
         assert rep.steady_output_margin >= 0
