@@ -28,9 +28,6 @@ import numpy as np
 from .errors import ClosedChannelError
 from .params import _first, check_dimensionless
 
-#: |arctanh_argument| within this distance below 1 is flagged near-threshold.
-NEAR_THRESHOLD_BAND = 1e-12
-
 
 @dataclass(frozen=True)
 class SqueezingValue:
@@ -40,15 +37,13 @@ class SqueezingValue:
 
     ``arctanh_argument`` is tanh(2*theta) * sin(phi); the point is above
     threshold when its magnitude reaches 1, in which case ``r`` is inf and
-    the linearized no-depletion model has broken down. ``near_threshold``
-    marks arguments within NEAR_THRESHOLD_BAND below saturation; the value
-    of r is still reported as-is (no clipping) so divergences stay visible.
+    the linearized no-depletion model has broken down. Below it r is
+    reported as-is (no clipping), so divergences stay visible.
     """
 
     r: np.ndarray
     above_threshold: np.ndarray
     arctanh_argument: np.ndarray
-    near_threshold: np.ndarray
 
 
 def _value_from_phase(d, phi) -> SqueezingValue:
@@ -73,7 +68,6 @@ def _value_from_phase(d, phi) -> SqueezingValue:
         r=np.where(above, math.inf, np.where(t == 0.0, 0.0, r)),
         above_threshold=above,
         arctanh_argument=t / s,
-        near_threshold=~above & (s_minus_abs_t / s < NEAR_THRESHOLD_BAND),
     )
 
 

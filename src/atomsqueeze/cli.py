@@ -44,7 +44,7 @@ def cmd_spectrum(config: RunConfig, record: RunRecord) -> int:
         record.table(
             f"spectrum_{method}.csv",
             {"big_m": config.big_m, "method": method},
-            ["%.12g", "%.12g", "%.12g", "%d"],
+            "%.12g",
             spectrum_grid(d_grid, k_grid, config.big_m, method),
             ["delta_over_g0", "kappa", "r", "above_threshold"],
         )
@@ -135,14 +135,14 @@ def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
         record.table(
             f"state_gamma_{gr}.csv",
             {"gamma_over_g0": gr, "t": res["final_state"].t},
-            ["%.10e"] * 5,
+            "%.10e",
             export_state_columns(res["final_state"], res["grid"]),
             ["x", "re_u", "im_u", "re_w", "im_w"],
         )
     record.table(
         "dynamics.csv",
         {"kappa": kappa, "big_m": big_m, "target_sinh2_r0": target},
-        ["%.12g"] * 4,
+        "%.12g",
         rows,
         ["gamma_over_g0", "beta0_squared", "sinh2_r0", "rel_discrepancy"],
     )
@@ -195,7 +195,7 @@ def cmd_pairs(config: RunConfig, record: RunRecord) -> int:
         "pair_density.csv",
         {"grid": "rows: x of +1 atom, cols: y of -1 atom",
          "half_width": half_width},
-        ["%.8e"] * density.shape[1],
+        "%.8e",
         density,
     )
     return EXIT_OK

@@ -275,14 +275,6 @@ def load_config(path) -> RunConfig:
     return parse_config(read_config(path))
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def significant(value):
     """``value`` with every float in it (inside dicts, lists and tuples
     too) rounded to 12 significant digits, the precision of the CSV
@@ -303,8 +295,7 @@ def significant(value):
 #: of 2048 by about 0.13 MiB, and 1024-cell chunks raised the resident peak
 #: of three in-process spectrum-sweep passes by 0.45-0.52 MiB over 256 (the
 #: spectrum tables take the ``%`` path). A block that ``_exponent_cells``
-#: declines is retried in chunks of this size, so one zero or tie cell
-#: sends at most one chunk to ``%``.
+#: declines is written in ``%`` chunks of this size too.
 _CHUNK_CELLS = 256
 
 #: Cells per block of a RunRecord table written with ``_exponent_cells``,
@@ -340,12 +331,13 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
     with its exact decimal exponent E and N* = X·10^(p-E) rounded
     half-even to an integer, N* = 10^(p+1) printed as 1.0…0e(E+1).
 
-    Rounding bound: m is X times 10^k, k = p - e, |k| <= 44, formed by at
-    most two correctly rounded multiplications or divisions by the exact
-    powers 10^0 … 10^22, so |m - M| <= (2u + u²)·M with u = 2^-53 and M
-    the exact X·10^(p-e). An accepted cell has M < 10^(p+1), hence
-    |m - M| < δ = 2.3e-16·10^(p+1) <= 0.023 for p <= 13, where also
-    m < 2^53, so rint(m) and m - rint(m) are exact.
+    Rounding bound: m is X times 10^k, k = p - e, |k| <= 22, formed by one
+    correctly rounded multiplication or division by the exact power
+    10^|k| (10^0 … 10^22 are doubles), so |m - M| <= u·M with u = 2^-53
+    and M the exact X·10^(p-e). An accepted cell has M < 10^(p+1), hence
+    |m - M| < δ = 2.3e-16·10^(p+1) <= 0.023 for p <= 13 (δ is more than
+    twice u·10^(p+1)), where also m < 2^53, so rint(m) and m - rint(m)
+    are exact.
 
     Tie margin: a cell is accepted only if |m - N| < 1/2 - δ, that is, the
     fractional part of m is more than δ away from 1/2. Then m and M lie
@@ -361,9 +353,9 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
     m < 10^p: declined; only a log10 rounded up can reach that test.
 
     Declined, so the writer falls back to ``%``: zero and -0.0, non-finite
-    and subnormal cells, |e| >= 100 (three exponent digits), |p - e| > 44,
-    and cells failing the margin or the digit-count test. Negative cells
-    are written with a leading sign byte.
+    and subnormal cells, |p - e| > 22 (every three-digit exponent among
+    them), and cells failing the margin or the digit-count test. Negative
+    cells are written with a leading sign byte.
     """
     x = chunk.ravel()
     a = np.abs(x)
@@ -371,15 +363,10 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
     if not (a.min() >= 2.2250738585072014e-308 and a.max() <= 1.7976931348623157e308):
         return None
     e = np.floor(np.log10(a)).astype(np.intp)
-    lo, hi = e.min(), e.max()
-    if lo < max(-99, p - 44) or hi > min(99, p + 44):
+    if e.min() < p - 22 or e.max() > p + 22:
         return None
+    # one rounding: the unused factor of the pair is 10^0 = 1
     k = p - e
-    if lo < p - 22 or hi > p + 22:
-        # one rounding per pass: the unused factor of a pair is 10^0 = 1
-        far = np.clip(k, -22, 22)
-        a = a * _POW10.take(np.maximum(far, 0)) / _POW10.take(np.maximum(-far, 0))
-        k -= far
     m = a * _POW10.take(np.maximum(k, 0)) / _POW10.take(np.maximum(-k, 0))
     n = np.rint(m)
     if not (m.min() >= 10.0**p and n.max() < 10.0**(p + 1)
@@ -432,9 +419,10 @@ def _versions() -> tuple:
 class RunRecord:
     """Provenance of one pipeline run, and the writer of its files.
 
-    Each writer puts one file into ``out_dir`` and records its sha256 in
-    ``manifest``; the text files start with a '#'-prefixed metadata
-    header (tool version, config hash, mode, then ``meta``). ``finish``
+    Each writer puts one file into ``out_dir`` and records in ``manifest``
+    the sha256 of the bytes it wrote; the text files start with a
+    '#'-prefixed metadata header (tool version, config hash, mode, then
+    ``meta``). ``finish``
     writes run_record.json next to them, so identical configs reproduce
     identical data checksums while wall-clock (the run's timestamps and
     ``write_s``, the seconds spent in the writers) and the python, numpy,
@@ -450,59 +438,64 @@ class RunRecord:
 
     @contextlib.contextmanager
     def _open(self, name: str, meta: Optional[dict]):
+        """A writer of text to ``out_dir / name``, after the header if
+        ``meta`` is given; each text is encoded once, and its bytes are
+        both hashed into the manifest and written."""
         start = time.perf_counter()
-        path = self.out_dir / name
-        with open(path, "w") as fh:
+        digest = hashlib.sha256()
+        with open(self.out_dir / name, "wb") as fh:
+
+            def write(text: str):
+                data = text.encode()
+                digest.update(data)
+                fh.write(data)
+
             if meta is not None:
                 meta = {"config_hash": self.config.config_hash(),
                         "mode": self.config.mode, **meta}
-                fh.write(f"# atomsqueeze {__version__}\n")
-                fh.writelines(f"# {key} = {significant(value)}\n"
-                              for key, value in meta.items())
-            yield fh
-        self.manifest[name] = sha256_file(path)
+                write(f"# atomsqueeze {__version__}\n" + "".join(
+                    f"# {key} = {significant(value)}\n" for key, value in meta.items()))
+            yield write
+        self.manifest[name] = digest.hexdigest()
         self.write_s += time.perf_counter() - start
 
-    def table(self, name: str, meta: dict, formats, rows, columns=None):
+    def table(self, name: str, meta: dict, fmt: str, rows, columns=None):
         """A table of numbers, under the column line if ``columns`` are
-        given. Each cell is printed with its column's ``%`` format
-        (``"%.12g"`` for data, ``"%d"`` for 0/1 flags, ``"%.8e"`` and
+        given. Every cell is printed with the one ``%`` format ``fmt``
+        (``"%.12g"`` for the spectrum and dynamics tables, ``"%.8e"`` and
         ``"%.10e"`` for the density and snapshot dumps), cells joined by
         commas, one line per row; ``rows`` is a 2-D array or a list of
         equal-length tuples of numbers. The bytes are always those of
-        ``",".join(formats) % tuple(row)`` row by row. Where every column
-        has the same ``"%.{p}e"`` format, rows are written in blocks of
-        about ``_BLOCK_CELLS`` cells, each built with numpy by one call of
-        ``_exponent_cells``; a block it declines is retried in chunks of
-        about ``_CHUNK_CELLS`` cells, each built with numpy or, if declined
-        again, with one ``%`` of the line template repeated. Every other
-        table is written in such ``%`` chunks."""
+        ``",".join([fmt] * len(row)) % tuple(row)`` row by row. Where
+        ``fmt`` is ``"%.{p}e"``, rows are written in blocks of about
+        ``_BLOCK_CELLS`` cells, each built with numpy by one call of
+        ``_exponent_cells``; a block it declines, like every block of
+        another format, is written in chunks of about ``_CHUNK_CELLS``
+        cells, each one ``%`` of the line template repeated."""
         data = np.asarray(rows, dtype=float)
-        line = ",".join(formats) + "\n"
-        step = max(1, _CHUNK_CELLS // len(formats))
-        same = re.fullmatch(r"%\.(\d+)e", formats[0]) if len(set(formats)) == 1 else None
-        p = int(same[1]) if same and 1 <= int(same[1]) <= 13 else None
-        block = step if p is None else max(1, _BLOCK_CELLS // len(formats))
-        with self._open(name, meta) as fh:
+        width = max(1, data.shape[-1])  # 1 for a table of no rows
+        line = ",".join([fmt] * width) + "\n"
+        step = max(1, _CHUNK_CELLS // width)
+        exponent = re.fullmatch(r"%\.(\d+)e", fmt)
+        p = int(exponent[1]) if exponent and 1 <= int(exponent[1]) <= 13 else None
+        block = step if p is None else max(1, _BLOCK_CELLS // width)
+        with self._open(name, meta) as write:
             if columns is not None:
-                fh.write(",".join(columns) + "\n")
+                write(",".join(columns) + "\n")
             for lo in range(0, len(data), block):
                 text = None if p is None else _exponent_cells(data[lo:lo + block], p)
                 if text is not None:
-                    fh.write(text)
+                    write(text)
                     continue
                 end = min(lo + block, len(data))
                 for start in range(lo, end, step):
                     chunk = data[start:min(start + step, end)]
-                    text = _exponent_cells(chunk, p) if block > step else None
-                    if text is None:
-                        text = line * len(chunk) % tuple(chunk.ravel().tolist())
-                    fh.write(text)
+                    write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
     def json(self, name: str, payload: dict):
         """A JSON object, keys sorted, floats at 12 significant digits."""
-        with self._open(name, None) as fh:
-            fh.write(json.dumps(significant(payload), indent=2, sort_keys=True))
+        with self._open(name, None) as write:
+            write(json.dumps(significant(payload), indent=2, sort_keys=True))
 
     def finish(self):
         """Write run_record.json."""

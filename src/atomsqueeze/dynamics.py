@@ -510,7 +510,8 @@ def evolve(
     ``potential`` is None (zero) or samples on grid.x.
 
     Raises ParameterDomainError at setup, naming the field, if
-    ``t_final``, ``state.t`` or a snapshot time is not finite,
+    ``t_final``, ``state.t`` or a snapshot time is not finite, a snapshot
+    time lies after the last step boundary (no step would take it),
     ``t_final`` precedes ``state.t``, ``label.mu`` or ``label.k0`` of
     the state is not finite, ``source_x`` is not in
     [grid.x_min, grid.x_max], or the potential samples are not finite or
@@ -527,8 +528,14 @@ def evolve(
     # resolution check
     _require("label.mu", state.label.mu)
     _require("label.k0", state.label.k0)
+    n_steps = int(math.ceil((t_final - state.t) / grid.dt - 1e-12))
     if snapshot_times is not None:
-        _require("snapshot_times", np.asarray(snapshot_times, dtype=float))
+        # the loop takes a time at the first step boundary t with
+        # t >= time - 1e-12; none comes after t_last
+        t_last = state.t + n_steps * grid.dt
+        times = np.asarray(snapshot_times, dtype=float)
+        _require("snapshot_times", times, t_last >= times - 1e-12,
+                 f"finite and at most the last step boundary t = {t_last!r}")
     if source_x is not None:
         _require("source_x", source_x, grid.x_min <= source_x <= grid.x_max,
                  f"in [grid.x_min, grid.x_max] = [{grid.x_min!r}, {grid.x_max!r}]")
@@ -546,7 +553,6 @@ def evolve(
         if stepper.odd:  # the odd extension carries the source's mirror image
             imirror = stepper.size - isrc
 
-    n_steps = int(math.ceil((t_final - state.t) / grid.dt - 1e-12))
     pending = sorted(snapshot_times) if snapshot_times is not None else []
     snapshots: List[ModeState] = []
     norm0 = plus_norm(state, grid)

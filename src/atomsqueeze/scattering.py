@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .analytic import NEAR_THRESHOLD_BAND, SqueezingValue
+from .analytic import SqueezingValue
 from .errors import (
     ClosedExteriorChannelError,
     IllConditionedWarning,
@@ -252,8 +252,5 @@ def r_from_coefficients(c: BogoliubovCoefficients) -> SqueezingValue:
     above = (t_p >= 1.0) | (t_m >= 1.0) | (t >= 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(above, np.inf, np.arctanh(t))
-    return SqueezingValue(
-        r=r, above_threshold=above, arctanh_argument=t,
-        near_threshold=~above & (t > 1.0 - NEAR_THRESHOLD_BAND),
-    )
+    return SqueezingValue(r=r, above_threshold=above, arctanh_argument=t)
 

@@ -681,17 +681,19 @@ class TestWriteCsv:
         rows = [(v, w, flag, np.float64(w))
                 for v in values for w in values[::-1] for flag in (True, False)]
         record = RunRecord(parse_config(dict(BASE)), tmp_path)
-        record.table("rows.csv", {"x": 0.1 + 0.2}, ["%.12g", "%.12g", "%d", "%.12g"],
-                     rows, ["a", "b", "c", "d"])
+        record.table("rows.csv", {"x": 0.1 + 0.2}, "%.12g", rows, ["a", "b", "c", "d"])
         path = tmp_path / "rows.csv"
         want = self.HEADER + "a,b,c,d\n" + "".join(
             ",".join(reference_fmt(v) for v in row) + "\n" for row in rows)
         assert path.read_bytes() == want.encode()
+        # the 0/1 flag column has the bytes of `%d` row by row
+        assert want == self.HEADER + "a,b,c,d\n" + "".join(
+            "%.12g,%.12g,%d,%.12g\n" % row for row in rows)
         assert record.manifest == {"rows.csv": sha(path)}
 
     def test_no_rows(self, tmp_path):
         record = RunRecord(parse_config(dict(BASE)), tmp_path)
-        record.table("empty.csv", {"x": 0.1 + 0.2}, ["%.12g"], [], ["a"])
+        record.table("empty.csv", {"x": 0.1 + 0.2}, "%.12g", [], ["a"])
         assert (tmp_path / "empty.csv").read_text() == self.HEADER + "a\n"
 
     @pytest.mark.parametrize("fmt", ["%.8e", "%.10e"])
@@ -701,7 +703,7 @@ class TestWriteCsv:
         data = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
         data[0, :4] = [0.0, -0.0, 1e-320, 1.0]
         record = RunRecord(parse_config(dict(BASE)), tmp_path)
-        record.table("grid.csv", {"x": 0.1 + 0.2}, [fmt] * 5, data)
+        record.table("grid.csv", {"x": 0.1 + 0.2}, fmt, data)
         want = io.StringIO()
         np.savetxt(want, data, fmt=fmt, delimiter=",")
         assert (tmp_path / "grid.csv").read_text() == self.HEADER + want.getvalue()
@@ -710,32 +712,35 @@ class TestWriteCsv:
         # chunks of one row (1 and 3 cells), of several rows with a shorter
         # last chunk (14 cells; 600, two density rows), and of more cells
         # than any table; blocks of one row, of three density rows (1000
-        # cells, so a declined block is a two-row and a one-row chunk), and
-        # of the whole table. 0.0 and -0.0 share a column, and the pair
-        # density is 255 x 255, once with one 0.0 cell: its block is
-        # declined and written as numpy and `%` chunks
+        # cells, so a declined block is two `%` chunks of 600 and one of
+        # 14 cells at most), and of the whole table. 0.0 and -0.0 share a
+        # column, in a `%.12g` table and in a `%.10e` one whose every block
+        # numpy declines, and the pair density is 255 x 255, once with one
+        # 0.0 cell: its block is declined and written as `%` chunks
         rng = np.random.default_rng(19)
         cycle = np.tile([0.0, -0.0, 1.5, 0.0], 30)
+        flags = np.column_stack([cycle, -cycle, cycle > 0])
         density = rng.standard_normal((255, 255)) ** 2
         zero = density.copy()
         zero[100, 17] = 0.0
-        tables = [(["%.12g", "%.10e", "%d"], np.column_stack([cycle, -cycle, cycle > 0])),
-                  (["%.8e"] * 255, density), (["%.8e"] * 255, zero)]
-        wants = ["".join((",".join(formats) + "\n") % tuple(row) for row in data.tolist())
-                 for formats, data in tables]
+        tables = [("%.12g", flags), ("%.10e", flags), ("%.8e", density), ("%.8e", zero)]
+        wants = ["".join((",".join([fmt] * len(row)) + "\n") % tuple(row)
+                         for row in data.tolist())
+                 for fmt, data in tables]
         for chunk in (1, 3, 14, 600, 10**6):
             for block in (1, 1000, 10**6):
                 monkeypatch.setattr(config, "_CHUNK_CELLS", chunk)
                 monkeypatch.setattr(config, "_BLOCK_CELLS", block)
-                for (formats, data), want in zip(tables, wants):
+                for (fmt, data), want in zip(tables, wants):
                     record = RunRecord(parse_config(dict(BASE)), tmp_path)
-                    record.table("t.csv", None, formats, data)
+                    record.table("t.csv", None, fmt, data)
                     assert (tmp_path / "t.csv").read_text() == want, (chunk, block)
 
     def test_density_takes_one_numpy_call_per_block(self, tmp_path, monkeypatch):
         # a 255 x 255 density whose every cell numpy writes (quarters: exact
         # mantissas, far from a rounding tie) is a few blocks of rows, not
-        # one call a row; with one 0.0 cell only that cell's row goes to `%`
+        # one call a row; with one 0.0 cell only that cell's block of rows
+        # goes to `%`
         built = []
 
         def counted(chunk, p):
@@ -746,15 +751,17 @@ class TestWriteCsv:
         monkeypatch.setattr(config, "_exponent_cells", counted)
         data = np.arange(1, 255 * 255 + 1).reshape(255, 255) / 4.0
         record = RunRecord(parse_config(dict(BASE)), tmp_path)
-        record.table("t.csv", None, ["%.8e"] * 255, data)
+        record.table("t.csv", None, "%.8e", data)
         assert None not in built
         assert len(built) <= math.ceil(data.size / config._BLOCK_CELLS)
         assert (tmp_path / "t.csv").read_text() == "".join(built)
         built.clear()
         data[100, 17] = 0.0
-        record.table("t.csv", None, ["%.8e"] * 255, data)
-        assert built.count(None) == 2
-        assert sum(text.count("\n") for text in built if text is not None) == 254
+        record.table("t.csv", None, "%.8e", data)
+        rows = config._BLOCK_CELLS // 255
+        assert built.count(None) == 1
+        assert sum(text.count("\n") for text in built if text is not None) == 255 - rows
+        assert (tmp_path / "t.csv").read_text() == TestExponentCells.percent("%.8e", data)
 
 
 def _next(x, ulps):
@@ -789,24 +796,24 @@ class TestExponentCells:
     Python's ``%`` for every cell, or a decline to it."""
 
     @staticmethod
-    def written(tmp, formats, data):
+    def written(tmp, fmt, data):
         record = RunRecord(parse_config(dict(BASE)), tmp)
-        record.table("t.csv", None, formats, data)
+        record.table("t.csv", None, fmt, data)
         return (tmp / "t.csv").read_text()
 
     @staticmethod
-    def percent(formats, data):
-        line = ",".join(formats) + "\n"
-        return "".join(line % tuple(row) for row in np.asarray(data, float).tolist())
+    def percent(fmt, data):
+        """``data`` printed row by row with Python's ``%``."""
+        rows = np.asarray(data, float).tolist()
+        return "".join((",".join([fmt] * len(row)) + "\n") % tuple(row) for row in rows)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(cells=EXPONENT_ROWS, cols=st.integers(1, 7), p=st.sampled_from([8, 10]))
     @example(cells=[9.9999999995e-05, 123456789.5, 1e-300, -0.0], cols=2, p=8)
     def test_cells_match_percent(self, tmp_path_factory, cells, cols, p):
         data = np.resize(np.array(cells), (max(1, len(cells) // cols), cols))
-        formats = [f"%.{p}e"] * cols
         tmp = tmp_path_factory.mktemp("cells")
-        assert self.written(tmp, formats, data) == self.percent(formats, data)
+        assert self.written(tmp, f"%.{p}e", data) == self.percent(f"%.{p}e", data)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
@@ -820,9 +827,8 @@ class TestExponentCells:
         low = min(max(centre - decades / 2.0, -300.0), 300.0 - decades)
         data = (rng.choice([-1.0, 1.0], (rows, cols))
                 * 10.0 ** rng.uniform(low, low + decades, (rows, cols)))
-        formats = [f"%.{p}e"] * cols
         tmp = tmp_path_factory.mktemp("random")
-        assert self.written(tmp, formats, data) == self.percent(formats, data)
+        assert self.written(tmp, f"%.{p}e", data) == self.percent(f"%.{p}e", data)
 
     @pytest.mark.parametrize("p", [8, 10])
     def test_density_rows_take_the_vectorized_path(self, p):
@@ -835,12 +841,13 @@ class TestExponentCells:
         assert sum(text is not None for text in built) >= 250
         for row, text in zip(data, built):
             if text is not None:
-                assert text == self.percent([f"%.{p}e"] * 255, row[None, :])
+                assert text == self.percent(f"%.{p}e", row[None, :])
 
     @pytest.mark.parametrize("cell", [
         0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308,  # not normal
         1e100, 1e-100,  # a three-digit exponent
-        1e-40, 1e60,  # more than two exact powers of ten away from p digits
+        1e-15, 1e31,  # p - e = 23 and -23: 10^23 is not a double
+        1e-40, 1e60,  # farther still
         123456789.5, 1234567895.0,  # exact ties at the 8th digit
         9.9999999995e-05,  # rounds up to ten digits, 1.00000000e-04
     ])

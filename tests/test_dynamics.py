@@ -172,6 +172,20 @@ class TestNamedInputErrors:
         with pytest.raises(ParameterDomainError, match="^snapshot_times must be"):
             evolve(state, NO_RAMP, None, grid, 0.1, snapshot_times=[0.05, bad])
 
+    def test_evolve_snapshot_time_after_last_step(self):
+        # a time after the last step boundary was dropped without a word;
+        # one within the loop's 1e-12 of it is taken there
+        grid = periodic_grid(n=256, dt=0.01)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        with pytest.raises(ParameterDomainError,
+                           match=r"^snapshot_times must be .* got 0\.5$") as err:
+            evolve(state, NO_RAMP, None, grid, 0.05,
+                   snapshot_times=[0.02, 0.04, 0.5, 3.0])
+        assert err.value.name == "snapshot_times"
+        _, snaps = evolve(state, NO_RAMP, None, grid, 0.05,
+                          snapshot_times=[0.02, 0.05 + 5e-13])
+        assert [s.t for s in snaps] == pytest.approx([0.02, 0.05], abs=1e-15)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["mu", "k0"])
     def test_evolve_label_named(self, field, bad):
@@ -705,12 +719,26 @@ def plane_wave_snapshot(mu=9.0):
 
 
 class TestInstabilityAndWindows:
-    def test_extractor_zero_coupling(self):
+    def test_extractor_zero_coupling(self, monkeypatch):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append((args[4], kwargs["snapshot_times"]))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "evolve", recorded)
         res = steady_state_beta_squared(100.0, 1e-30, 0.1, length=160.0,
                                         n_points=2560, dt=0.02, measure_c=2.0)
         assert res["beta2"] == pytest.approx(0.0, abs=1e-10)
         assert res["alpha2"] == pytest.approx(1.0, abs=0.05)
         assert set(res) == {"beta2", "alpha2", "grid", "final_state"}
+        # the read is the mean of three snapshots 2 dt apart, the last at
+        # t_meas = 20 + (4 + measure_c) / gamma_ratio, the run's end
+        t_meas = 20.0 + 6.0 / 0.1
+        [(t_final, times)] = calls
+        assert t_final == pytest.approx(t_meas, abs=1e-12)
+        assert times == pytest.approx([t_meas - 0.08, t_meas - 0.04, t_meas], abs=1e-12)
+        assert res["final_state"].t == pytest.approx(t_meas, abs=1e-12)
 
     def test_plane_wave_reads_as_pure_incidence(self):
         # an incident wave alone: nothing converted, and no reflection
@@ -750,12 +778,15 @@ class TestInstabilityAndWindows:
         with pytest.raises(ParameterDomainError, match="^potential samples"):
             evolve(state, NO_RAMP, v, grid, 10 * grid.dt)
 
-    @pytest.mark.parametrize("scale", [1.1, math.nan], ids=["growth", "nan"])
-    def test_guard_trips_on_runaway_local_step(self, monkeypatch, scale):
-        # a local step that scales f by 1.1 (or turns it to NaN) each step
+    @pytest.mark.parametrize("scale, trips_at", [(1.02, "0.2"), (math.nan, "0.1")],
+                             ids=["growth", "nan"])
+    def test_guard_trips_on_runaway_local_step(self, monkeypatch, scale, trips_at):
+        # a local step that scales f by 1.02 (or turns it to NaN) each step
         # must trip the guard of a packet with no source, on a periodic
         # grid and on a Dirichlet grid's odd extension, whose guard reads
-        # the grid's points
+        # the grid's points, at the first check (every 10 steps) where the
+        # plus-norm exceeds 1.5 times its bound: at 1.02 it reads 1.24 and
+        # 1.59 times exp(2 g0 t) times its start at t = 0.1 and 0.2
         local_step = _Stepper.local_step
 
         def runaway(self, f, factors):
@@ -770,7 +801,7 @@ class TestInstabilityAndWindows:
             grid = GridSpec(x_min=0.0, x_max=60.0, n_points=256, dt=0.01,
                             boundary=boundary)
             state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
-            with pytest.raises(InstabilityDetectedError):
+            with pytest.raises(InstabilityDetectedError, match=rf"at t={trips_at}$"):
                 evolve(state, ramp, None, grid, 100 * grid.dt)
 
     def test_history_required(self):

@@ -168,6 +168,14 @@ class TestPairAmplitude:
         grid = pair_grid(n=128, half_width=12.0, dt=0.04)
         with pytest.raises(PerturbationInvalidError):
             pair_amplitude(pulse_ramp(g_peak=30.0), grid, t0=3.0, mu=MU)
+        # created_norm2 grows as g^2 (test_perturbative_scaling): couplings
+        # that put it 2 % above and 2 % below the limit of 0.1
+        weak = pair_amplitude(pulse_ramp(g_peak=0.02), grid, t0=3.0, mu=MU)
+        g_limit = 0.02 * math.sqrt(0.1 / weak.created_norm2)
+        with pytest.raises(PerturbationInvalidError, match=r"norm\^2 = 0\.102 is not"):
+            pair_amplitude(pulse_ramp(g_peak=1.01 * g_limit), grid, t0=3.0, mu=MU)
+        below = pair_amplitude(pulse_ramp(g_peak=0.99 * g_limit), grid, t0=3.0, mu=MU)
+        assert below.created_norm2 == pytest.approx(0.098, rel=1e-3)
 
     def test_requires_pulse_off_before_t0(self):
         grid = pair_grid(n=64, half_width=8.0, dt=0.05)
