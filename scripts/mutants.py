@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DYN = "tests/test_dynamics.py::TestInstabilityAndWindows::"
+LOCAL = "tests/test_dynamics.py::TestLocalStepExponential::"
 
 #: (file under src/atomsqueeze/, old text, new text, tests expected to fail)
 MUTANTS = [
@@ -50,6 +51,13 @@ MUTANTS = [
     ("dynamics.py", "times, t_last >= times - 1e-12,", "times, True,",
      ["tests/test_dynamics.py::TestNamedInputErrors::"
       "test_evolve_snapshot_time_after_last_step"]),
+    ("dynamics.py", "f[1, s] = ch * w + ish * u", "f[1, s] = ch * w - ish * u",
+     [LOCAL + "test_no_potential_half_weight_edges"]),
+    ("dynamics.py", "np.negative(f[:, s], out=f[:, self.mirror])",
+     "np.copyto(f[:, self.mirror], f[:, s])",
+     [LOCAL + "test_no_potential_half_weight_edges"]),
+    ("dynamics.py", "f[0, imirror] -= kicks[j]", "f[0, imirror] += kicks[j]",
+     ["tests/test_dynamics.py::TestOddExtension::test_sourced_absorbing_run_stays_odd"]),
     ("pairs.py", "PERTURBATION_NORM_LIMIT = 0.1", "PERTURBATION_NORM_LIMIT = 10",
      ["tests/test_pairs.py::TestPairAmplitude::test_perturbation_guard"]),
     ("pairs.py",

@@ -3,8 +3,8 @@
 A mode pair (u, w) holds the coefficients of one incoming-mode operator
 in the two field components. In the rotating frame it obeys
 
-    i du/dt = (-d2/dx2 /2m + V(x) - mu) u + g(x,t) w
-    i dw/dt = -(-d2/dx2 /2m + V(x) - mu) w - g(x,t) u
+    i du/dt = (-d2/dx2 /2m - mu) u + g(x,t) w
+    i dw/dt = -(-d2/dx2 /2m - mu) w - g(x,t) u
 
 in coupling units (g0 = 1, 2m = 1, so kinetic energy is k^2 and the group
 velocity 2k). The w component evolves under the time-reversed Hamiltonian;
@@ -18,19 +18,20 @@ interior eigenstructure. That consistency is what the cross-validation
 tests check.
 
 Stepping scheme: Strang splitting between the kinetic phases (applied
-exactly in the Fourier basis) and the local 2x2 potential-coupling
-generator (applied via its exact matrix exponential). Both stages preserve
-the symplectic norm to round-off, so norm conservation is structural; the
-solution error is second order in dt. Periodic boundaries use the FFT of
-the grid. Dirichlet boundaries (hard walls at x_min and x_max) step the
-field's odd extension, the periodic grid of 2 n_points points on which
-f(2 x_max - x) = -f(x): its FFT kick is the type-I discrete sine
-transform kick of the grid, in one complex FFT pair that costs less than
-the sine-transform pair (see ``_Stepper``). The grid's field is embedded
-once per run; snapshots and the final state hold copies of its points,
-and guard norms read them in place. Both stages are even in x, so
-round-off in the extension's even part never feeds its odd part, and the
-local stage restores the odd symmetry exactly on the points it touches.
+exactly in the Fourier basis) and the local 2x2 coupling generator, whose
+exponential is the hyperbolic rotation by g dt (cosh and sinh in closed
+form). Both stages preserve the symplectic norm to round-off, so norm
+conservation is structural; the solution error is second order in dt.
+Periodic boundaries use the FFT of the grid. Dirichlet boundaries (hard
+walls at x_min and x_max) step the field's odd extension, the periodic
+grid of 2 n_points points on which f(2 x_max - x) = -f(x): its FFT kick
+is the type-I discrete sine transform kick of the grid, in one complex
+FFT pair that costs less than the sine-transform pair (see ``_Stepper``).
+The grid's field is embedded once per run; snapshots and the final state
+hold copies of its points, and guard norms read them in place. Both
+stages are even in x, so round-off in the extension's even part never
+feeds its odd part, and the local stage restores the odd symmetry exactly
+on the points it touches.
 
 The stepper owns its kinetic kicks: u and w are carried as one (2, m)
 array, so each kick is one forward and one inverse call of a 1-D FFT
@@ -41,16 +42,17 @@ which leaves the scheme second order (Strang, SIAM J. Numer. Anal. 5, 506
 an instability-guard check) one forward transform yields both the
 half-kicked boundary state and the fully kicked state the next step
 continues from, and the final step ends with a half-kick.
-The 2x2 local exponential runs only on the span where g or V is nonzero
-(and, on the odd extension, is copied negated to the span's mirror
-image), evaluated once per distinct (V, coupling-mask) pair of that span
-and gathered to its points; the absorber decay runs only on the
-absorbing layer (and its mirror image). ``evolve`` precomputes its
-schedule per block of steps: the step midpoints, the source kicks and,
-for the steps whose coupling envelope moved, the 2x2 factors of the
-distinct pairs, each as one array expression with the bits of the
-step-by-step scalar expression (the tanh edges stay ``math.tanh`` per
-step); a block whose envelope does not move reuses the gathered matrix.
+The local rotation runs only on the span where g is nonzero (and, on
+the odd extension, is copied negated to the span's mirror image),
+evaluated once per distinct coupling-mask value of that span (the slab's
+1 and its edges' 0.5) and gathered to its points; the absorber decay
+runs only on the absorbing layer (and its mirror image). ``evolve``
+precomputes its schedule per block of steps: the step midpoints, the
+source kicks and, for the steps whose coupling envelope moved, the
+rotation's factors on the distinct mask values, each as one array
+expression with the bits of the step-by-step scalar expression (the tanh
+edges stay ``math.tanh`` per step); a block whose envelope does not move
+reuses the gathered factors.
 
 scipy has two users in the package, ``_Stepper`` here and
 ``pairs.pair_amplitude``, which keeps its own type-I sine basis: each
@@ -91,11 +93,9 @@ MIN_POINTS_PER_WAVELENGTH = 8
 INSTABILITY_MARGIN = 1.5
 
 #: Steps per block of ``evolve``'s precomputed schedule (midpoints, source
-#: kicks, 2x2 factors): the schedule's memory is this many steps, never the
-#: run's length. Each temporary of the factors holds this many rows of the
-#: distinct (V, g-mask) pairs: 2 on a slab with no potential, at most one
-#: per grid point (3.3 MB of complex on 3200 points) for a potential that
-#: differs everywhere.
+#: kicks, rotation factors): the schedule's memory is this many steps (the
+#: factors times the slab's distinct mask values, at most 2), never the
+#: run's length.
 _SCHEDULE_STEPS = 64
 
 #: Steps between two checks of ``evolve``'s instability guard.
@@ -299,24 +299,8 @@ def _runs(mask: np.ndarray) -> List[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
-def _potential_samples(v, name: str, x: np.ndarray) -> np.ndarray:
-    """Potential samples on the grid points ``x``: zeros for None, else
-    finite floats of x's shape; a ParameterDomainError naming ``name``
-    otherwise."""
-    if v is None:
-        return np.zeros_like(x)
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise ParameterDomainError(
-            f"{name} samples shape {v.shape} != grid shape {x.shape}"
-        )
-    if not np.isfinite(v).all():
-        raise ParameterDomainError(f"{name} samples must be finite")
-    return v
-
-
 class _Stepper:
-    """Precomputed stage operators for one (grid, ramp, potential) setup.
+    """Precomputed stage operators for one (grid, ramp) setup.
 
     The field is the stacked pair f = [u, w] of shape (2, m), so one
     transform along the last axis kicks both components. On a periodic
@@ -337,7 +321,7 @@ class _Stepper:
     much as the kernel on small grids), in place on the caller's field.
     """
 
-    def __init__(self, grid: GridSpec, ramp: CouplingRamp, potential, mu: float):
+    def __init__(self, grid: GridSpec, ramp: CouplingRamp, mu: float):
         # not at module level: scipy loads with the first stepper only
         from scipy.fft import fft, ifft
 
@@ -354,13 +338,11 @@ class _Stepper:
         half = np.exp(-1j * (k**2 - mu) * grid.dt / 2.0)
         self.half = np.stack([half, np.conj(half)])
         self.full = self.half**2
-        x = grid.x
-        v = _potential_samples(potential, "potential", x)
         gmask = ramp.spatial_mask(grid)
-        # outside the span where g or V can be nonzero the 2x2 step is the
-        # identity; the absorber decay is a real scalar per point, so it
-        # commutes with the 2x2 step and runs on its own layer(s) only
-        runs = _runs((gmask != 0) | (v != 0))
+        # outside the slab the 2x2 step is the identity; the absorber decay
+        # is a real scalar per point, so it commutes with the 2x2 step and
+        # runs on its own layer(s) only
+        runs = _runs(gmask)
         self.coupled = None
         if runs:
             lo, hi = runs[0].start, runs[-1].stop
@@ -368,14 +350,9 @@ class _Stepper:
             # the span's mirror image in the odd extension, point by point
             self.mirror = (slice(self.size - first - lo, self.size - first - hi, -1)
                            if self.odd else None)
-            # the 2x2 step of a point depends on its (V, g-mask) pair only:
-            # keep the distinct pairs (the complex key holds both exactly)
-            # and, per point, the index of its pair
-            pairs, self._index = np.unique(
-                v[lo:hi] + 1j * gmask[lo:hi], return_inverse=True
-            )
-            self.v = pairs.real
-            self.gmask = pairs.imag
+            # the 2x2 step of a point depends on its mask value only: keep
+            # the distinct values and, per point, the index of its value
+            self.gmask, self._index = np.unique(gmask[lo:hi], return_inverse=True)
             self._env = math.nan  # the envelope of the last scheduled step
         profile = grid.absorber_profile()
         if self.odd:
@@ -419,16 +396,14 @@ class _Stepper:
         """The 2x2 factors of a block of steps at midpoints ``t_mids``, one
         entry per step for ``local_step``, in step order.
 
-        With Omega = sqrt(V^2 - g^2) (possibly imaginary) the exponential of
-        -i*dt*[[V, g], [-g, -V]] is cos(Omega dt) I - i sinc-like(Omega dt)
-        [[V, g], [-g, -V]]; evaluated with the complex cos/sin so both signs
-        of V^2 - g^2 are covered by one formula. An entry is (uu, uw, ww) on
-        the distinct (V, g-mask) pairs of the coupled span (two on a slab
-        with no potential) where the envelope moved from the step before,
-        all such steps of the block evaluated as one array; it is None where
+        The exponential of -i*dt*[[0, g], [-g, 0]] is the hyperbolic
+        rotation cosh(g dt) I - i sinh(g dt) [[0, 1], [-1, 0]]. An entry is
+        (cosh(g dt), i sinh(g dt)), complex, on the distinct mask values of
+        the coupled span where the envelope moved from the step before, all
+        such steps of the block evaluated as one array; it is None where
         the envelope did not move (a constant or saturated ramp), and for
         every step when nothing couples: ``local_step`` then keeps the
-        matrix it gathered last.
+        factors it gathered last.
         """
         factors = [None] * len(t_mids)
         if self.coupled is None:
@@ -437,40 +412,33 @@ class _Stepper:
         moved = np.flatnonzero(env != np.concatenate(([self._env], env[:-1])))
         self._env = env[-1]
         if moved.size:
-            g = env[moved, None] * self.gmask
-            v = self.v
-            dt = self.grid.dt
-            om = np.sqrt((v * v - g * g).astype(complex))
-            phi = om * dt
-            c = np.cos(phi)
-            # sin(phi)/om -> dt as om -> 0
-            small = np.abs(phi) < 1e-8
-            snc = np.where(small, dt, np.sin(np.where(small, 1.0, phi)) /
-                           np.where(small, 1.0 / dt, om))
-            rows = zip(c - 1j * snc * v, 1j * snc * g, c + 1j * snc * v)
+            theta = env[moved, None] * self.gmask * self.grid.dt
+            # complex, so the products with the field stay complex by
+            # complex (a real factor takes numpy's slower casting loop)
+            rows = zip(np.cosh(theta).astype(complex), 1j * np.sinh(theta))
             for step, row in zip(moved.tolist(), rows):
                 factors[step] = row
         return factors
 
     def local_step(self, f, factors):
-        """One step's 2x2 exponential at each point of the coupled span,
-        then the absorber decay; in place on the stacked field.
+        """One step's 2x2 rotation at each point of the coupled span, then
+        the absorber decay; in place on the stacked field.
 
         ``factors`` is the step's entry of ``local_factors``: new factors
-        are gathered from the distinct pairs to the points, None keeps the
-        gathered matrix of the step before. On the odd extension the
-        exponential runs on the grid's points and their mirror images take
+        are gathered from the distinct mask values to the points, None
+        keeps the gathered factors of the step before. On the odd extension
+        the rotation runs on the grid's points and their mirror images take
         the negated values, which is exact in floating point.
         """
         s = self.coupled
         if s is not None:
             if factors is not None:
                 i = self._index
-                self._matrix = tuple(entry[i] for entry in factors)
-            uu, uw, ww = self._matrix
+                self._factors = tuple(entry[i] for entry in factors)
+            ch, ish = self._factors
             u, w = f[0, s], f[1, s]
-            un = uu * u - uw * w
-            f[1, s] = ww * w + uw * u
+            un = ch * u - ish * w
+            f[1, s] = ch * w + ish * u
             f[0, s] = un
             if self.mirror is not None:
                 np.negative(f[:, s], out=f[:, self.mirror])
@@ -481,7 +449,7 @@ class _Stepper:
 def evolve(
     state: ModeState,
     ramp: CouplingRamp,
-    potential: Optional[np.ndarray],
+    potential: None,
     grid: GridSpec,
     t_final: float,
     source_x: Optional[float] = None,
@@ -490,9 +458,11 @@ def evolve(
     """Advance a mode pair to ``t_final``; optionally record snapshots.
 
     Returns (final_state, snapshots). Snapshots are taken at the first step
-    boundary at or after each requested time. Without a source the
-    instability guard compares the plus-norm against the analytic bound
-    exp(2*g0_peak*(t-t0)) every ``_CHECK_EVERY`` = 50 steps.
+    boundary at or after each requested time (``state.t`` itself for the
+    times at or before it, as a copy of the input fields), one per boundary
+    however many times it takes. Without a source the instability guard
+    compares the plus-norm against the analytic bound exp(2*g0_peak*(t-t0))
+    every ``_CHECK_EVERY`` = 50 steps.
 
     ``source_x``, when given, places the continuous source at the grid
     point nearest to it: a unit carrier at frame detuning zero, switched
@@ -507,19 +477,22 @@ def evolve(
     one forward transform gives both the boundary state and the state
     kicked on into the next step; the final step ends with a half-kick.
 
-    ``potential`` is None (zero) or samples on grid.x.
+    ``potential`` must be None: the stepper runs the coupling alone. The
+    parameter stays in third place only for the callers that pass None
+    there (the benchmark's norm-movie workload among them).
 
     Raises ParameterDomainError at setup, naming the field, if
-    ``t_final``, ``state.t`` or a snapshot time is not finite, a snapshot
-    time lies after the last step boundary (no step would take it),
-    ``t_final`` precedes ``state.t``, ``label.mu`` or ``label.k0`` of
-    the state is not finite, ``source_x`` is not in
-    [grid.x_min, grid.x_max], or the potential samples are not finite or
-    not of the grid's shape; ResolutionError
-    if the grid cannot resolve the mode's nominal carrier (label.k0), and
-    InstabilityDetectedError if the norm is not within the bound (a NaN
-    norm included) mid-run.
+    ``potential`` is not None, ``t_final``, ``state.t`` or a snapshot time
+    is not finite, a snapshot time lies after the last step boundary (no
+    step would take it), ``t_final`` precedes ``state.t``, ``label.mu`` or
+    ``label.k0`` of the state is not finite, or ``source_x`` is not in
+    [grid.x_min, grid.x_max]; ResolutionError if the grid cannot resolve
+    the mode's nominal carrier (label.k0), and InstabilityDetectedError if
+    the norm is not within the bound (a NaN norm included) mid-run.
     """
+    if potential is not None:
+        raise ParameterDomainError(
+            "potential must be None: evolve steps the coupling alone", "potential")
     _require("t_final", t_final)
     _require("state.t", state.t)
     if t_final < state.t:
@@ -540,7 +513,7 @@ def evolve(
         _require("source_x", source_x, grid.x_min <= source_x <= grid.x_max,
                  f"in [grid.x_min, grid.x_max] = [{grid.x_min!r}, {grid.x_max!r}]")
     grid.validate_resolution(state.label.k0)
-    stepper = _Stepper(grid, ramp, potential, mu=state.label.mu)
+    stepper = _Stepper(grid, ramp, mu=state.label.mu)
     u = np.asarray(state.u)
     w = np.asarray(state.w)
     if u.shape != grid.x.shape or w.shape != grid.x.shape:
@@ -554,7 +527,18 @@ def evolve(
             imirror = stepper.size - isrc
 
     pending = sorted(snapshot_times) if snapshot_times is not None else []
+
+    def due(t: float) -> bool:
+        """Drop the pending times that the step boundary t takes (those at
+        most 1e-12 after it); whether there were any."""
+        count = len(pending)
+        while pending and t >= pending[0] - 1e-12:
+            pending.pop(0)
+        return len(pending) < count
+
     snapshots: List[ModeState] = []
+    if due(state.t):  # a copy: the periodic kicks overwrite f in place
+        snapshots.append(state.copy_with(*stepper.fields(f.copy()), state.t))
     norm0 = plus_norm(state, grid)
     guarded = norm0 > 0 and source_x is None
     t = state.t
@@ -580,7 +564,7 @@ def evolve(
             # each step ends with one kick: the final half-kick, a split
             # kick at a step boundary that must exist, or a full kick (this
             # step's trailing half-kick fused with the next one's leading)
-            snap = bool(pending) and t >= pending[0] - 1e-12
+            snap = due(t)
             check = guarded and (step + 1) % _CHECK_EVERY == 0
             if step == n_steps - 1:
                 f = stepper.kick(f, full=False)
@@ -593,8 +577,6 @@ def evolve(
                 f = stepper.kick(f, full=True)
                 continue
             if snap:
-                while pending and t >= pending[0] - 1e-12:
-                    pending.pop(0)
                 snapshots.append(state.copy_with(*stepper.fields(at), t))
             if check:
                 bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))

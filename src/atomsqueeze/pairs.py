@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import _blas
-from .dynamics import CouplingRamp, GridSpec, _potential_samples
+from .dynamics import CouplingRamp, GridSpec
 from .errors import (
     EmptyPostSelectionError,
     ParameterDomainError,
@@ -147,6 +147,22 @@ class _SineBasis:
         k = np.pi * np.arange(1, grid.n_points) / grid.length
         self.half = np.exp(-1j * (k**2 - mu) * grid.dt / 2.0)[:, None]
         self.full = self.half**2
+
+
+def _potential_samples(v, name: str, x: np.ndarray) -> np.ndarray:
+    """Potential samples on the grid points ``x``: zeros for None, else
+    finite floats of x's shape; a ParameterDomainError naming ``name``
+    otherwise."""
+    if v is None:
+        return np.zeros_like(x)
+    v = np.asarray(v, dtype=float)
+    if v.shape != x.shape:
+        raise ParameterDomainError(
+            f"{name} samples shape {v.shape} != grid shape {x.shape}", name
+        )
+    if not np.isfinite(v).all():
+        raise ParameterDomainError(f"{name} samples must be finite", name)
+    return v
 
 
 def pair_amplitude(

@@ -186,6 +186,24 @@ class TestNamedInputErrors:
                           snapshot_times=[0.02, 0.05 + 5e-13])
         assert [s.t for s in snaps] == pytest.approx([0.02, 0.05], abs=1e-15)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_evolve_snapshot_at_or_before_the_start(self, boundary):
+        # a time at or before state.t was taken one step late, and a run of
+        # no steps took none: both are the input fields at state.t, one
+        # snapshot for all the times that boundary takes
+        grid = GridSpec(x_min=0.0, x_max=60.0, n_points=256, dt=0.01,
+                        boundary=boundary)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        final, snaps = evolve(state, NO_RAMP, None, grid, 0.0, snapshot_times=[0.0])
+        assert [s.t for s in snaps] == [0.0]
+        _, later = evolve(state, NO_RAMP, None, grid, 0.05,
+                          snapshot_times=[0.0, -1.0, 0.02])
+        assert [s.t for s in later] == pytest.approx([0.0, 0.02], abs=1e-15)
+        for snap in (snaps[0], later[0]):
+            assert np.array_equal(snap.u, state.u) and np.array_equal(snap.w, state.w)
+            assert not np.shares_memory(snap.u, state.u)
+        assert not np.shares_memory(snaps[0].u, final.u)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["mu", "k0"])
     def test_evolve_label_named(self, field, bad):
@@ -315,13 +333,14 @@ class TestSymplecticStructure:
         assert np.abs(fc.w - (a * f1.w + b * f2.w)).max() < 1e-12
 
 
-def unfused_strang_reference(state, ramp, v, grid, n_steps, source_x):
+def unfused_strang_reference(state, ramp, grid, n_steps, source_x):
     """Dirichlet evolve by plain Strang steps (oracle for the fused stepper).
 
     Every step is two unfused half-kicks, u and w transformed separately,
     around the source (the unit carrier switched on at t = 3, as a scalar
-    per step), the 2x2 exponential on the whole grid (written with
-    np.sinc) and the absorber decay on the whole grid.
+    per step), the 2x2 exponential on the whole grid (written with the
+    complex cos and sin of the imaginary phase i g dt) and the absorber
+    decay on the whole grid.
     """
     dt = grid.dt
     k = np.pi * np.arange(1, grid.n_points) / grid.length  # the sine basis
@@ -340,29 +359,24 @@ def unfused_strang_reference(state, ramp, v, grid, n_steps, source_x):
         t_mid = t + dt / 2.0
         u, w = half_kick(u, w)
         u[isrc] += (-1j * dt / grid.dx) * 0.5 * (1.0 + math.tanh(t_mid - 3.0))
-        g = ramp.envelope(t_mid) * gmask
-        om = np.sqrt((v * v - g * g).astype(complex))
-        c = np.cos(om * dt)
-        snc = dt * np.sinc(om * dt / np.pi)  # sin(om dt) / om
-        u, w = ((c - 1j * snc * v) * u - 1j * snc * g * w,
-                (c + 1j * snc * v) * w + 1j * snc * g * u)
+        phase = 1j * ramp.envelope(t_mid) * gmask * dt
+        c, s = np.cos(phase), np.sin(phase)  # cosh(g dt), i sinh(g dt)
+        u, w = c * u - s * w, c * w + s * u
         u, w = half_kick(u * decay, w * decay)
         t = state.t + (step + 1) * dt
     return state.copy_with(u, w, t)
 
 
 def sourced_dirichlet_setup():
-    """(grid, ramp, potential, state): walls, an absorbing layer, a slab
-    ramped on at the left wall and a potential step beyond it; the state
-    is empty, for a source at x = 20."""
+    """(grid, ramp, state): walls, an absorbing layer and a slab ramped on
+    at the left wall; the state is empty, for a source at x = 20."""
     grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01,
                     absorber_width=10.0)
     ramp = CouplingRamp(g0_peak=1.0, gamma=2.0, shape="tanh", t_on=0.5,
                         x_lo=0.0, x_hi=5.0)
-    step_potential = np.where((grid.x > 8.0) & (grid.x < 10.0), 0.5, 0.0)
     zeros = np.zeros(grid.x.shape, dtype=complex)
     state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
-    return grid, ramp, step_potential, state
+    return grid, ramp, state
 
 
 def assert_same_final_state(got, ref):
@@ -379,17 +393,16 @@ class TestKickFusion:
     all but the guard checks and the final step."""
 
     def test_sourced_dirichlet_run_with_absorber(self):
-        grid, ramp, step_potential, state = sourced_dirichlet_setup()
+        grid, ramp, state = sourced_dirichlet_setup()
         n = 150
-        plain, none = evolve(state, ramp, step_potential, grid, n * grid.dt,
-                             source_x=20.0)
-        every, snaps = evolve(state, ramp, step_potential, grid, n * grid.dt,
+        plain, none = evolve(state, ramp, None, grid, n * grid.dt, source_x=20.0)
+        every, snaps = evolve(state, ramp, None, grid, n * grid.dt,
                               source_x=20.0,
                               snapshot_times=[grid.dt * (i + 1) for i in range(n)])
         assert none == [] and len(snaps) == n
         assert_same_final_state(every, plain)
         # the restricted local step matches the dense one
-        ref = unfused_strang_reference(state, ramp, step_potential, grid, n, 20.0)
+        ref = unfused_strang_reference(state, ramp, grid, n, 20.0)
         assert_same_final_state(plain, ref)
 
     def test_periodic_run_with_guard(self, monkeypatch):
@@ -420,7 +433,7 @@ class TestOddExtension:
         # 1601 is prime: the FFT of 3202 points takes pocketfft's Bluestein
         # path
         grid = GridSpec(x_min=0.0, x_max=0.05 * n, n_points=n, dt=0.01)
-        stepper = _Stepper(grid, NO_RAMP, None, mu=100.0)
+        stepper = _Stepper(grid, NO_RAMP, mu=100.0)
         rng = np.random.default_rng(n)
         g = rng.normal(size=(2, n - 1)) + 1j * rng.normal(size=(2, n - 1))
         k = np.pi * np.arange(1, n) / grid.length  # the sine basis
@@ -460,9 +473,9 @@ class TestOddExtension:
             return kicked[-1]
 
         monkeypatch.setattr(_Stepper, "kick", recorded)
-        grid, ramp, step_potential, state = sourced_dirichlet_setup()
+        grid, ramp, state = sourced_dirichlet_setup()
         # to t = 6: the source is on from t = 3
-        final, _ = evolve(state, ramp, step_potential, grid, 600 * grid.dt,
+        final, _ = evolve(state, ramp, None, grid, 600 * grid.dt,
                           source_x=20.0)
         f, n = kicked[-1], grid.n_points
         assert np.array_equal(f[0, 1:n], final.u)
@@ -494,9 +507,8 @@ class TestSchedule:
             state = ModeState(u=zeros, w=zeros, t=0.03, label=ModeLabel(mu=9.0, k0=3.0))
         # snapshots and guard checks on the boundaries of 7- and 3-step blocks
         times = [state.t + k * grid.dt for k in (7, 21, 22, 40)]
-        final, snaps = evolve(state, self.RAMP, 0.3 * (grid.x > 5.0), grid,
-                              state.t + 45 * grid.dt, source_x=source_x,
-                              snapshot_times=times)
+        final, snaps = evolve(state, self.RAMP, None, grid, state.t + 45 * grid.dt,
+                              source_x=source_x, snapshot_times=times)
         return [(s.t, s.u.tobytes(), s.w.tobytes()) for s in [final, *snaps]]
 
     @pytest.mark.parametrize("source_x", [20.0, None])
@@ -525,12 +537,12 @@ class TestSchedule:
         assert np.array(want).tobytes() == (kick * got).tobytes()
 
 
-def expm_local_step(f, v, g, dt):
-    """f after exp(-i dt [[V, g], [-g, -V]]) at each point, by scipy's expm
+def expm_local_step(f, g, dt):
+    """f after exp(-i dt [[0, g], [-g, 0]]) at each point, by scipy's expm
     (oracle for the stepper's closed form)."""
     out = np.empty_like(f)
     for j in range(f.shape[1]):
-        e = expm(-1j * dt * np.array([[v[j], g[j]], [-g[j], -v[j]]]))
+        e = expm(-1j * dt * np.array([[0.0, g[j]], [-g[j], 0.0]]))
         out[:, j] = e @ f[:, j]
     return out
 
@@ -545,72 +557,51 @@ def test_zero_length_support_couples_no_point(x):
 
 
 class TestLocalStepExponential:
-    """The closed-form 2x2 exponential, evaluated on the distinct
-    (V, g-mask) pairs of the coupled span and gathered to the points,
-    against a per-point matrix exponential."""
+    """The closed-form rotation cosh/sinh(g dt), evaluated on the distinct
+    mask values of the coupled span and gathered to the points, against a
+    per-point matrix exponential."""
 
     GRID = GridSpec(x_min=0.0, x_max=20.0, n_points=200, dt=0.05)
     RAMP = CouplingRamp(g0_peak=1.5, gamma=1.0, shape="tanh", t_on=0.0,
                         x_lo=5.0, x_hi=10.0)
-    # envelopes from about 4e-3 to 1.5, then a repeat (the cached matrix)
+    # envelopes from about 4e-3 to 1.5, then a repeat (the cached factors)
     T_MIDS = (-3.0, -0.4, 0.0, 0.7, 3.0, 3.0)
 
-    def check(self, potential, n_distinct):
-        grid, ramp = self.GRID, self.RAMP
-        v = np.zeros(grid.x.size) if potential is None else potential(grid.x)
-        stepper = _Stepper(grid, ramp, v, mu=4.0)
-        assert stepper.v.size == n_distinct
-        gmask = ramp.spatial_mask(grid)
+    def stepped_field(self):
+        """A stepper of the slab and a random field on the grid's points
+        of its odd extension."""
+        grid = self.GRID
+        stepper = _Stepper(grid, self.RAMP, mu=4.0)
         rng = np.random.default_rng(5)
-        # the grid's points on the stepper's odd extension
-        f = stepper.embed(*(rng.normal(size=(2, grid.x.size))
-                            + 1j * rng.normal(size=(2, grid.x.size))))
+        return stepper, stepper.embed(*(rng.normal(size=(2, grid.x.size))
+                                        + 1j * rng.normal(size=(2, grid.x.size))))
+
+    def test_no_potential_half_weight_edges(self):
+        grid, ramp = self.GRID, self.RAMP
+        gmask = ramp.spatial_mask(grid)
+        assert np.count_nonzero(gmask == 0.5) == 2
+        stepper, f = self.stepped_field()
+        # the slab's full weight and its edges' half weight
+        assert stepper.gmask.tolist() == [0.5, 1.0]
         points, n = stepper.points, grid.n_points
-        signs = set()
         for t_mid in self.T_MIDS:
-            g = ramp.envelope(t_mid) * gmask
-            want = expm_local_step(f[:, points], v, g, grid.dt)
+            want = expm_local_step(f[:, points], ramp.envelope(t_mid) * gmask, grid.dt)
             stepper.local_step(f, stepper.local_factors(np.array([t_mid]))[0])
             assert np.abs(f[:, points] - want).max() < 1e-13 * np.abs(want).max()
             # the mirror images carry the negated values bit for bit
             assert np.array_equal(f[:, :n:-1], -f[:, points])
-            signs.update(np.sign(v * v - g * g))
-        return signs
 
-    def test_no_potential_half_weight_edges(self):
-        gmask = self.RAMP.spatial_mask(self.GRID)
-        assert np.count_nonzero(gmask == 0.5) == 2
-        # the slab's full and half weights: V^2 - g^2 < 0 throughout
-        assert self.check(None, n_distinct=2) == {-1.0, 0.0}
-
-    def test_smooth_potential_all_distinct(self):
-        def potential(x):
-            return 0.3 + 0.5 * np.tanh((x - 7.0) / 3.0)
-
-        span = self.GRID.x.size  # nonzero everywhere: the whole grid couples
-        assert self.check(potential, n_distinct=span) == {-1.0, 1.0}
-
-    def test_potential_outside_slab(self):
-        # a step at [12, 14] beyond the slab [5, 10]: the span runs from the
-        # slab to the step, through points where V = g = 0
-        def potential(x):
-            return np.where((x > 12.0) & (x < 14.0), 0.7, 0.0)
-
-        # (0, 0.5), (0, 1), (0, 0) between them, (0.7, 0)
-        assert self.check(potential, n_distinct=4) == {-1.0, 0.0, 1.0}
-
-    def test_env_on_both_signs(self):
-        # V = 0.75 on the slab: V^2 - g^2 changes sign at env = 0.75 (full
-        # weight) and 1.5 (half weight, not reached), so full-weight points
-        # take both branches of the complex square root; at t_mid = 0 the
-        # envelope is 0.75 exactly, the nilpotent case V = g of the
-        # small-phase branch
-        def potential(x):
-            return np.where((x > 4.0) & (x < 11.0), 0.75, 0.0)
-
-        assert self.RAMP.envelope(0.0) == 0.75
-        signs = self.check(potential, n_distinct=3)
-        assert {-1.0, 0.0, 1.0} <= signs
+    def test_zero_envelope_keeps_every_bit(self):
+        # cosh 0 = 1 and sinh 0 = 0 exactly, so a step at envelope 0 (the
+        # tanh saturated at -1) keeps the field bit for bit
+        assert self.RAMP.envelope(-30.0) == 0.0
+        stepper, f = self.stepped_field()
+        before = f.copy()
+        factors = stepper.local_factors(np.array([-30.0]))[0]
+        assert [e.dtype for e in factors] == [np.complex128] * 2
+        assert [e.tolist() for e in factors] == [[1.0, 1.0], [0.0, 0.0]]
+        stepper.local_step(f, factors)
+        assert np.array_equal(f, before)
 
 
 def nd_kick(f, half, full):
@@ -633,14 +624,14 @@ class TestOneAxisTransforms:
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     def test_kick(self):
-        stepper = _Stepper(periodic_grid(n=self.N), NO_RAMP, None, mu=4.0)
+        stepper = _Stepper(periodic_grid(n=self.N), NO_RAMP, mu=4.0)
         f = self.field((2, self.N))
         for full in (False, True):
             assert np.array_equal(stepper.kick(f.copy(), full=full),
                                   nd_kick(f, stepper.half, full))
 
     def test_split_kick(self):
-        stepper = _Stepper(periodic_grid(n=self.N), NO_RAMP, None, mu=4.0)
+        stepper = _Stepper(periodic_grid(n=self.N), NO_RAMP, mu=4.0)
         f = self.field((2, self.N))
         at, on = stepper.split_kick(f.copy())
         assert np.array_equal(at, nd_kick(f, stepper.half, False))
@@ -769,14 +760,26 @@ class TestInstabilityAndWindows:
                 extract_output_correlators([state], win, grid)
             assert err.value.name == "label.mu"
 
+    def test_potential_named(self):
+        # the stepper runs the coupling alone: any samples, zeros included,
+        # are refused
+        grid = periodic_grid(n=256, dt=0.01)
+        state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+        with pytest.raises(ParameterDomainError, match="^potential must be None") as err:
+            evolve(state, NO_RAMP, np.zeros(grid.x.size), grid, 10 * grid.dt)
+        assert err.value.name == "potential"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_named(self, bad):
+        # non-finite samples are refused as any potential is, before the
+        # stepper reads them
         grid = periodic_grid(n=256, dt=0.01)
         state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
         v = np.zeros(grid.x.size)
         v[100] = bad
-        with pytest.raises(ParameterDomainError, match="^potential samples"):
+        with pytest.raises(ParameterDomainError, match="^potential must be None") as err:
             evolve(state, NO_RAMP, v, grid, 10 * grid.dt)
+        assert err.value.name == "potential"
 
     @pytest.mark.parametrize("scale, trips_at", [(1.02, "0.2"), (math.nan, "0.1")],
                              ids=["growth", "nan"])

@@ -346,8 +346,17 @@ class TestPairAmplitude:
                             t_off=0.6, x_lo=-1.0, x_hi=1.0)
         v = np.zeros(grid.x.size)
         v[40] = bad
-        with pytest.raises(ParameterDomainError, match="^potential_plus samples"):
+        with pytest.raises(ParameterDomainError, match="^potential_plus samples") as err:
             pair_amplitude(ramp, grid, t0=1.0, mu=1.0, potential_plus=v)
+        assert err.value.name == "potential_plus"
+
+    def test_potential_shape_named(self):
+        grid = pair_grid(n=64, half_width=8.0, dt=0.05)
+        ramp = CouplingRamp(g0_peak=0.05, gamma=4.0, shape="pulse", t_on=0.2,
+                            t_off=0.6, x_lo=-1.0, x_hi=1.0)
+        with pytest.raises(ParameterDomainError, match="^potential_plus samples shape") as err:
+            pair_amplitude(ramp, grid, t0=1.0, mu=1.0, potential_plus=np.zeros(5))
+        assert err.value.name == "potential_plus"
 
     def test_nan_norm_trips_perturbation_guard(self, monkeypatch):
         # a coupling mask that is NaN on its support makes every amplitude
