@@ -339,10 +339,11 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
     twice u·10^(p+1)), where also m < 2^53, so rint(m) and m - rint(m)
     are exact.
 
-    Tie margin: a cell is accepted only if |m - N| < 1/2 - δ, that is, the
-    fractional part of m is more than δ away from 1/2. Then m and M lie
-    strictly inside (N - 1/2, N + 1/2), so M rounds to N under any
-    rounding rule: no tie is ever resolved here.
+    Ties: a cell is accepted only if |m - N| < 1/2. m is M correctly
+    rounded, and N ± 1/2 are doubles for p <= 13, so m lands on M's side
+    of a tie or on the tie, which the strict test declines. So M lies
+    strictly inside (N - 1/2, N + 1/2) and rounds to N under any rounding
+    rule: no tie is ever resolved here.
 
     Exponent: a cell is accepted only if m >= 10^p and N < 10^(p+1). If
     e = E, N* = M rounds to N: the same bytes. e < E would make
@@ -354,7 +355,7 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
 
     Declined, so the writer falls back to ``%``: zero and -0.0, non-finite
     and subnormal cells, |p - e| > 22 (every three-digit exponent among
-    them), and cells failing the margin or the digit-count test. Negative
+    them), and cells failing the tie or the digit-count test. Negative
     cells are written with a leading sign byte.
     """
     x = chunk.ravel()
@@ -370,7 +371,7 @@ def _exponent_cells(chunk: np.ndarray, p: int) -> Optional[str]:
     m = a * _POW10.take(np.maximum(k, 0)) / _POW10.take(np.maximum(-k, 0))
     n = np.rint(m)
     if not (m.min() >= 10.0**p and n.max() < 10.0**(p + 1)
-            and np.abs(m - n).max() < 0.5 - 2.3e-16 * 10.0**(p + 1)):
+            and np.abs(m - n).max() < 0.5):
         return None
     # N in groups of three digits, the leading group first (floor(N / 1000^j)
     # is exact for N < 2^53), their bytes from the lookup table

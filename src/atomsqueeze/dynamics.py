@@ -38,10 +38,12 @@ array, so each kick is one forward and one inverse call of a 1-D FFT
 along the grid axis. The trailing half-kick of one step and the leading
 half-kick of the next are fused into one full kick (the phase squared),
 which leaves the scheme second order (Strang, SIAM J. Numer. Anal. 5, 506
-(1968)); where the state must exist at a step boundary (a snapshot time,
-an instability-guard check) one forward transform yields both the
+(1968)). Only a snapshot splits a kick: one forward transform yields the
 half-kicked boundary state and the fully kicked state the next step
-continues from, and the final step ends with a half-kick.
+continues from; the final step ends with a half-kick. The instability
+guard reads the kicked field once per schedule block and at the end of
+the run: the kicks are unitary and keep the extension odd, so the
+field's points hold the plus-norm of the boundary state.
 The local rotation runs only on the span where g is nonzero (and, on
 the odd extension, is copied negated to the span's mirror image),
 evaluated once per distinct coupling-mask value of that span (the slab's
@@ -95,11 +97,8 @@ INSTABILITY_MARGIN = 1.5
 #: Steps per block of ``evolve``'s precomputed schedule (midpoints, source
 #: kicks, rotation factors): the schedule's memory is this many steps (the
 #: factors times the slab's distinct mask values, at most 2), never the
-#: run's length.
+#: run's length. The instability guard checks once per block.
 _SCHEDULE_STEPS = 64
-
-#: Steps between two checks of ``evolve``'s instability guard.
-_CHECK_EVERY = 50
 
 #: Damping rate at the far edge of a GridSpec's absorbing layer, in g0.
 ABSORBER_STRENGTH = 6.0
@@ -130,11 +129,9 @@ class GridSpec:
                  f"a whole number >= {MIN_GRID_POINTS}")
         _require("dt", self.dt, self.dt > 0, "finite and > 0")
         _require("x_min", self.x_min)
-        _require("x_max", self.x_max)
-        if self.x_max <= self.x_min:
-            raise ParameterDomainError("x_max must exceed x_min")
-        if self.boundary not in ("dirichlet", "periodic"):
-            raise ParameterDomainError(f"unknown boundary {self.boundary!r}")
+        _require("x_max", self.x_max, self.x_max > self.x_min, "finite and > x_min")
+        _require("boundary", self.boundary, self.boundary in ("dirichlet", "periodic"),
+                 "'dirichlet' or 'periodic'", finite=False)
         _require("absorber_width", self.absorber_width,
                  0.0 <= self.absorber_width <= self.length,
                  f"finite and in [0, x_max - x_min] = [0, {self.length!r}]")
@@ -232,14 +229,14 @@ class CouplingRamp:
 
     def __post_init__(self):
         _require("g0_peak", self.g0_peak, self.g0_peak >= 0, "finite and >= 0")
-        if self.shape not in ("tanh", "pulse", "const"):
-            raise ParameterDomainError(f"unknown ramp shape {self.shape!r}")
+        _require("shape", self.shape, self.shape in ("tanh", "pulse", "const"),
+                 "'tanh', 'pulse' or 'const'", finite=False)
         if self.shape != "const":
             _require("gamma", self.gamma, self.gamma > 0,
                      "finite and > 0 for ramped shapes")
             _require("t_on", self.t_on, what="finite for ramped shapes")
-        if math.isnan(self.t_off):
-            raise ParameterDomainError("t_off must be a number or +inf, got nan")
+        _require("t_off", self.t_off, not math.isnan(self.t_off), "a number or +inf",
+                 finite=False)
         # a NaN edge matches no grid point and a reversed support none
         # between its edges: both would run uncoupled
         _require("x_lo", self.x_lo)
@@ -461,8 +458,9 @@ def evolve(
     boundary at or after each requested time (``state.t`` itself for the
     times at or before it, as a copy of the input fields), one per boundary
     however many times it takes. Without a source the instability guard
-    compares the plus-norm against the analytic bound exp(2*g0_peak*(t-t0))
-    every ``_CHECK_EVERY`` = 50 steps.
+    compares the kicked field's plus-norm against the analytic bound
+    exp(2*g0_peak*(t-t0)) once per block of ``_SCHEDULE_STEPS`` = 64 steps
+    and at the end of the run.
 
     ``source_x``, when given, places the continuous source at the grid
     point nearest to it: a unit carrier at frame detuning zero, switched
@@ -472,10 +470,10 @@ def evolve(
     outward half is absorbed and the inward half plays the incident beam
     of a scattering experiment.
 
-    Adjacent Strang half-kicks are fused into one kinetic kick. Where the
-    state must exist at a step boundary (a snapshot time or a guard check)
-    one forward transform gives both the boundary state and the state
-    kicked on into the next step; the final step ends with a half-kick.
+    Adjacent Strang half-kicks are fused into one kinetic kick. Only a
+    snapshot splits one: one forward transform gives both the boundary
+    state and the state kicked on into the next step; the final step ends
+    with a half-kick.
 
     ``potential`` must be None: the stepper runs the coupling alone. The
     parameter stays in third place only for the callers that pass None
@@ -485,22 +483,27 @@ def evolve(
     ``potential`` is not None, ``t_final``, ``state.t`` or a snapshot time
     is not finite, a snapshot time lies after the last step boundary (no
     step would take it), ``t_final`` precedes ``state.t``, ``label.mu`` or
-    ``label.k0`` of the state is not finite, or ``source_x`` is not in
+    ``label.k0`` of the state is not finite, ``state.u`` or ``state.w``
+    does not have the shape of ``grid.x``, or ``source_x`` is not in
     [grid.x_min, grid.x_max]; ResolutionError if the grid cannot resolve
     the mode's nominal carrier (label.k0), and InstabilityDetectedError if
-    the norm is not within the bound (a NaN norm included) mid-run.
+    the norm is not within the bound (a NaN norm included) at a check.
     """
     if potential is not None:
         raise ParameterDomainError(
             "potential must be None: evolve steps the coupling alone", "potential")
     _require("t_final", t_final)
     _require("state.t", state.t)
-    if t_final < state.t:
-        raise ParameterDomainError("t_final precedes the state's current time")
+    _require("t_final", t_final, t_final >= state.t, f"at least state.t = {state.t!r}")
     # a NaN mu turns every kinetic phase NaN; a NaN k0 skips the
     # resolution check
     _require("label.mu", state.label.mu)
     _require("label.k0", state.label.k0)
+    u, w = np.asarray(state.u), np.asarray(state.w)
+    for name, samples in (("state.u", u), ("state.w", w)):
+        if samples.shape != grid.x.shape:
+            raise ParameterDomainError(f"{name} must have the grid's shape "
+                                       f"{grid.x.shape}, got {samples.shape}", name)
     n_steps = int(math.ceil((t_final - state.t) / grid.dt - 1e-12))
     if snapshot_times is not None:
         # the loop takes a time at the first step boundary t with
@@ -514,10 +517,6 @@ def evolve(
                  f"in [grid.x_min, grid.x_max] = [{grid.x_min!r}, {grid.x_max!r}]")
     grid.validate_resolution(state.label.k0)
     stepper = _Stepper(grid, ramp, mu=state.label.mu)
-    u = np.asarray(state.u)
-    w = np.asarray(state.w)
-    if u.shape != grid.x.shape or w.shape != grid.x.shape:
-        raise ParameterDomainError("state arrays do not match the grid")
     f = stepper.embed(u, w)
     points = stepper.points
     isrc = imirror = None
@@ -562,30 +561,28 @@ def evolve(
             t = t0 + (step + 1) * grid.dt
 
             # each step ends with one kick: the final half-kick, a split
-            # kick at a step boundary that must exist, or a full kick (this
+            # kick at a snapshot's step boundary, or a full kick (this
             # step's trailing half-kick fused with the next one's leading)
-            snap = due(t)
-            check = guarded and (step + 1) % _CHECK_EVERY == 0
             if step == n_steps - 1:
                 f = stepper.kick(f, full=False)
-                at = f.copy() if snap else f  # the last snapshot must not alias f
-            elif snap or check:
+            elif due(t):
                 # the boundary state (fresh arrays), and f kicked on through
                 # the next step's leading half-kick, from one forward transform
                 at, f = stepper.split_kick(f)
+                snapshots.append(state.copy_with(*stepper.fields(at), t))
             else:
                 f = stepper.kick(f, full=True)
-                continue
-            if snap:
-                snapshots.append(state.copy_with(*stepper.fields(at), t))
-            if check:
-                bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
-                norm = plus_norm(state.copy_with(at[0, points], at[1, points], t),
-                                 grid)
-                if not norm <= INSTABILITY_MARGIN * bound:
-                    raise InstabilityDetectedError(
-                        f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
-                    )
+        if guarded:
+            # the kicks keep the plus-norm, so f's points hold that of the
+            # boundary state at t (on the odd extension, half of f's)
+            bound = norm0 * math.exp(2.0 * ramp.g0_peak * (t - t0))
+            norm = float(np.sum(np.abs(f[:, points]) ** 2) * grid.dx)
+            if not norm <= INSTABILITY_MARGIN * bound:
+                raise InstabilityDetectedError(
+                    f"norm exceeded exp(2 g0 t) bound at t={t:.4g}"
+                )
+    if due(t):  # a copy: the final state holds f's own arrays
+        snapshots.append(state.copy_with(*stepper.fields(f.copy()), t))
     final = state.copy_with(*stepper.fields(f), t)
     return final, snapshots
 
@@ -707,7 +704,9 @@ def steady_state_beta_squared(
     (``final_state``). A ``big_m`` or
     ``gamma_ratio`` that is not finite and > 0, a ``kappa`` that is not
     finite and >= 0, or a ``measure_c`` that is not finite is a
-    ParameterDomainError naming it.
+    ParameterDomainError naming it. A slab edge off the grid is a
+    ResolutionError, and so is a grid too coarse for the carrier k0
+    (raised by ``evolve``).
     """
     _require("big_m", big_m, big_m > 0, "finite and > 0")
     _require("kappa", kappa, kappa >= 0, "finite and >= 0")
@@ -730,7 +729,6 @@ def steady_state_beta_squared(
             f"slab edge a={a!r} not on the grid (dx={grid.dx!r}); "
             "choose length/n_points so a/dx is an integer"
         )
-    grid.validate_resolution(k0)
     t0_ramp = 20.0 + 4.0 / gamma_ratio
     t_meas = t0_ramp + measure_c / gamma_ratio
     ramp = CouplingRamp(

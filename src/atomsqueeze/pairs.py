@@ -174,19 +174,21 @@ def pair_amplitude(
 ) -> PairAmplitude:
     """Evolve the sourced two-atom amplitude to time ``t0``.
 
-    ``grid`` must be a symmetric Dirichlet grid without absorber (a
-    closed box; ParameterDomainError naming ``absorber_width`` otherwise)
-    containing the coupling support [-a, a] (a is taken from the ramp
-    support, which must be symmetric). ``mu`` is the chemical potential
-    in coupling units (the escape carrier is k0 = sqrt(mu)); it must be
-    finite and > 0.
+    ``grid`` must be a Dirichlet grid without absorber (a closed box),
+    symmetric about 0 (x_min = -x_max), containing the coupling support
+    [-a, a]: a is the ramp's x_hi, in (0, x_max), and x_lo = -a. ``mu``
+    is the chemical potential in coupling units (the escape carrier is
+    k0 = sqrt(mu)); it must be finite and > 0.
     ``potential_plus`` is the potential of the +1 component, finite
     samples on grid.x, zero by default; the -1 component is free.
 
-    The ramp should switch off before t0 (shape 'pulse') so the pair has a
-    free escape interval; the leakage metric reports how completely it
-    left the coupling square. ``t0`` must be finite and a whole number of
-    steps ``grid.dt`` (ParameterDomainError naming it otherwise).
+    The ramp must switch off before t0 (a finite t_off < t0, shape
+    'pulse') so the pair has a free escape interval; the leakage metric
+    reports how completely it left the coupling square. ``t0`` must be
+    finite and a whole number of steps ``grid.dt``. A rejected input is a
+    ParameterDomainError naming its field: ``boundary``,
+    ``absorber_width``, ``x_min``, ``x_lo``, ``x_hi``, ``t0``, ``t_off``,
+    ``mu`` or ``potential_plus``.
 
     The result is that of N = t0/dt Strang steps T = K_h V K_h of the 2-D
     field (K_h the kinetic half-kick, V the potential phase, the diagonal
@@ -236,34 +238,29 @@ def pair_amplitude(
     nothing, and the bits may depend on that BLAS's thread count. The
     sine transforms run on one thread.
     """
-    if grid.boundary != "dirichlet":
-        raise ParameterDomainError("pair evolution uses a Dirichlet box")
+    _require("boundary", grid.boundary, grid.boundary == "dirichlet",
+             "'dirichlet' on a pair grid (a closed box)", finite=False)
     if grid.absorber_width > 0:
         raise ParameterDomainError(
             "absorber_width must be 0 on a pair grid: an absorber would "
             "remove the escaped pair", name="absorber_width",
         )
     x = grid.x
-    if abs(grid.x_min + grid.x_max) > 1e-9 * grid.length:
-        raise ParameterDomainError("pair grid must be symmetric about 0")
-    if abs(ramp.x_lo + ramp.x_hi) > 1e-12:
-        raise ParameterDomainError("coupling support must be symmetric about 0")
+    _require("x_min", grid.x_min, abs(grid.x_min + grid.x_max) <= 1e-9 * grid.length,
+             f"-x_max = {-grid.x_max!r} (a pair grid symmetric about 0)")
+    _require("x_lo", ramp.x_lo, abs(ramp.x_lo + ramp.x_hi) <= 1e-12,
+             f"-x_hi = {-ramp.x_hi!r} (a coupling support symmetric about 0)")
     a = ramp.x_hi
-    if a <= 0 or a >= grid.x_max:
-        raise ParameterDomainError("coupling support must satisfy 0 < a < x_max")
+    _require("x_hi", a, 0 < a < grid.x_max, f"in (0, x_max) = (0, {grid.x_max!r})")
     _require("t0", t0)
-    if not math.isfinite(ramp.t_off) or ramp.t_off >= t0:
-        raise ParameterDomainError(
-            "ramp must switch off before t0 (use shape='pulse')"
-        )
+    _require("t_off", ramp.t_off, ramp.t_off < t0,
+             f"finite and < t0 = {t0!r} (a ramp that switches off, shape 'pulse')")
     ratio = t0 / grid.dt
     steps = int(round(ratio))
     if abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
         raise ParameterDomainError(
-            f"t0={t0!r} is not a multiple of dt={grid.dt!r} (t0/dt = {ratio!r})"
-        )
-    if not (mu > 0 and math.isfinite(mu)):
-        raise ParameterDomainError(f"mu must be finite and > 0, got {mu!r}")
+            f"t0={t0!r} is not a multiple of dt={grid.dt!r} (t0/dt = {ratio!r})", "t0")
+    _require("mu", mu, mu > 0, "finite and > 0")
     grid.validate_resolution(math.sqrt(mu))
     sides = [_potential_samples(potential_plus, "potential_plus", x)]
     if potential_plus is not None:

@@ -42,11 +42,12 @@ MIN_GRID_POINTS = 16
 def _require(name, value, ok=True, what="finite", finite=True):
     """Raise ParameterDomainError unless ``ok`` holds and (with ``finite``)
     ``value`` is finite, elementwise for arrays, naming the first
-    offending value."""
+    offending value; a string ``value`` (checked with ``finite`` False)
+    is named whole."""
     ok = (np.isfinite(value) if finite else True) & np.asarray(ok)
     if not np.all(ok):
-        raise ParameterDomainError(
-            f"{name} must be {what}, got {_first(value, ~ok)!r}", name)
+        got = value if isinstance(value, str) else _first(value, ~ok)
+        raise ParameterDomainError(f"{name} must be {what}, got {got!r}", name)
 
 
 def _first(value, mask) -> float:

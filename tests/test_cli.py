@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -833,7 +834,7 @@ class TestExponentCells:
     @pytest.mark.parametrize("p", [8, 10])
     def test_density_rows_take_the_vectorized_path(self, p):
         # the pair density's shape and range, every other row negated: all
-        # but a few rows (a cell within the tie margin) are built with numpy
+        # but a few rows (those holding a declined cell) are built with numpy
         rng = np.random.default_rng(20)
         data = rng.standard_normal((255, 255)) ** 2 * 1e-3
         data[::2] *= -1.0
@@ -854,6 +855,23 @@ class TestExponentCells:
     def test_declines(self, cell):
         chunk = np.array([[1.5, cell]])
         assert config._exponent_cells(chunk, 8) is None
+
+    @pytest.mark.parametrize("p, n", [(8, 123456789), (10, 98765432101)])
+    def test_near_ties_are_written(self, p, n):
+        # cells 1 to 3 ulps either side of the ties (N + 1/2)·10^s, whose
+        # correctly rounded mantissas all lie off the tie, on the exact
+        # mantissa's side: each is written with %'s bytes (a margin around
+        # the tie declined them all)
+        for s in (-22, -9, -1, 0, 5, 13):
+            tie = float(Fraction(2 * n + 1, 2) * Fraction(10) ** s)
+            for ulps in (-3, -2, -1, 1, 2, 3):
+                cell = tie
+                for _ in range(abs(ulps)):
+                    cell = np.nextafter(cell, math.copysign(math.inf, ulps))
+                assert float(Fraction(cell) * Fraction(10) ** -s) != n + 0.5
+                for x in (cell, -cell):
+                    text = config._exponent_cells(np.array([[x]]), p)
+                    assert text == self.percent(f"%.{p}e", [[x]])
 
     @pytest.mark.parametrize("off", [-1.0, 1.0])
     def test_exponent_off_by_one_declines(self, monkeypatch, off):
@@ -1013,6 +1031,16 @@ class TestRidgeLocus:
 
 
 class TestDynamicsAndPairsCommands:
+    def test_unresolved_carrier_is_a_solver_error(self, tmp_path, capsys):
+        # dx = 0.1 samples the source carrier k0 = sqrt(M) = 10 too coarsely;
+        # evolve's resolution check names both
+        payload = SMALL["dynamics"] | {"dynamics": {
+            "gamma_ratios": [0.1], "length": 160.0, "n_points": 1600}}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "solver error: dx=0.1 too coarse for k_max=10: need dx <= 0.07854\n")
+
     def test_pairs_run_writes_metrics(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", SMALL["pairs"])
         out = tmp_path / "out"

@@ -238,6 +238,35 @@ class TestNamedInputErrors:
             evolve(state, NO_RAMP, None, grid, 0.1, source_x=source_x)
         assert err.value.name == "source_x"
 
+    @pytest.mark.parametrize("name, run", [
+        ("t0", lambda: pair_run(t0=1.01)),
+        ("mu", lambda: pair_run(mu=0.0)),
+        ("t_off", lambda: pair_run(t0=0.5)),
+        ("boundary", lambda: pair_run(grid={"boundary": "periodic"})),
+        ("x_min", lambda: pair_run(grid={"x_min": -6.0})),
+        ("x_lo", lambda: pair_run(ramp={"x_lo": -0.5})),
+        ("x_hi", lambda: pair_run(ramp={"x_lo": -9.0, "x_hi": 9.0})),
+        ("x_max", lambda: GridSpec(x_min=1.0, x_max=1.0, n_points=32, dt=0.1)),
+        ("boundary", lambda: GridSpec(x_min=0.0, x_max=1.0, n_points=32, dt=0.1,
+                                      boundary="open")),
+        ("shape", lambda: CouplingRamp(g0_peak=1.0, gamma=1.0, shape="step")),
+        ("t_off", lambda: CouplingRamp(g0_peak=1.0, gamma=1.0, t_off=math.nan)),
+        ("t_final", lambda: evolve_run(t_final=-0.01)),
+        ("state.u", lambda: evolve_run(u=np.zeros(5, dtype=complex))),
+        ("state.w", lambda: evolve_run(w=np.zeros(5, dtype=complex))),
+    ], ids=[f"{caller}-{name}" for caller, name in [
+        *(("pair_amplitude", n) for n in
+          ("t0", "mu", "t_off", "boundary", "x_min", "x_lo", "x_hi")),
+        ("GridSpec", "x_max"), ("GridSpec", "boundary"), ("CouplingRamp", "shape"),
+        ("CouplingRamp", "t_off"), ("evolve", "t_final"), ("evolve", "state.u"),
+        ("evolve", "state.w")]])
+    def test_time_domain_input_named(self, name, run):
+        # each was refused without a name
+        with pytest.raises(ParameterDomainError) as err:
+            run()
+        assert err.value.name == name
+        assert str(err.value).startswith(name)
+
     @pytest.mark.parametrize("source_x", [0.0, 40.0])
     def test_evolve_source_on_grid_edge_accepted(self, source_x):
         grid = GridSpec(x_min=0.0, x_max=40.0, n_points=400, dt=0.01)
@@ -245,6 +274,25 @@ class TestNamedInputErrors:
         state = ModeState(u=zeros, w=zeros, t=0.0, label=ModeLabel(mu=4.0, k0=2.0))
         final, _ = evolve(state, NO_RAMP, None, grid, 0.1, source_x=source_x)
         assert np.abs(final.u).max() > 0
+
+
+def pair_run(grid=(), ramp=(), t0=1.0, mu=1.0):
+    """A small pair amplitude on a grid and pulse with the fields given."""
+    grid = GridSpec(**{"x_min": -8.0, "x_max": 8.0, "n_points": 64, "dt": 0.05,
+                       **dict(grid)})
+    ramp = CouplingRamp(**{"g0_peak": 0.05, "gamma": 4.0, "shape": "pulse",
+                           "t_on": 0.2, "t_off": 0.6, "x_lo": -1.0, "x_hi": 1.0,
+                           **dict(ramp)})
+    return pairs.pair_amplitude(ramp, grid, t0, mu)
+
+
+def evolve_run(t_final=0.1, **fields):
+    """A short free run of a packet whose fields are replaced as given."""
+    grid = periodic_grid(n=256, dt=0.01)
+    state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+    state = ModeState(**{"u": state.u, "w": state.w, "t": 0.0, "label": state.label,
+                         **fields})
+    return evolve(state, NO_RAMP, None, grid, t_final)
 
 
 class TestFreeEvolution:
@@ -411,8 +459,9 @@ class TestKickFusion:
                             x_lo=20.0, x_hi=40.0)
         state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
         n = 100
-        # guard checks every 7 steps split the unsnapshotted run off-period
-        monkeypatch.setattr(dynamics, "_CHECK_EVERY", 7)
+        # the guard reads f at the ends of 7-step blocks, off the snapshot
+        # period and the run's length, and must not move a bit
+        monkeypatch.setattr(dynamics, "_SCHEDULE_STEPS", 7)
         plain, _ = evolve(state, ramp, None, grid, n * grid.dt)
         every, snaps = evolve(state, ramp, None, grid, n * grid.dt,
                               snapshot_times=[grid.dt * (i + 1) for i in range(n)])
@@ -505,7 +554,8 @@ class TestSchedule:
         else:
             zeros = np.zeros(grid.x.size, dtype=complex)
             state = ModeState(u=zeros, w=zeros, t=0.03, label=ModeLabel(mu=9.0, k0=3.0))
-        # snapshots and guard checks on the boundaries of 7- and 3-step blocks
+        # snapshots on the boundaries of 7- and 3-step blocks, where the
+        # guarded run also checks its norm
         times = [state.t + k * grid.dt for k in (7, 21, 22, 40)]
         final, snaps = evolve(state, self.RAMP, None, grid, state.t + 45 * grid.dt,
                               source_x=source_x, snapshot_times=times)
@@ -513,7 +563,6 @@ class TestSchedule:
 
     @pytest.mark.parametrize("source_x", [20.0, None])
     def test_same_bits_at_every_block_size(self, monkeypatch, source_x):
-        monkeypatch.setattr(dynamics, "_CHECK_EVERY", 7)
         runs = []
         for steps in (1, 3, 7, 64, 10**6):
             monkeypatch.setattr(dynamics, "_SCHEDULE_STEPS", steps)
@@ -696,6 +745,22 @@ class TestStationaryInterior:
         assert omega_measured == pytest.approx(omega, rel=1e-4)
 
 
+def runaway_run(monkeypatch, scale, boundary, n_steps):
+    """``n_steps`` of a guarded packet (no source) under a local step that
+    also scales f by ``scale`` each step."""
+
+    class Runaway(_Stepper):
+        def local_step(self, f, factors):
+            super().local_step(f, factors)
+            f *= scale
+
+    monkeypatch.setattr(dynamics, "_Stepper", Runaway)
+    ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const", x_lo=20.0, x_hi=40.0)
+    grid = GridSpec(x_min=0.0, x_max=60.0, n_points=256, dt=0.01, boundary=boundary)
+    state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
+    evolve(state, ramp, None, grid, n_steps * grid.dt)
+
+
 def plane_wave_snapshot(mu=9.0):
     """(state, window, grid): the incident wave exp(-3i x) in u on 512
     points of [0, 60], labelled with ``mu``, and the window [10, 14]."""
@@ -787,25 +852,22 @@ class TestInstabilityAndWindows:
         # a local step that scales f by 1.02 (or turns it to NaN) each step
         # must trip the guard of a packet with no source, on a periodic
         # grid and on a Dirichlet grid's odd extension, whose guard reads
-        # the grid's points, at the first check (every 10 steps) where the
-        # plus-norm exceeds 1.5 times its bound: at 1.02 it reads 1.24 and
-        # 1.59 times exp(2 g0 t) times its start at t = 0.1 and 0.2
-        local_step = _Stepper.local_step
-
-        def runaway(self, f, factors):
-            local_step(self, f, factors)
-            f *= scale
-
-        monkeypatch.setattr(_Stepper, "local_step", runaway)
-        monkeypatch.setattr(dynamics, "_CHECK_EVERY", 10)
-        ramp = CouplingRamp(g0_peak=1.0, gamma=1.0, shape="const",
-                            x_lo=20.0, x_hi=40.0)
+        # the grid's points, at the first check (the end of each 10-step
+        # block) where the plus-norm exceeds 1.5 times its bound: at 1.02
+        # it reads 1.24 and 1.59 times exp(2 g0 t) times its start at
+        # t = 0.1 and 0.2
+        monkeypatch.setattr(dynamics, "_SCHEDULE_STEPS", 10)
         for boundary in ("periodic", "dirichlet"):
-            grid = GridSpec(x_min=0.0, x_max=60.0, n_points=256, dt=0.01,
-                            boundary=boundary)
-            state = gaussian_packet(grid, x0=30.0, sigma=5.0, k=3.0, mu=9.0)
             with pytest.raises(InstabilityDetectedError, match=rf"at t={trips_at}$"):
-                evolve(state, ramp, None, grid, 100 * grid.dt)
+                runaway_run(monkeypatch, scale, boundary, 100)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_guard_checks_a_run_shorter_than_one_block(self, monkeypatch, boundary):
+        # the run's last, partial block is checked at its end: 40 steps
+        # are less than one block, and the norm there reads twice its bound
+        assert 40 < dynamics._SCHEDULE_STEPS
+        with pytest.raises(InstabilityDetectedError, match=r"at t=0\.4$"):
+            runaway_run(monkeypatch, 1.02, boundary, 40)
 
     def test_history_required(self):
         grid = GridSpec(x_min=0.0, x_max=60.0, n_points=512, dt=0.01)
