@@ -115,15 +115,22 @@ def cmd_compare(config: RunConfig, record: RunRecord, tolerance: float) -> int:
 
 
 def cmd_dynamics(config: RunConfig, record: RunRecord) -> int:
-    from .analytic import r_closed_form
+    from .analytic import r_closed_form, wavenumber_phase
     from .dynamics import export_state_columns, steady_state_beta_squared
 
     # the keys left after gamma_ratios are steady_state_beta_squared options
     dyn = dict(config.dynamics)
     gamma_ratios, kappa, big_m = dyn.pop("gamma_ratios"), config.kappa, config.big_m
+    where = "dimensionless.kappa" if config.g0 is None else "physical block: kappa"
+    # past kappa_th(M) the output grows and has no steady value to compare;
+    # the closed form, and with it kappa_th, needs M >= 1
+    kappa_th = (math.pi / 2 / float(wavenumber_phase(0.0, big_m, 1.0))
+                if big_m >= 1.0 else math.inf)
+    if kappa >= kappa_th:
+        raise ConfigError(f"{where} must lie below the threshold kappa_th(M = "
+                          f"{big_m!r}) = {kappa_th!r}, got kappa = {kappa!r}")
     target = math.sinh(r_closed_form(0.0, math.inf, kappa).r) ** 2
     if not 0.0 < target < math.inf:
-        where = "dimensionless.kappa" if config.g0 is None else "physical block: kappa"
         raise ConfigError(f"{where} must give a finite target sinh^2(r0) > 0, got "
                           f"kappa = {kappa!r} (target {target!r})")
     rows = []

@@ -704,7 +704,9 @@ def steady_state_beta_squared(
     (``final_state``). A ``big_m`` or
     ``gamma_ratio`` that is not finite and > 0, a ``kappa`` that is not
     finite and >= 0, or a ``measure_c`` that is not finite is a
-    ParameterDomainError naming it. A slab edge off the grid is a
+    ParameterDomainError naming it, and so is a ``length`` whose
+    analysis window, from 0.15 * length, would open inside the slab
+    (a > 0.15 * length). A slab edge off the grid is a
     ResolutionError, and so is a grid too coarse for the carrier k0
     (raised by ``evolve``).
     """
@@ -714,6 +716,9 @@ def steady_state_beta_squared(
     _require("measure_c", measure_c)
     k0 = math.sqrt(big_m)
     a = kappa * math.sqrt(big_m)
+    _require("length", length, not a > 0.15 * length,
+             f"at least a / 0.15 for a = {a!r}: the slab [0, a] ends before "
+             "the analysis window opens at 0.15 * length", finite=False)
     grid = GridSpec(
         x_min=0.0,
         x_max=length,

@@ -22,7 +22,9 @@ to flux normalization so the coefficients satisfy the symplectic
 constraints |alpha|^2 - |beta|^2 = 1 and alpha_p beta_m = alpha_m beta_p.
 Outgoing/incoming amplitudes are referenced at the origin (the plane-wave
 phase convention of the asymptotic expansion), so the decoupled g0 -> 0
-limit gives the bare hard-wall reflection alpha = -1.
+limit gives the bare hard-wall reflection alpha = -1. One carrier phase
+exp(-2i k_u a) and one channel shift exp(i (k_w - k_u) a), with
+k_w - k_u = -2d / (k_w + k_u), re-reference all four.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class BogoliubovCoefficients:
     beta_p: complex
     alpha_m: complex
     beta_m: complex
-    d: float
-    big_m: float
-    kappa: float
     condition_number: float
 
     def norm_defects(self) -> Tuple[float, float]:
@@ -202,14 +201,14 @@ def solve_matching(d, big_m, kappa) -> BogoliubovCoefficients:
 
     # Re-reference amplitudes to the origin and flux-normalize. The w
     # channel rides on the conjugate field, so its coefficients conjugate.
+    # alpha_m shares the carrier's rounding, so the cross constraint holds
+    carrier = np.exp(-2j * ku * a)
+    shift = np.exp(-2j * d / (kw + ku) * a)
     return BogoliubovCoefficients(
-        alpha_p=p1 * np.exp(-2j * ku * a),
-        beta_p=p2 * np.exp(1j * (kw - ku) * a) * np.sqrt(ku / kw),
-        alpha_m=np.conj(q2 * np.exp(2j * kw * a)),
-        beta_m=np.conj(q1 * np.exp(1j * (kw - ku) * a)) * np.sqrt(kw / ku),
-        d=d,
-        big_m=big_m,
-        kappa=kappa,
+        alpha_p=p1 * carrier,
+        beta_p=p2 * shift * np.sqrt(ku / kw),
+        alpha_m=np.conj(q2) * carrier * np.conj(shift) ** 2,
+        beta_m=np.conj(q1 * shift) * np.sqrt(kw / ku),
         condition_number=cond,
     )
 
@@ -225,8 +224,7 @@ def solve_scattering(params: DimensionlessParams) -> BogoliubovCoefficients:
         raise SolverError(f"singular matching system at {params}")
     amplitudes = (c.alpha_p, c.beta_p, c.alpha_m, c.beta_m)
     return BogoliubovCoefficients(
-        *(complex(x[0]) for x in amplitudes), params.d, params.big_m,
-        params.kappa, float(c.condition_number[0]),
+        *(complex(x[0]) for x in amplitudes), float(c.condition_number[0])
     )
 
 

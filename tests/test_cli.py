@@ -210,6 +210,12 @@ MALFORMED = {
     "dynamics-kappa-zero": (
         {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 0.0}},
         [], "dimensionless.kappa"),
+    # past kappa_th(100) = 1.5707767 the output grows without a steady
+    # value: this run once exited 0 with a discrepancy of 10.85
+    "dynamics-kappa-past-threshold": (
+        {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": 1.7},
+         "dynamics": {"gamma_ratios": [0.3], "dt": 0.02}},
+        [], "dimensionless.kappa"),
     "dynamics-kappa-negative": (
         {"mode": "dynamics", "dimensionless": {"big_m": 100.0, "kappa": -1.0}},
         [], "dimensionless.kappa"),

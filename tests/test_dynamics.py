@@ -154,6 +154,27 @@ class TestNamedInputErrors:
             steady_state_beta_squared(**kw)
         assert err.value.name == name
 
+    @pytest.mark.parametrize("length", [40.0, 60.0])
+    def test_steady_output_window_inside_slab(self, length):
+        # the slab [0, 12] reaches into the window from 0.15 * length: these
+        # runs read |beta|^2 = 4.75 and 6.80 where length 160 reads 6.48
+        with pytest.raises(ParameterDomainError, match="^length must be") as err:
+            steady_state_beta_squared(100.0, 1.2, 0.3, length=length, dt=0.01)
+        assert err.value.name == "length"
+
+    def test_steady_output_window_at_slab_end(self, monkeypatch):
+        # a = 12.0 is 0.15 * 80 exactly: the window opens where the slab
+        # ends, and the run goes on to step
+        class Stepped(Exception):
+            pass
+
+        def stepped(*args, **kwargs):
+            raise Stepped
+
+        monkeypatch.setattr(dynamics, "evolve", stepped)
+        with pytest.raises(Stepped):
+            steady_state_beta_squared(100.0, 1.2, 0.3, length=80.0, n_points=1600)
+
     @pytest.mark.parametrize("t_final", [math.nan, math.inf])
     def test_evolve_t_final(self, t_final):
         grid = periodic_grid(n=256, dt=0.01)

@@ -99,13 +99,14 @@ class TestInteriorModes:
 
 
 #: Lists of (d, M - |d|, kappa): every (d, M, kappa) the spectrum, compare
-#: and acceptance runs solve. M up to 1e3, kappa up to the spectrum grid's
+#: and acceptance runs solve and far beyond. M up to about 1e6, where the
+#: exterior phases k a reach 1.45e6 rad, kappa up to the spectrum grid's
 #: default top (below the first threshold pi/2), evanescent interiors
 #: included.
 DOMAIN = st.lists(
     st.tuples(
         st.floats(-5.0, 5.0),
-        st.floats(1e-6, 995.0),  # M - |d| > 0: both exterior channels open
+        st.floats(1e-6, 1e6),  # M - |d| > 0: both exterior channels open
         st.floats(0.0, 1.45),
     ),
     min_size=1, max_size=16,
@@ -164,6 +165,9 @@ class TestSolveScattering:
     @given(DOMAIN)
     # M = sqrt(1 + d^2): an exactly singular matrix once failed its row
     @example([(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (0.3, 2.0, 1.2)])
+    # exterior phases k a of 8e4 and 1.1e6 rad: each rounded on its own, they
+    # once broke the cross constraint
+    @example([(0.3125, 65259.0, 1.25), (-0.0258, 785486.0, 1.401)])
     def test_symplectic_constraints_over_domain(self, points):
         c, ok = solve_domain_points(points)
         n1, n2 = c.norm_defects()
@@ -314,11 +318,13 @@ def lu_coefficients(d, big_m, kappas):
     rhs[:, 1, 0], rhs[:, 3, 1] = -1j * ku, 1j * kw
     (p1, p2), (q1, q2) = np.linalg.solve(mat, rhs)[:, 2:].transpose(1, 2, 0)
     a = kappas * math.sqrt(big_m)
+    carrier = np.exp(-2j * ku * a)
+    shift = np.exp(-2j * d / (kw + ku) * a)
     return (
-        p1 * np.exp(-2j * ku * a),
-        p2 * np.exp(1j * (kw - ku) * a) * math.sqrt(ku / kw),
-        np.conj(q2 * np.exp(2j * kw * a)),
-        np.conj(q1 * np.exp(1j * (kw - ku) * a)) * math.sqrt(kw / ku),
+        p1 * carrier,
+        p2 * shift * math.sqrt(ku / kw),
+        np.conj(q2) * carrier * np.conj(shift) ** 2,
+        np.conj(q1 * shift) * math.sqrt(kw / ku),
     )
 
 
@@ -375,9 +381,6 @@ class TestRFromCoefficients:
             beta_p=beta,
             alpha_m=alpha,
             beta_m=beta,
-            d=0.0,
-            big_m=100.0,
-            kappa=1.0,
             condition_number=1.0,
         )
 
@@ -394,9 +397,6 @@ class TestRFromCoefficients:
             beta_p=1.0,
             alpha_m=2.0,
             beta_m=1.4,
-            d=0.0,
-            big_m=100.0,
-            kappa=1.0,
             condition_number=1.0,
         )
         with pytest.raises(InconsistentChannelsError):
